@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ldvi.annealing import (AnnealingSchedule, MeanFieldGaussian,
-                            bridge_score, inverse_softplus)
+                            inverse_softplus)
 from ldvi.dynamics import (BackwardEM, BackwardExactNoScore, ExactOU,
                            ForwardEM, MCDBackward, em_forward_transition,
                            em_log_ratio_step, forward_transition,
@@ -295,7 +295,7 @@ def _momentum_aug_logpdf(model: LiftedModel, k: int, z: Var, rho: Var) -> Var:
     if model.config.mcd_augment:
         mean = t.mul(2.0, model.score_fn(k, z, rho))
         return t.gaussian_logpdf(rho, mean, 1.0)
-    return t.gaussian_logpdf(rho, t.constant(0.0), 1.0)
+    return t.gaussian_logpdf(rho, 0.0, 1.0)
 
 
 def _sample_initial_momentum(model: LiftedModel, z1: Var,
@@ -311,6 +311,14 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
                   noise: NoiseBundle) -> ElboEstimate:
     """Accumulate the augmented bound along one simulated chain.
 
+    Transition k needs the bridge score grad log pi_k = (1 - beta_k) grad log q
+    + beta_k grad log pbar at each position it visits, and a leapfrog step ends
+    where the next one begins. So the chain keeps one (base score, target
+    score) pair per position, computed on first use, and each transition mixes
+    it with its own beta_k. For K >= 2 a leapfrog chain thus calls
+    `target.score` K times, once per position, and an Euler-Maruyama chain,
+    which scores only where each transition starts, K - 1 times.
+
     Raises EstimatorError naming the transition index if any contribution
     turns non-finite.
     """
@@ -323,9 +331,21 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     if noise.step_eps.shape[0] < K - 1:
         raise ValueError("noise bundle holds too few transition draws")
 
+    scores: dict[int, tuple[Var, Var]] = {}   # position index -> pair
+
     def grad_at(k: int):
-        return lambda zz: bridge_score(t, zz, k, K, model.q, target,
-                                       model.schedule)
+        """Score of the interior bridge pi_k, for 1 <= k < K."""
+        beta = model.schedule.beta(k)
+        keep = t.sub(1.0, beta)
+
+        def grad(zz: Var) -> Var:
+            pair = scores.get(zz.index)
+            if pair is None:
+                pair = scores[zz.index] = (model.q.score(zz),
+                                           target.score(t, zz))
+            return t.add(t.mul(keep, pair[0]), t.mul(beta, pair[1]))
+
+        return grad
 
     z = model.q.sample(noise.z_eps)
     rho = _sample_initial_momentum(model, z, noise.rho_eps)

@@ -5,12 +5,16 @@ axes are treated as independent batch axes (a batch of Monte Carlo chains can
 share one tape). A scalar is an array of shape ``()`` or, batched, ``(B,)``.
 
 Gradients are first-order only: every quantity whose derivative is needed must
-be expressed in primal tape operations (in particular, scores of log-densities
-are built analytically rather than by nesting backward passes).
+be expressed in tape operations (in particular, scores of log-densities are
+built analytically rather than by nesting backward passes). Composites such as
+`Tape.gaussian_logpdf` are single nodes with hand-written VJPs: their forward
+value repeats the numpy operations of the primal chain they replace, in the
+same order, so values match it bit for bit while the tape holds one node.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -130,7 +134,13 @@ class Tape:
         return var
 
     def _coerce(self, x) -> Var:
-        return x if isinstance(x, Var) else self.constant(x)
+        if isinstance(x, Var):
+            return x
+        if isinstance(x, (int, float)):
+            if not math.isfinite(x):
+                raise DomainError("lift", f"non-finite input {x!r}")
+            return self._push(np.asarray(x, dtype=np.float64), (), None)
+        return self.constant(x)
 
     # ------------------------------------------------------------- dispatcher
 
@@ -359,19 +369,35 @@ class Tape:
         """Diagonal-Gaussian log-density, summed over the vector axis.
 
         `var` is a shared positive variance: a python float or a scalar Var.
-        Returns sum_d [-0.5 log(2 pi var) - (x_d - mean_d)^2 / (2 var)].
+        Returns sum_d [-0.5 log(2 pi var) - (x_d - mean_d)^2 / (2 var)] as one
+        node whose VJP gives the adjoints of `x`, `mean` and `var`. Operands
+        that are not Vars are constants and push no node of their own.
         """
-        x, mean = self._coerce(x), self._coerce(mean)
-        var = self._coerce(var)
-        if np.any(var.value <= 0.0):
+        xv, mv, vv = (_operand_value(a) for a in (x, mean, var))
+        if np.any(vv <= 0.0):
             raise DomainError("gaussian_logpdf",
-                              f"non-positive variance {var.value!r}")
-        d = x.value.shape[-1]
-        diff = self.sub(x, mean)
-        quad = self.sum(self.square(diff))
-        inv = self.div(quad, self.mul(2.0, var))
-        norm = self.mul(0.5 * d, self.log(self.mul(2.0 * np.pi, var)))
-        return self.neg(self.add(norm, inv))
+                              f"non-positive variance {vv!r}")
+        d = xv.shape[-1]
+        diff = xv - mv
+        quad = (diff * diff).sum(axis=-1)
+        two_var = 2.0 * vv
+        value = -((0.5 * d) * np.log((2.0 * np.pi) * vv) + quad / two_var)
+        parents = tuple(a for a in (x, mean, var) if isinstance(a, Var))
+
+        def vjp(adj):
+            # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - d / (2 var)
+            r = (adj / vv)[..., None] * diff
+            grads = []
+            if isinstance(x, Var):
+                grads.append(_unbroadcast(-r, xv.shape))
+            if isinstance(mean, Var):
+                grads.append(_unbroadcast(r, mv.shape))
+            if isinstance(var, Var):
+                grads.append(_unbroadcast(
+                    adj * (quad / (two_var * vv) - (0.5 * d) / vv), vv.shape))
+            return grads
+
+        return self._push(value, parents, vjp)
 
     # ---------------------------------------------------------------- backward
 
@@ -414,6 +440,16 @@ class Tape:
         self.nodes = []
         self.params = []
         self._consumed = False
+
+
+def _operand_value(a) -> np.ndarray:
+    """Value of a Var, or a finite constant lifted without a tape node."""
+    if isinstance(a, Var):
+        return a.value
+    arr = _as_array(a)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("lift", f"non-finite input {arr!r}")
+    return arr
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,15 +1,20 @@
 """Unit tests for the augmented-ELBO estimator and method configurations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
 from scipy.stats import norm
 
-from ldvi.annealing import inverse_softplus
+from ldvi.annealing import bridge_score, inverse_softplus
+from ldvi.dynamics import (em_forward_transition, em_log_ratio_step,
+                           forward_transition, log_ratio_step)
 from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
-                            MethodConfig, NoiseBundle, config_variant,
-                            estimate_elbo, evaluate_elbo_mean, get_method,
-                            init_params, lift_model, method_names,
+                            MethodConfig, NoiseBundle, _momentum_aug_logpdf,
+                            _momentum_kernels, _sample_initial_momentum,
+                            config_variant, estimate_elbo, evaluate_elbo_mean,
+                            get_method, init_params, lift_model, method_names,
                             plain_vi_elbo, ula_epsilon)
 from ldvi.scorenet import ScoreNet
 from ldvi.tape import Tape
@@ -523,3 +528,89 @@ class TestPlainViElbo:
         z = mu + sigma * eps
         want = toy_logp(target, z) - norm.logpdf(z, mu, sigma).sum()
         assert float(got.value) == pytest.approx(want, rel=1e-12)
+
+
+def counting_target(target):
+    """The target with a score that records every call."""
+    calls = []
+
+    def score(t, z):
+        calls.append(z)
+        return target.score(t, z)
+
+    return dataclasses.replace(target, score=score), calls
+
+
+def per_call_reference(model, target, noise):
+    """The bound with every bridge score computed afresh by bridge_score."""
+    t, c, K = model.tape, model.config, model.num_steps
+
+    def grad_at(k):
+        return lambda zz: bridge_score(t, zz, k, K, model.q, target,
+                                       model.schedule)
+
+    z = model.q.sample(noise.z_eps)
+    rho = _sample_initial_momentum(model, z, noise.rho_eps)
+    L = t.neg(t.add(model.q.log_pdf(z),
+                    _momentum_aug_logpdf(model, 1, z, rho)))
+    if c.scheme == "leapfrog":
+        fwd, bwd = _momentum_kernels(model)
+        for k in range(1, K):
+            z_new, rho_new, rho_prime = forward_transition(
+                t, z, rho, model.delta, fwd, grad_at(k), noise.step_eps[k - 1])
+            L = t.add(L, log_ratio_step(t, rho, rho_prime, z, k, fwd, bwd))
+            z, rho = z_new, rho_new
+    else:
+        score_fn = model.score_fn if c.uses_score else None
+        for k in range(1, K):
+            grad = grad_at(k)(z)
+            z_new, rho_new = em_forward_transition(
+                t, z, rho, model.delta, model.gamma, grad,
+                noise.step_eps[k - 1])
+            L = t.add(L, em_log_ratio_step(t, z, rho, rho_new, k, model.delta,
+                                           model.gamma, grad, score_fn))
+            z, rho = z_new, rho_new
+    return t.add(L, t.add(target.logp(t, z),
+                          _momentum_aug_logpdf(model, K, z, rho)))
+
+
+class TestScoreReuse:
+    """Each chain position is scored once and mixed per transition."""
+
+    @pytest.mark.parametrize("K", [2, 5, 8])
+    @pytest.mark.parametrize("name,per_chain", [
+        ("ula", 0), ("uha", 0), ("mcd", 0), ("ldvi", 0),
+        ("uha_em", -1), ("ldvi_em", -1)])
+    def test_one_target_score_per_position(self, name, per_chain, K):
+        target, calls = counting_target(gaussian_toy_target(3, mean=0.2))
+        cfg = config_variant(get_method(name), score_hidden=4)
+        params = init_params(cfg, 3, K)
+        run_estimate(cfg, params, target, K, NoiseBundle.draw(0, 0, 4, 3, K))
+        assert len(calls) == K + per_chain
+        assert len({z.index for z in calls}) == len(calls)
+
+    @pytest.mark.parametrize("name", ["ula", "mcd", "uha", "ldvi", "uha_em",
+                                      "ldvi_em"])
+    def test_matches_per_call_bridge_scores(self, name):
+        rng = np.random.default_rng(sum(map(ord, name)))
+        dim, K = 3, 5
+        cfg = config_variant(get_method(name), score_hidden=6)
+        target = gaussian_toy_target(dim, mean=rng.normal(size=dim),
+                                     cov_diag=rng.uniform(0.5, 2.0, size=dim))
+        params = random_params(cfg, dim, K, rng, score_scale=0.2)
+        noise = NoiseBundle.draw(int(rng.integers(1000)), 0, 4, dim, K)
+
+        t = Tape()
+        est = estimate_elbo(lift_model(t, cfg, params, dim, K), target, noise)
+        grads = t.backward(t.mean_all(est.value))
+        r = Tape()
+        ref = per_call_reference(lift_model(r, cfg, params, dim, K), target,
+                                 noise)
+        ref_grads = r.backward(r.mean_all(ref))
+
+        np.testing.assert_array_equal(est.value.value, ref.value)
+        assert grads.keys() == ref_grads.keys()
+        for key, want in ref_grads.items():
+            np.testing.assert_allclose(grads[key], want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=key)

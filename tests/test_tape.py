@@ -179,6 +179,23 @@ def _numpy_binop(op, a, b):
     }[op](a, b)
 
 
+class TestScalarCoercion:
+    def test_python_scalar_is_lifted(self):
+        t = Tape()
+        b = t.lift([1.0, 2.0], trainable=True, name="b")
+        out = t.sub(1.0, b)
+        np.testing.assert_array_equal(out.value, [0.0, -1.0])
+        np.testing.assert_array_equal(t.backward(t.sum(out))["b"], [-1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scalar_raises(self, bad):
+        t = Tape()
+        b = t.lift([1.0, 2.0])
+        with pytest.raises(DomainError) as err:
+            t.sub(bad, b)
+        assert err.value.opcode == "lift"
+
+
 class TestGaussianLogpdf:
     def test_standard_normal_at_zero(self):
         t = Tape()
@@ -211,6 +228,68 @@ class TestGaussianLogpdf:
         t = Tape()
         with pytest.raises(DomainError):
             t.gaussian_logpdf(t.lift([0.0]), t.lift([0.0]), 0.0)
+
+    @pytest.mark.parametrize("var", [-1.5, "var_node"])
+    def test_nonpositive_variance_names_the_op(self, var):
+        t = Tape()
+        if var == "var_node":
+            var = t.lift(-0.5, trainable=True, name="v")
+        with pytest.raises(DomainError) as err:
+            t.gaussian_logpdf(t.lift([0.3, 0.1]), t.lift([0.0, 0.0]), var)
+        assert err.value.opcode == "gaussian_logpdf"
+
+    @pytest.mark.parametrize("var", [2.5, "var_node"])
+    def test_pushes_one_node(self, var):
+        t = Tape()
+        x = t.lift(np.ones((4, 3)))
+        mean = t.lift(np.zeros(3))
+        if var == "var_node":
+            var = t.lift(2.5)
+        before = len(t.nodes)
+        t.gaussian_logpdf(x, mean, var)
+        assert len(t.nodes) == before + 1
+
+    def test_value_matches_primal_chain_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        t = Tape()
+        x = t.lift(rng.normal(size=(6, 5)))
+        mean = t.lift(rng.normal(size=5))
+        var = t.softplus(t.lift(rng.normal()))
+        diff = t.sub(x, mean)
+        quad = t.sum(t.square(diff))
+        inv = t.div(quad, t.mul(2.0, var))
+        norm = t.mul(0.5 * 5, t.log(t.mul(2.0 * np.pi, var)))
+        chain = t.neg(t.add(norm, inv))
+        fused = t.gaussian_logpdf(x, mean, var)
+        np.testing.assert_array_equal(fused.value, chain.value)
+
+    def test_batched_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(9)
+        B, D = 4, 3
+        x0 = rng.normal(size=(B, D))
+        m0 = rng.normal(size=D)
+        v0 = 0.8
+
+        def f(xv, mv, vv):
+            lp = (-0.5 * D * np.log(2 * np.pi * vv)
+                  - ((xv - mv) ** 2).sum(axis=-1) / (2 * vv))
+            return lp.mean()
+
+        t = Tape()
+        x = t.lift(x0, trainable=True, name="x")
+        mean = t.lift(m0, trainable=True, name="mean")
+        var = t.lift(v0, trainable=True, name="var")
+        grads = t.backward(t.mean_all(t.gaussian_logpdf(x, mean, var)))
+        assert grads["x"].shape == (B, D)
+        assert grads["mean"].shape == (D,)
+        assert grads["var"].shape == ()
+        ref_x = fd_grad(lambda z: f(z.reshape(B, D), m0, v0), x0.ravel())
+        ref_m = fd_grad(lambda z: f(x0, z, v0), m0)
+        ref_v = fd_grad(lambda z: f(x0, m0, z[0]), np.array([v0]))[0]
+        np.testing.assert_allclose(grads["x"].ravel(), ref_x,
+                                   rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(grads["mean"], ref_m, rtol=1e-6, atol=1e-9)
+        assert float(grads["var"]) == pytest.approx(ref_v, rel=1e-6)
 
 
 class TestBackward:
