@@ -263,11 +263,12 @@ class ElboEstimate:
     trace: list[Var]
 
 
-def _check_finite(k: int, *vars_: Var) -> None:
-    for v in vars_:
+def _check_finite(k: int, **quantities: Var) -> None:
+    """Raise EstimatorError naming the first non-finite quantity and k."""
+    for name, v in quantities.items():
         if not np.all(np.isfinite(v.value)):
             raise EstimatorError(
-                f"non-finite bound contribution at transition k={k}")
+                f"non-finite {name.replace('_', ' ')} at transition k={k}")
 
 
 def _momentum_kernels(model: LiftedModel):
@@ -319,7 +320,8 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     `target.score` K times, once per position, and an Euler-Maruyama chain,
     which scores only where each transition starts, K - 1 times.
 
-    Raises EstimatorError naming the transition index if any contribution
+    Raises EstimatorError naming the transition index and the quantity
+    (position, momentum, log-ratio, initial or terminal density) if any
     turns non-finite.
     """
     t, c, K = model.tape, model.config, model.num_steps
@@ -351,7 +353,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     rho = _sample_initial_momentum(model, z, noise.rho_eps)
     L = t.neg(t.add(model.q.log_pdf(z),
                     _momentum_aug_logpdf(model, 1, z, rho)))
-    _check_finite(0, L)
+    _check_finite(0, initial_density=L)
     trace: list[Var] = []
 
     if c.scheme == "leapfrog":
@@ -360,7 +362,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
             z_new, rho_new, rho_prime = forward_transition(
                 t, z, rho, model.delta, fwd, grad_at(k), noise.step_eps[k - 1])
             ratio = log_ratio_step(t, rho, rho_prime, z, k, fwd, bwd)
-            _check_finite(k, z_new, rho_new, ratio)
+            _check_finite(k, position=z_new, momentum=rho_new, log_ratio=ratio)
             L = t.add(L, ratio)
             trace.append(ratio)
             z, rho = z_new, rho_new
@@ -373,14 +375,14 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
                 noise.step_eps[k - 1])
             ratio = em_log_ratio_step(t, z, rho, rho_new, k, model.delta,
                                       model.gamma, grad, score_fn)
-            _check_finite(k, z_new, rho_new, ratio)
+            _check_finite(k, position=z_new, momentum=rho_new, log_ratio=ratio)
             L = t.add(L, ratio)
             trace.append(ratio)
             z, rho = z_new, rho_new
 
     terminal = t.add(target.logp(t, z),
                      _momentum_aug_logpdf(model, K, z, rho))
-    _check_finite(K, terminal)
+    _check_finite(K, terminal_density=terminal)
     L = t.add(L, terminal)
     return ElboEstimate(L, trace)
 

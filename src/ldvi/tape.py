@@ -10,6 +10,10 @@ built analytically rather than by nesting backward passes). Composites such as
 `Tape.gaussian_logpdf` are single nodes with hand-written VJPs: their forward
 value repeats the numpy operations of the primal chain they replace, in the
 same order, so values match it bit for bit while the tape holds one node.
+`Tape.push` records such a node from any module; the array kernels `sigmoid`
+and `softplus` serve both the tape operations of those names and fused nodes.
+The sigmoid has no select between its two branches: it divides exp(min(x, 0))
+by 1 + exp(-|x|), which gives the same float as either branch.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tape", "Var", "DomainError", "OPCODES"]
+__all__ = ["Tape", "Var", "DomainError", "OPCODES", "sigmoid", "softplus"]
 
 OPCODES = (
     "add", "sub", "mul", "div", "neg", "exp", "log", "tanh", "softplus",
@@ -120,7 +124,7 @@ class Tape:
         arr = _as_array(value)
         if not np.all(np.isfinite(arr)):
             raise DomainError("lift", f"non-finite input {arr!r}")
-        var = self._push(arr, (), None, trainable=trainable, name=name)
+        var = self.push(arr, (), None, trainable=trainable, name=name)
         if trainable:
             self.params.append(var)
         return var
@@ -128,7 +132,14 @@ class Tape:
     def constant(self, value) -> Var:
         return self.lift(value, trainable=False)
 
-    def _push(self, value, parents, vjp, trainable=False, name=None) -> Var:
+    def push(self, value, parents, vjp, trainable=False, name=None) -> Var:
+        """Record a node: its value, its parent Vars and its VJP.
+
+        `vjp(adj)` maps the adjoint of `value` to one adjoint per parent, in
+        the order of `parents`; a leaf has no parents and `vjp=None`. Tape
+        methods and fused nodes defined outside this module (such as the
+        logistic-regression target's) are all recorded through here.
+        """
         var = Var(self, len(self.nodes), value, parents, vjp, trainable, name)
         self.nodes.append(var)
         return var
@@ -139,7 +150,7 @@ class Tape:
         if isinstance(x, (int, float)):
             if not math.isfinite(x):
                 raise DomainError("lift", f"non-finite input {x!r}")
-            return self._push(np.asarray(x, dtype=np.float64), (), None)
+            return self.push(np.asarray(x, dtype=np.float64), (), None)
         return self.constant(x)
 
     # ------------------------------------------------------------- dispatcher
@@ -159,7 +170,7 @@ class Tape:
         def vjp(adj):
             return _unbroadcast(adj, a.shape), _unbroadcast(adj, b.shape)
 
-        return self._push(value, (a, b), vjp)
+        return self.push(value, (a, b), vjp)
 
     def sub(self, a, b) -> Var:
         a, b = self._coerce(a), self._coerce(b)
@@ -168,7 +179,7 @@ class Tape:
         def vjp(adj):
             return _unbroadcast(adj, a.shape), _unbroadcast(-adj, b.shape)
 
-        return self._push(value, (a, b), vjp)
+        return self.push(value, (a, b), vjp)
 
     def mul(self, a, b) -> Var:
         a, b = self._coerce(a), self._coerce(b)
@@ -178,7 +189,7 @@ class Tape:
             return (_unbroadcast(adj * b.value, a.shape),
                     _unbroadcast(adj * a.value, b.shape))
 
-        return self._push(value, (a, b), vjp)
+        return self.push(value, (a, b), vjp)
 
     def div(self, a, b) -> Var:
         a, b = self._coerce(a), self._coerce(b)
@@ -190,54 +201,51 @@ class Tape:
             return (_unbroadcast(adj / b.value, a.shape),
                     _unbroadcast(-adj * value / b.value, b.shape))
 
-        return self._push(value, (a, b), vjp)
+        return self.push(value, (a, b), vjp)
 
     def neg(self, a) -> Var:
         a = self._coerce(a)
-        return self._push(-a.value, (a,), lambda adj: (-adj,))
+        return self.push(-a.value, (a,), lambda adj: (-adj,))
 
     # ------------------------------------------------------------- elementwise
 
     def exp(self, a) -> Var:
         a = self._coerce(a)
         value = np.exp(a.value)
-        return self._push(value, (a,), lambda adj: (adj * value,))
+        return self.push(value, (a,), lambda adj: (adj * value,))
 
     def log(self, a) -> Var:
         a = self._coerce(a)
         if np.any(a.value <= 0.0):
             raise DomainError("log", f"non-positive input (min {a.value.min()})")
-        return self._push(np.log(a.value), (a,), lambda adj: (adj / a.value,))
+        return self.push(np.log(a.value), (a,), lambda adj: (adj / a.value,))
 
     def tanh(self, a) -> Var:
         a = self._coerce(a)
         value = np.tanh(a.value)
-        return self._push(value, (a,), lambda adj: (adj * (1.0 - value * value),))
+        return self.push(value, (a,), lambda adj: (adj * (1.0 - value * value),))
 
     def softplus(self, a) -> Var:
-        # log(1+exp(x)), with the x + log(1+exp(-x)) branch for large x.
         a = self._coerce(a)
         x = a.value
-        value = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-        sig = _sigmoid(x)
-        return self._push(value, (a,), lambda adj: (adj * sig,))
+        return self.push(softplus(x), (a,), lambda adj: (adj * sigmoid(x),))
 
     def sigmoid(self, a) -> Var:
         a = self._coerce(a)
-        value = _sigmoid(a.value)
-        return self._push(value, (a,), lambda adj: (adj * value * (1.0 - value),))
+        value = sigmoid(a.value)
+        return self.push(value, (a,), lambda adj: (adj * value * (1.0 - value),))
 
     def square(self, a) -> Var:
         a = self._coerce(a)
-        return self._push(a.value * a.value, (a,),
-                          lambda adj: (2.0 * adj * a.value,))
+        return self.push(a.value * a.value, (a,),
+                         lambda adj: (2.0 * adj * a.value,))
 
     def sqrt(self, a) -> Var:
         a = self._coerce(a)
         if np.any(a.value <= 0.0):
             raise DomainError("sqrt", f"non-positive input (min {a.value.min()})")
         value = np.sqrt(a.value)
-        return self._push(value, (a,), lambda adj: (adj / (2.0 * value),))
+        return self.push(value, (a,), lambda adj: (adj / (2.0 * value),))
 
     # ------------------------------------------------------------- reductions
 
@@ -251,7 +259,7 @@ class Tape:
         def vjp(adj):
             return (np.broadcast_to(adj[..., None], a.shape).copy(),)
 
-        return self._push(value, (a,), vjp)
+        return self.push(value, (a,), vjp)
 
     def mean_all(self, a) -> Var:
         """Mean over every axis, producing a true scalar (used for batch losses)."""
@@ -262,7 +270,7 @@ class Tape:
         def vjp(adj):
             return (np.broadcast_to(adj / n, a.shape).copy(),)
 
-        return self._push(value, (a,), vjp)
+        return self.push(value, (a,), vjp)
 
     def dot(self, a, b) -> Var:
         a, b = self._coerce(a), self._coerce(b)
@@ -273,7 +281,7 @@ class Tape:
             return (_unbroadcast(g * b.value, a.shape),
                     _unbroadcast(g * a.value, b.shape))
 
-        return self._push(value, (a, b), vjp)
+        return self.push(value, (a, b), vjp)
 
     def scale(self, s, v) -> Var:
         """Scalar (or batch of scalars) times vector."""
@@ -288,7 +296,7 @@ class Tape:
                 gs = _unbroadcast(adj * v.value, s.shape)
             return gs, _unbroadcast(adj * sval, v.shape)
 
-        return self._push(value, (s, v), vjp)
+        return self.push(value, (s, v), vjp)
 
     # ----------------------------------------------------------- linear maps
 
@@ -303,7 +311,7 @@ class Tape:
         def vjp(adj):
             return (adj @ matrix,)
 
-        return self._push(value, (x,), vjp)
+        return self.push(value, (x,), vjp)
 
     def linear(self, x, weight: Var, bias: Var | None = None) -> Var:
         """Trainable linear layer: x @ W.T + b, with W and b on the tape."""
@@ -322,7 +330,7 @@ class Tape:
                 return gx, gw
             return gx, gw, _unbroadcast(adj, bias.shape)
 
-        return self._push(value, parents, vjp)
+        return self.push(value, parents, vjp)
 
     # ------------------------------------------------------- shape utilities
 
@@ -337,7 +345,7 @@ class Tape:
             return tuple(adj[..., offsets[i]:offsets[i + 1]]
                          for i in range(len(parts)))
 
-        return self._push(value, tuple(parts), vjp)
+        return self.push(value, tuple(parts), vjp)
 
     def narrow(self, a, start: int, stop: int) -> Var:
         """Slice [start:stop] of the vector (last) axis."""
@@ -349,7 +357,7 @@ class Tape:
             g[..., start:stop] = adj
             return (g,)
 
-        return self._push(value, (a,), vjp)
+        return self.push(value, (a,), vjp)
 
     def index(self, a, i: int) -> Var:
         """Select element i of the vector axis, dropping the axis."""
@@ -361,7 +369,7 @@ class Tape:
             g[..., i] = adj
             return (g,)
 
-        return self._push(value, (a,), vjp)
+        return self.push(value, (a,), vjp)
 
     # --------------------------------------------------------------- composite
 
@@ -397,7 +405,7 @@ class Tape:
                     adj * (quad / (two_var * vv) - (0.5 * d) / vv), vv.shape))
             return grads
 
-        return self._push(value, parents, vjp)
+        return self.push(value, parents, vjp)
 
     # ---------------------------------------------------------------- backward
 
@@ -452,6 +460,33 @@ def _operand_value(a) -> np.ndarray:
     return arr
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, as exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    Neither exponent is positive, so nothing overflows, and the quotient is
+    the same float as 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x))
+    for x < 0, with no select. Working in two preallocated buffers matters
+    more than the arithmetic: on (256, 351) logits each fresh temporary is a
+    large allocation whose pages cost more to touch than the exp itself.
+    A 0-d input gives a 0-d array.
+    """
+    num = np.empty_like(x)
+    den = np.empty_like(x)
+    np.exp(np.minimum(x, 0.0, out=num), out=num)
+    np.exp(np.negative(np.abs(x, out=den), out=den), out=den)
+    den += 1.0
+    num /= den
+    return num
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) of an array, as max(x, 0) + log1p(exp(-|x|)).
+
+    Stable for large |x|; works in two buffers like `sigmoid`.
+    """
+    out = np.empty_like(x)
+    buf = np.empty_like(x)
+    np.log1p(np.exp(np.negative(np.abs(x, out=buf), out=buf), out=buf), out=buf)
+    np.maximum(x, 0.0, out=out)
+    out += buf
+    return out

@@ -2,9 +2,12 @@
 
 Each target exposes two tape-building callables: ``logp(tape, z)`` for the
 unnormalized log-density and ``score(tape, z)`` for its gradient in z. The
-score is written out analytically in primal tape operations so that the ELBO
-estimator, which consumes scores inside its transitions, stays differentiable
-end to end with a single (first-order) backward sweep.
+score is written out analytically as tape nodes, so that the ELBO estimator,
+which consumes scores inside its transitions, stays differentiable end to end
+with a single (first-order) backward sweep. Most targets build it from
+primitive tape operations; logistic regression, the widest and most called,
+records its score and its likelihood as single fused nodes (`Tape.push`)
+with hand-written VJPs whose values match the primitive chain bit for bit.
 
 Positivity-constrained variables are handled by sampling their logs: the
 densities below include the log-Jacobian terms of alpha = exp(u) and
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ldvi.tape import Tape, Var
+from ldvi.tape import Tape, Var, sigmoid, softplus
 from ldvi.data._observations import BROWNIAN_OBSERVATIONS, LORENZ_OBSERVATIONS
 
 __all__ = [
@@ -138,23 +141,37 @@ def logistic_regression_target(data: Dataset, name: str,
     """Bayesian logistic regression with an N(0, prior_scale^2 I) weight prior.
 
     Bernoulli terms use y*t - softplus(t), the log-sum-exp-stable form of
-    y log(sigma(t)) + (1-y) log(1 - sigma(t)).
+    y log(sigma(t)) + (1-y) log(1 - sigma(t)), with logits t = w X^T. The
+    likelihood and the score are one tape node each; their values repeat the
+    numpy operations of the primitive chain `affine`, `softplus`/`sigmoid`,
+    `sub`, `sum` (or `affine` by X and `div` by the prior variance) in order.
     """
+    if not (math.isfinite(prior_scale) and prior_scale > 0):
+        raise ValueError(
+            f"prior_scale must be finite and positive, got {prior_scale!r}")
     X = data.features
     y = data.labels
     n, d = X.shape
     pv = prior_scale ** 2
 
     def logp(t: Tape, w: Var) -> Var:
-        logits = t.affine(w, X)
-        like = t.sum(t.sub(t.mul(y, logits), t.softplus(logits)))
+        logits = w.value @ X.T
+        like = (y * logits - softplus(logits)).sum(axis=-1)
+
+        def vjp(adj):
+            return ((adj[..., None] * (y - sigmoid(logits))) @ X,)
+
         prior = t.gaussian_logpdf(w, np.zeros(d), pv)
-        return t.add(like, prior)
+        return t.add(t.push(like, (w,), vjp), prior)
 
     def score(t: Tape, w: Var) -> Var:
-        logits = t.affine(w, X)
-        resid = t.sub(y, t.sigmoid(logits))
-        return t.sub(t.affine(resid, X.T), t.div(w, pv))
+        sig = sigmoid(w.value @ X.T)
+        value = (y - sig) @ X - w.value / pv
+
+        def vjp(adj):
+            return (-(((adj @ X.T) * sig * (1.0 - sig)) @ X) - adj / pv,)
+
+        return t.push(value, (w,), vjp)
 
     return TargetModel(
         name=name, dim=d, logp=logp, score=score,

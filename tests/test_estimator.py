@@ -476,6 +476,21 @@ class TestErrors:
         with pytest.raises(EstimatorError, match="k=1"):
             estimate_elbo(model, bad, noise)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_names_the_quantity(self):
+        # finite chain, but the terminal log-density overflows to inf
+        bad = TargetModel(
+            name="bad", dim=1,
+            logp=lambda t, z: t.exp(t.add(t.mul(0.0, t.sum(z)), 1000.0)),
+            score=lambda t, z: t.neg(z))
+        cfg = get_method("ula")
+        params = init_params(cfg, 1, 3)
+        noise = NoiseBundle.draw(0, 0, None, 1, 3)
+        model = lift_model(Tape(), cfg, params, 1, 3)
+        with pytest.raises(EstimatorError,
+                           match="non-finite terminal density at transition k=3"):
+            estimate_elbo(model, bad, noise)
+
     def test_too_few_transition_draws(self):
         target = gaussian_toy_target(1)
         cfg = get_method("ula")

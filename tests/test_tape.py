@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ldvi.tape import Tape, DomainError, OPCODES
+from ldvi.tape import Tape, DomainError, OPCODES, sigmoid, softplus
 
 
 def fd_grad(f, x, h=1e-6):
@@ -376,3 +376,59 @@ def test_softplus_large_inputs_stay_finite():
     assert np.all(np.isfinite(v.value))
     np.testing.assert_allclose(v.value[-1], 800.0)
     np.testing.assert_allclose(v.value[0], 0.0, atol=1e-12)
+
+
+def where_sigmoid(x):
+    """The select-based sigmoid the array kernel replaced (reference)."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def reference_softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+EDGE_GRID = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0,
+                      709.0, -709.0, 800.0, -800.0, np.inf, -np.inf])
+
+
+def assert_same_bits(a, b):
+    assert isinstance(a, np.ndarray) and a.shape == np.shape(b)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestSigmoidKernel:
+    @pytest.mark.parametrize("x", [
+        EDGE_GRID,
+        np.array(0.3), np.array(-2.5), np.array(-0.0),
+        np.random.default_rng(4).normal(scale=6.0, size=(256, 351)),
+        np.random.default_rng(5).normal(scale=6.0, size=(32, 208)),
+    ], ids=["edges", "0d", "0d-neg", "0d-negzero", "batch-256", "batch-32"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_matches_select_formula_bit_for_bit(self, x):
+        assert_same_bits(sigmoid(x), where_sigmoid(x))
+        assert_same_bits(softplus(x), reference_softplus(x))
+
+    def test_nan_propagates(self):
+        x = np.array([np.nan, 0.5, -np.nan])
+        for f in (sigmoid, softplus):
+            out = f(x)
+            assert np.isnan(out[0]) and np.isnan(out[2])
+            assert np.isfinite(out[1])
+
+    def test_input_untouched(self):
+        x = EDGE_GRID.copy()
+        sigmoid(x)
+        softplus(x)
+        assert_same_bits(x, EDGE_GRID)
+
+    @pytest.mark.parametrize("op", ["sigmoid", "softplus"])
+    def test_gradients_at_large_inputs_unchanged(self, op):
+        x0 = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
+        t = Tape()
+        x = t.lift(x0, trainable=True, name="x")
+        grad = t.backward(t.sum(getattr(t, op)(x)))["x"]
+        s = where_sigmoid(x0)
+        assert_same_bits(grad, s * (1.0 - s) if op == "sigmoid" else s)
+

@@ -192,6 +192,103 @@ class TestLogisticRegression:
 
         assert tape_logp(target, w) == pytest.approx(oracle(w), rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.0, -2.0, math.nan, math.inf])
+    def test_prior_scale_must_be_finite_and_positive(self, scale):
+        data = Dataset(np.ones((2, 2)), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="prior_scale"):
+            logistic_regression_target(data, "s", prior_scale=scale)
+
+
+def chain_logp(t, w, X, y, pv):
+    """The logistic log-density as the primitive tape chain (reference)."""
+    logits = t.affine(w, X)
+    like = t.sum(t.sub(t.mul(y, logits), t.softplus(logits)))
+    return t.add(like, t.gaussian_logpdf(w, np.zeros(X.shape[1]), pv))
+
+
+def chain_score(t, w, X, y, pv):
+    """The logistic score as the primitive tape chain (reference)."""
+    resid = t.sub(y, t.sigmoid(t.affine(w, X)))
+    return t.sub(t.affine(resid, X.T), t.div(w, pv))
+
+
+class TestLogisticFusedNodes:
+    """The fused logp/score nodes against the primitive chains they replace."""
+
+    D, PV = 5, 2.25
+
+    @pytest.fixture()
+    def problem(self):
+        rng = np.random.default_rng(8)
+        X = np.hstack([rng.normal(size=(30, self.D - 1)), np.ones((30, 1))])
+        y = (rng.random(30) < 0.5).astype(float)
+        target = logistic_regression_target(Dataset(X, y), "fused",
+                                            prior_scale=math.sqrt(self.PV))
+        return target, X, y
+
+    @staticmethod
+    def point(shape):
+        return 3.0 * np.random.default_rng(len(shape)).normal(size=shape)
+
+    def loss_and_grad(self, build, w0, proj=None):
+        """Value of build(t, w) and the gradient of its (projected) sum."""
+        t = Tape()
+        w = t.lift(w0, trainable=True, name="w")
+        out = build(t, w)
+        loss = out if proj is None else t.sum(t.mul(out, proj))
+        if loss.value.ndim:
+            loss = t.sum(loss)
+        return out.value, t.backward(loss)["w"]
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_score_pushes_one_node(self, problem, shape):
+        target = problem[0]
+        t = Tape()
+        w = t.lift(self.point(shape))
+        before = len(t.nodes)
+        target.score(t, w)
+        assert len(t.nodes) == before + 1
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_values_match_chain_bit_for_bit(self, problem, shape):
+        target, X, y = problem
+        w0 = self.point(shape)
+        for fused, chain in ((target.logp, chain_logp),
+                             (target.score, chain_score)):
+            t = Tape()
+            w = t.lift(w0)
+            ref = chain(t, w, X, y, self.PV).value
+            np.testing.assert_array_equal(fused(t, w).value, ref)
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_gradients_match_chain(self, problem, shape):
+        target, X, y = problem
+        w0 = self.point(shape)
+        proj = np.random.default_rng(3).normal(size=shape)
+        for fused, chain, p in ((target.logp, chain_logp, None),
+                                (target.score, chain_score, proj)):
+            _, got = self.loss_and_grad(fused, w0, p)
+            _, ref = self.loss_and_grad(
+                lambda t, w: chain(t, w, X, y, self.PV), w0, p)
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_gradients_match_central_differences(self, problem, shape):
+        target = problem[0]
+        w0 = 0.5 * self.point(shape)
+        proj = np.random.default_rng(6).normal(size=shape)
+        for build, p in ((target.logp, None), (target.score, proj)):
+            _, got = self.loss_and_grad(build, w0, p)
+
+            def f(flat):
+                t = Tape()
+                out = build(t, t.lift(flat.reshape(shape))).value
+                return float(np.sum(out if p is None else out * p))
+
+            ref = fd_grad(f, w0.ravel()).reshape(shape)
+            np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+
 
 # ------------------------------------------------------------ Brownian motion
 
