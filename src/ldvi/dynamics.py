@@ -13,6 +13,12 @@ gradient, followed by a deterministic position update.
 
 All kernel parameters (step size delta, friction gamma, momentum retention
 eta) are scalar tape Vars, so gradients flow through every density below.
+A kernel is built once per chain: its constructor records the shared
+variance, the noise scale sqrt(var) and (for the EM kernel) the shrink
+1 - gamma delta, and every transition reuses those nodes. The joint EM step
+takes such a `ForwardEM`: `em_forward_transition` returns the drift
+delta * grad and the forward mean it computed, and `em_log_ratio_step`
+evaluates both densities from them instead of rebuilding either.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ class ExactOU:
 
     eta = exp(-gamma delta) is the momentum retention over one step; eta = 0
     is a complete refresh, eta -> 1 degenerates (zero variance) and is
-    rejected.
+    rejected. The variance and the noise scale sqrt(1 - eta^2) are built
+    once, in the constructor.
     """
 
     def __init__(self, tape: Tape, eta: Var):
@@ -80,11 +87,12 @@ class ExactOU:
         self.tape = tape
         self.eta = eta
         self.var = tape.sub(1.0, tape.square(eta))
+        self.scale = tape.sqrt(self.var)
 
     def sample(self, rho: Var, eps: np.ndarray) -> Var:
         t = self.tape
         return t.add(t.mul(self.eta, rho),
-                     t.mul(t.sqrt(self.var), t.constant(eps)))
+                     t.mul(self.scale, t.constant(eps)))
 
     def log_pdf(self, x: Var, rho: Var, z: Var | None = None,
                 k: int | None = None) -> Var:
@@ -108,22 +116,31 @@ class BackwardExactNoScore:
 
 
 class ForwardEM:
-    """Euler-Maruyama momentum refresh: N(rho (1 - gamma delta), 2 gamma delta I)."""
+    """Euler-Maruyama momentum refresh: N(rho (1 - gamma delta), 2 gamma delta I).
+
+    The constructor builds the shrink 1 - gamma delta, the variance
+    2 gamma delta and the noise scale sqrt(2 gamma delta) once; `sample`,
+    `log_pdf`, `BackwardEM` and the joint EM step all reuse them. It keeps
+    the step size `delta` for the EM drift and position update.
+    """
 
     def __init__(self, tape: Tape, gamma: Var, delta: Var):
         _check_scalar("forward_em", gamma)
         _check_scalar("forward_em", delta)
         self.tape = tape
-        self.shrink = tape.sub(1.0, tape.mul(gamma, delta))
-        self.var = tape.mul(2.0, tape.mul(gamma, delta))
+        self.delta = delta
+        gd = tape.mul(gamma, delta)
+        self.shrink = tape.sub(1.0, gd)
+        self.var = tape.mul(2.0, gd)
         if float(self.var.value) <= 0.0:
             raise DomainError("forward_em",
                               "gamma * delta must be positive")
+        self.scale = tape.sqrt(self.var)
 
     def sample(self, rho: Var, eps: np.ndarray) -> Var:
         t = self.tape
         return t.add(t.mul(self.shrink, rho),
-                     t.mul(t.sqrt(self.var), t.constant(eps)))
+                     t.mul(self.scale, t.constant(eps)))
 
     def log_pdf(self, x: Var, rho: Var, z: Var | None = None,
                 k: int | None = None) -> Var:
@@ -137,12 +154,11 @@ class BackwardEM:
     m_B(rho | rho', z) = N(rho' (1 - gamma delta) + 2 gamma delta s(k, z, rho'),
     2 gamma delta I), the discretization of the exact time reversal whose drift
     correction is twice the (approximated) momentum score of the forward
-    marginal.
+    marginal. It shares the shrink and variance of the forward kernel `fwd`.
     """
 
-    def __init__(self, tape: Tape, gamma: Var, delta: Var,
-                 score_fn: ScoreFn | None):
-        self._fwd = ForwardEM(tape, gamma, delta)
+    def __init__(self, fwd: ForwardEM, score_fn: ScoreFn | None):
+        self._fwd = fwd
         self.score_fn = score_fn
 
     def log_pdf(self, x: Var, rho_prime: Var, z: Var, k: int) -> Var:
@@ -194,39 +210,37 @@ def log_ratio_step(t: Tape, rho: Var, rho_prime: Var, z: Var, k: int,
                  fwd_kernel.log_pdf(rho_prime, rho, z, k))
 
 
-def em_forward_transition(t: Tape, z: Var, rho: Var, delta: Var, gamma: Var,
-                          grad: Var, eps: np.ndarray) -> tuple[Var, Var]:
+def em_forward_transition(t: Tape, z: Var, rho: Var, kernel: ForwardEM,
+                          grad: Var, eps: np.ndarray
+                          ) -> tuple[Var, Var, Var, Var]:
     """Joint Euler-Maruyama step: Gaussian momentum update, then drift in z.
 
-    `grad` is the bridge gradient at the current z (shared with the ratio
-    term, so it is computed once by the caller).
+    `grad` is the bridge gradient at the current z and `kernel` carries the
+    chain's shrink, noise scale and step size. Returns (z_new, rho_new,
+    drift, mean): the drift delta * grad and the forward mean
+    rho (1 - gamma delta) + drift are handed on to `em_log_ratio_step`, so
+    each transition builds them once.
     """
-    shrink = t.sub(1.0, t.mul(gamma, delta))
-    var = t.mul(2.0, t.mul(gamma, delta))
-    if float(var.value) <= 0.0:
-        raise DomainError("em_transition", "gamma * delta must be positive")
-    mean = t.add(t.mul(shrink, rho), t.mul(delta, grad))
-    rho_new = t.add(mean, t.mul(t.sqrt(var), t.constant(eps)))
-    z_new = t.add(z, t.mul(delta, rho_new))
-    return z_new, rho_new
+    drift = t.mul(kernel.delta, grad)
+    mean = t.add(t.mul(kernel.shrink, rho), drift)
+    rho_new = t.add(mean, t.mul(kernel.scale, t.constant(eps)))
+    z_new = t.add(z, t.mul(kernel.delta, rho_new))
+    return z_new, rho_new, drift, mean
 
 
 def em_log_ratio_step(t: Tape, z: Var, rho: Var, rho_new: Var, k: int,
-                      delta: Var, gamma: Var, grad: Var,
+                      kernel: ForwardEM, drift: Var, mean: Var,
                       score_fn: ScoreFn | None) -> Var:
     """Reverse/forward density ratio of one Euler-Maruyama transition.
 
-    Forward: rho_new ~ N(rho (1 - gamma delta) + delta grad, 2 gamma delta I).
-    Backward: rho ~ N(rho_new (1 - gamma delta) - delta grad
-    + 2 gamma delta s(k, z, rho_new), 2 gamma delta I); with score_fn None the
-    score correction is dropped.
+    Forward: rho_new ~ N(mean, 2 gamma delta I), with `mean` and `drift` as
+    returned by `em_forward_transition`. Backward: rho ~ N(rho_new
+    (1 - gamma delta) - drift + 2 gamma delta s(k, z, rho_new),
+    2 gamma delta I); with score_fn None the score correction is dropped.
     """
-    shrink = t.sub(1.0, t.mul(gamma, delta))
-    var = t.mul(2.0, t.mul(gamma, delta))
-    fwd_mean = t.add(t.mul(shrink, rho), t.mul(delta, grad))
-    fwd = t.gaussian_logpdf(rho_new, fwd_mean, var)
-    bwd_mean = t.sub(t.mul(shrink, rho_new), t.mul(delta, grad))
+    fwd = t.gaussian_logpdf(rho_new, mean, kernel.var)
+    bwd_mean = t.sub(t.mul(kernel.shrink, rho_new), drift)
     if score_fn is not None:
-        bwd_mean = t.add(bwd_mean, t.mul(var, score_fn(k, z, rho_new)))
-    bwd = t.gaussian_logpdf(rho, bwd_mean, var)
+        bwd_mean = t.add(bwd_mean, t.mul(kernel.var, score_fn(k, z, rho_new)))
+    bwd = t.gaussian_logpdf(rho, bwd_mean, kernel.var)
     return t.sub(bwd, fwd)

@@ -263,12 +263,17 @@ class ElboEstimate:
     trace: list[Var]
 
 
-def _check_finite(k: int, **quantities: Var) -> None:
-    """Raise EstimatorError naming the first non-finite quantity and k."""
+def _check_finite(model: LiftedModel, k: int, **quantities: Var) -> None:
+    """Raise EstimatorError naming the first non-finite quantity, k, the
+    step size delta and, when the method has one, the friction gamma.
+    """
     for name, v in quantities.items():
         if not np.all(np.isfinite(v.value)):
+            where = f"k={k}, delta={float(model.delta.value)!r}"
+            if model.gamma is not None:
+                where += f", gamma={float(model.gamma.value)!r}"
             raise EstimatorError(
-                f"non-finite {name.replace('_', ' ')} at transition k={k}")
+                f"non-finite {name.replace('_', ' ')} at transition {where}")
 
 
 def _momentum_kernels(model: LiftedModel):
@@ -282,7 +287,7 @@ def _momentum_kernels(model: LiftedModel):
     if c.backward == "exact_ou":
         bwd = BackwardExactNoScore(t, model.eta)
     elif c.backward == "em":
-        bwd = BackwardEM(t, model.gamma, model.delta, model.score_fn)
+        bwd = BackwardEM(fwd, model.score_fn)
     elif c.backward == "mcd":
         bwd = MCDBackward(t, model.score_fn)
     else:
@@ -320,9 +325,13 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     `target.score` K times, once per position, and an Euler-Maruyama chain,
     which scores only where each transition starts, K - 1 times.
 
-    Raises EstimatorError naming the transition index and the quantity
-    (position, momentum, log-ratio, initial or terminal density) if any
-    turns non-finite.
+    The Euler-Maruyama scheme builds one `ForwardEM` per chain, so its
+    shrink, variance and noise scale are tape nodes shared by every
+    transition.
+
+    Raises EstimatorError naming the transition index, the quantity
+    (position, momentum, log-ratio, initial or terminal density) and the
+    current delta (and gamma) if any quantity turns non-finite.
     """
     t, c, K = model.tape, model.config, model.num_steps
     if c.scheme == "plain":
@@ -353,7 +362,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     rho = _sample_initial_momentum(model, z, noise.rho_eps)
     L = t.neg(t.add(model.q.log_pdf(z),
                     _momentum_aug_logpdf(model, 1, z, rho)))
-    _check_finite(0, initial_density=L)
+    _check_finite(model, 0, initial_density=L)
     trace: list[Var] = []
 
     if c.scheme == "leapfrog":
@@ -362,27 +371,28 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
             z_new, rho_new, rho_prime = forward_transition(
                 t, z, rho, model.delta, fwd, grad_at(k), noise.step_eps[k - 1])
             ratio = log_ratio_step(t, rho, rho_prime, z, k, fwd, bwd)
-            _check_finite(k, position=z_new, momentum=rho_new, log_ratio=ratio)
+            _check_finite(model, k, position=z_new, momentum=rho_new,
+                          log_ratio=ratio)
             L = t.add(L, ratio)
             trace.append(ratio)
             z, rho = z_new, rho_new
     else:  # joint Euler-Maruyama scheme
+        kernel = ForwardEM(t, model.gamma, model.delta)
         score_fn = model.score_fn if c.uses_score else None
         for k in range(1, K):
-            grad = grad_at(k)(z)
-            z_new, rho_new = em_forward_transition(
-                t, z, rho, model.delta, model.gamma, grad,
-                noise.step_eps[k - 1])
-            ratio = em_log_ratio_step(t, z, rho, rho_new, k, model.delta,
-                                      model.gamma, grad, score_fn)
-            _check_finite(k, position=z_new, momentum=rho_new, log_ratio=ratio)
+            z_new, rho_new, drift, mean = em_forward_transition(
+                t, z, rho, kernel, grad_at(k)(z), noise.step_eps[k - 1])
+            ratio = em_log_ratio_step(t, z, rho, rho_new, k, kernel, drift,
+                                      mean, score_fn)
+            _check_finite(model, k, position=z_new, momentum=rho_new,
+                          log_ratio=ratio)
             L = t.add(L, ratio)
             trace.append(ratio)
             z, rho = z_new, rho_new
 
     terminal = t.add(target.logp(t, z),
                      _momentum_aug_logpdf(model, K, z, rho))
-    _check_finite(K, terminal_density=terminal)
+    _check_finite(model, K, terminal_density=terminal)
     L = t.add(L, terminal)
     return ElboEstimate(L, trace)
 

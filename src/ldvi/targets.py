@@ -4,10 +4,11 @@ Each target exposes two tape-building callables: ``logp(tape, z)`` for the
 unnormalized log-density and ``score(tape, z)`` for its gradient in z. The
 score is written out analytically as tape nodes, so that the ELBO estimator,
 which consumes scores inside its transitions, stays differentiable end to end
-with a single (first-order) backward sweep. Most targets build it from
-primitive tape operations; logistic regression, the widest and most called,
-records its score and its likelihood as single fused nodes (`Tape.push`)
-with hand-written VJPs whose values match the primitive chain bit for bit.
+with a single (first-order) backward sweep. Lorenz, seeds and the toy build
+it from primitive tape operations. Logistic regression records its score and
+its likelihood as single fused nodes (`Tape.push`), and Brownian motion its
+score, each with a hand-written VJP (for a score, a Hessian-vector product)
+and a value that matches the primitive chain it replaces bit for bit.
 
 Positivity-constrained variables are handled by sampling their logs: the
 densities below include the log-Jacobian terms of alpha = exp(u) and
@@ -192,6 +193,11 @@ def brownian_motion_target(observations: np.ndarray | None = None) -> TargetMode
     (loc 0, scale 2) priors on both alphas, i.e. u ~ N(0, 4) after the exp
     transform. Innovations: x_i ~ N(x_{i-1}, alpha_inn), x_0 = 0; observed
     y_i ~ N(x_i, alpha_obs) for masked indices ("scale" = std deviation).
+
+    The score is one tape node. Its value repeats the numpy operations of the
+    primitive chain `narrow`, `affine` by the shift, `sub`/`mul` by the
+    masks, `exp`, the row sums and `concat` in order; its VJP is the
+    Hessian-vector product of logp.
     """
     y = BROWNIAN_OBSERVATIONS if observations is None else np.asarray(observations)
     mask = BROWNIAN_OBSERVED_MASK
@@ -202,6 +208,7 @@ def brownian_motion_target(observations: np.ndarray | None = None) -> TargetMode
     unshift = np.zeros((n, n))  # (unshift @ w)_i = w_{i+1}, last row zero
     unshift[np.arange(0, n - 1), np.arange(1, n)] = 1.0
     ymask = y * mask
+    ones = np.ones((1, n))  # row sums as `affine`, as in `_rowsum`
 
     def pieces(t: Tape, v: Var):
         u_inn = t.narrow(v, 0, 1)
@@ -222,14 +229,33 @@ def brownian_motion_target(observations: np.ndarray | None = None) -> TargetMode
         return t.add(t.add(pri, walk), t.add(obs, const))
 
     def score(t: Tape, v: Var) -> Var:
-        u_inn, u_obs, d, r, prec_inn, prec_obs = pieces(t, v)
-        sse_inn = _rowsum(t, t.square(d))
-        sse_obs = _rowsum(t, t.square(r))
-        g_uinn = t.mul(-0.25, u_inn) + t.mul(prec_inn, sse_inn) - float(n)
-        g_uobs = t.mul(-0.25, u_obs) + t.mul(prec_obs, sse_obs) - float(n_obs)
-        gx = t.add(t.mul(prec_inn, t.sub(t.affine(d, unshift), d)),
-                   t.mul(prec_obs, r))
-        return t.concat([g_uinn, g_uobs, gx])
+        u_inn, u_obs = v.value[..., 0:1], v.value[..., 1:2]
+        x = v.value[..., 2:2 + n]
+        d = x - x @ shift.T
+        r = ymask - mask * x
+        prec_inn = np.exp(-2.0 * u_inn)
+        prec_obs = np.exp(-2.0 * u_obs)
+        sse_inn = (d * d) @ ones.T
+        sse_obs = (r * r) @ ones.T
+        w = d @ unshift.T - d
+        value = np.concatenate([
+            -0.25 * u_inn + prec_inn * sse_inn - float(n),
+            -0.25 * u_obs + prec_obs * sse_obs - float(n_obs),
+            prec_inn * w + prec_obs * r], axis=-1)
+
+        def vjp(adj):
+            # Hessian of logp times adj; e is the innovation residual of a_x
+            a_inn, a_obs, a_x = adj[..., 0:1], adj[..., 1:2], adj[..., 2:]
+            e = a_x - a_x @ shift.T
+            g_inn = -0.25 * a_inn - 2.0 * prec_inn * (
+                a_inn * sse_inn + (a_x * w).sum(axis=-1, keepdims=True))
+            g_obs = -0.25 * a_obs - 2.0 * prec_obs * (
+                a_obs * sse_obs + (a_x * r).sum(axis=-1, keepdims=True))
+            g_x = (prec_inn * (e @ unshift.T - e - 2.0 * a_inn * w)
+                   - prec_obs * mask * (a_x + 2.0 * a_obs * r))
+            return (np.concatenate([g_inn, g_obs, g_x], axis=-1),)
+
+        return t.push(value, (v,), vjp)
 
     return TargetModel(
         name="brownian", dim=2 + n, logp=logp, score=score,

@@ -21,6 +21,14 @@ def iso_logpdf(x, mean, var):
     return norm.logpdf(x, mean, np.sqrt(var)).sum(axis=-1)
 
 
+def em_ratio(t, z, rho, rho_n, k, delta, gamma, grad, score):
+    """em_log_ratio_step with the drift and forward mean of the transition."""
+    kernel = ForwardEM(t, gamma, delta)
+    drift = t.mul(delta, grad)
+    mean = t.add(t.mul(kernel.shrink, rho), drift)
+    return em_log_ratio_step(t, z, rho, rho_n, k, kernel, drift, mean, score)
+
+
 class TestLeapfrog:
     def test_single_step_hand_computed(self):
         # one step on log pi = -z^2/2: grad = -z, starting at (1, 0.5), delta 0.1
@@ -183,7 +191,7 @@ class TestEMKernels:
         t = Tape()
         gamma, delta = t.lift(0.5), t.lift(0.2)
         score = lambda k, z, rho: t.mul(float(k), t.add(z, rho))
-        bwd = BackwardEM(t, gamma, delta, score)
+        bwd = BackwardEM(ForwardEM(t, gamma, delta), score)
         gd = 0.1
         z = rng.normal(size=2)
         rho_p, x = rng.normal(size=2), rng.normal(size=2)
@@ -238,8 +246,8 @@ class TestTransitions:
         t = Tape()
         delta, gamma = t.lift(0.1), t.lift(0.5)
         grad = t.mul(-1.0, t.lift(z0))
-        zn, rn = em_forward_transition(t, t.lift(z0), t.lift(r0), delta, gamma,
-                                       grad, eps)
+        zn, rn, _, _ = em_forward_transition(
+            t, t.lift(z0), t.lift(r0), ForwardEM(t, gamma, delta), grad, eps)
         gd = 0.05
         rho_ref = r0 * (1 - gd) + 0.1 * (-z0) + np.sqrt(2 * gd) * eps
         np.testing.assert_allclose(rn.value, rho_ref, rtol=1e-14)
@@ -248,8 +256,9 @@ class TestTransitions:
     def test_em_zero_step_rejected(self):
         t = Tape()
         with pytest.raises(DomainError):
-            em_forward_transition(t, t.lift([0.0]), t.lift([0.0]), t.lift(0.0),
-                                  t.lift(1.0), t.lift([0.0]), np.zeros(1))
+            em_forward_transition(t, t.lift([0.0]), t.lift([0.0]),
+                                  ForwardEM(t, t.lift(1.0), t.lift(0.0)),
+                                  t.lift([0.0]), np.zeros(1))
 
     def test_em_log_ratio_matches_scipy(self):
         rng = np.random.default_rng(11)
@@ -260,8 +269,8 @@ class TestTransitions:
             delta, gamma = t.lift(0.2), t.lift(0.3)
             grad = t.mul(-1.0, t.lift(z))
             score = (lambda k, zz, rr: t.mul(0.25, rr)) if with_score else None
-            got = em_log_ratio_step(t, t.lift(z), t.lift(rho), t.lift(rho_n),
-                                    1, delta, gamma, grad, score).value
+            got = em_ratio(t, t.lift(z), t.lift(rho), t.lift(rho_n),
+                           1, delta, gamma, grad, score).value
             fwd = iso_logpdf(rho_n, rho * (1 - gd) + 0.2 * (-z), 2 * gd)
             bmean = rho_n * (1 - gd) - 0.2 * (-z)
             if with_score:
@@ -276,7 +285,7 @@ class TestTransitions:
         delta = t.lift(0.2, trainable=True, name="delta")
         gamma = t.lift(0.3, trainable=True, name="gamma")
         grad = t.mul(-1.0, t.lift(z))
-        lr = em_log_ratio_step(t, t.lift(z), t.lift(rho), t.lift(rho_n), 1,
-                               delta, gamma, grad, None)
+        lr = em_ratio(t, t.lift(z), t.lift(rho), t.lift(rho_n), 1,
+                      delta, gamma, grad, None)
         grads = t.backward(lr)
         assert grads["delta"] != 0.0 and grads["gamma"] != 0.0

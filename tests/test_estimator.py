@@ -7,9 +7,11 @@ import pytest
 from scipy.special import expit
 from scipy.stats import norm
 
+from ldvi import estimator
 from ldvi.annealing import bridge_score, inverse_softplus
-from ldvi.dynamics import (em_forward_transition, em_log_ratio_step,
-                           forward_transition, log_ratio_step)
+from ldvi.dynamics import (ForwardEM, em_forward_transition,
+                           em_log_ratio_step, forward_transition,
+                           log_ratio_step)
 from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
                             MethodConfig, NoiseBundle, _momentum_aug_logpdf,
                             _momentum_kernels, _sample_initial_momentum,
@@ -17,8 +19,9 @@ from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
                             get_method, init_params, lift_model, method_names,
                             plain_vi_elbo, ula_epsilon)
 from ldvi.scorenet import ScoreNet
-from ldvi.tape import Tape
-from ldvi.targets import TargetModel, gaussian_toy_target
+from ldvi.tape import DomainError, Tape
+from ldvi.targets import (TargetModel, brownian_motion_target,
+                          gaussian_toy_target)
 
 def softplus(x):
     return np.logaddexp(0.0, x)
@@ -576,14 +579,14 @@ def per_call_reference(model, target, noise):
             L = t.add(L, log_ratio_step(t, rho, rho_prime, z, k, fwd, bwd))
             z, rho = z_new, rho_new
     else:
+        kernel = ForwardEM(t, model.gamma, model.delta)
         score_fn = model.score_fn if c.uses_score else None
         for k in range(1, K):
             grad = grad_at(k)(z)
-            z_new, rho_new = em_forward_transition(
-                t, z, rho, model.delta, model.gamma, grad,
-                noise.step_eps[k - 1])
-            L = t.add(L, em_log_ratio_step(t, z, rho, rho_new, k, model.delta,
-                                           model.gamma, grad, score_fn))
+            z_new, rho_new, drift, mean = em_forward_transition(
+                t, z, rho, kernel, grad, noise.step_eps[k - 1])
+            L = t.add(L, em_log_ratio_step(t, z, rho, rho_new, k, kernel,
+                                           drift, mean, score_fn))
             z, rho = z_new, rho_new
     return t.add(L, t.add(target.logp(t, z),
                           _momentum_aug_logpdf(model, K, z, rho)))
@@ -629,3 +632,120 @@ class TestScoreReuse:
             np.testing.assert_allclose(grads[key], want, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(want)),
                                        err_msg=key)
+
+
+def per_transition_em_reference(model, target, noise):
+    """The EM bound with every transition rebuilding its kernel constants.
+
+    Each transition recomputes the shrink 1 - gamma delta, the variance
+    2 gamma delta and sqrt(var), and the ratio recomputes the forward mean
+    and the drift the transition has just built.
+    """
+    t, K = model.tape, model.num_steps
+    delta, gamma = model.delta, model.gamma
+    score_fn = model.score_fn if model.config.uses_score else None
+
+    def constants():
+        return (t.sub(1.0, t.mul(gamma, delta)),
+                t.mul(2.0, t.mul(gamma, delta)))
+
+    z = model.q.sample(noise.z_eps)
+    rho = _sample_initial_momentum(model, z, noise.rho_eps)
+    L = t.neg(t.add(model.q.log_pdf(z),
+                    _momentum_aug_logpdf(model, 1, z, rho)))
+    for k in range(1, K):
+        grad = bridge_score(t, z, k, K, model.q, target, model.schedule)
+        shrink, var = constants()
+        mean = t.add(t.mul(shrink, rho), t.mul(delta, grad))
+        rho_new = t.add(mean, t.mul(t.sqrt(var),
+                                    t.constant(noise.step_eps[k - 1])))
+        z_new = t.add(z, t.mul(delta, rho_new))
+        shrink, var = constants()
+        fwd = t.gaussian_logpdf(
+            rho_new, t.add(t.mul(shrink, rho), t.mul(delta, grad)), var)
+        bwd_mean = t.sub(t.mul(shrink, rho_new), t.mul(delta, grad))
+        if score_fn is not None:
+            bwd_mean = t.add(bwd_mean, t.mul(var, score_fn(k, z, rho_new)))
+        L = t.add(L, t.sub(t.gaussian_logpdf(rho, bwd_mean, var), fwd))
+        z, rho = z_new, rho_new
+    return t.add(L, t.add(target.logp(t, z),
+                          _momentum_aug_logpdf(model, K, z, rho)))
+
+
+class TestEMChain:
+    """One ForwardEM per chain, shared by every Euler-Maruyama transition."""
+
+    @pytest.mark.parametrize("target_name", ["toy", "brownian"])
+    @pytest.mark.parametrize("name", ["uha_em", "ldvi_em"])
+    def test_matches_per_transition_reference(self, name, target_name):
+        rng = np.random.default_rng(sum(map(ord, name + target_name)))
+        target = (brownian_motion_target() if target_name == "brownian"
+                  else gaussian_toy_target(3, mean=0.4, cov_diag=1.3))
+        dim, K = target.dim, 5
+        cfg = config_variant(get_method(name), score_hidden=6)
+        params = random_params(cfg, dim, K, rng, score_scale=0.2)
+        noise = NoiseBundle.draw(int(rng.integers(1000)), 0, 3, dim, K)
+
+        t = Tape()
+        est = estimate_elbo(lift_model(t, cfg, params, dim, K), target, noise)
+        grads = t.backward(t.mean_all(est.value))
+        r = Tape()
+        ref = per_transition_em_reference(
+            lift_model(r, cfg, params, dim, K), target, noise)
+        ref_grads = r.backward(r.mean_all(ref))
+
+        np.testing.assert_array_equal(est.value.value, ref.value)
+        assert grads.keys() == ref_grads.keys()
+        for key, want in ref_grads.items():
+            np.testing.assert_allclose(grads[key], want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=key)
+
+    @pytest.mark.parametrize("K", [2, 8])
+    @pytest.mark.parametrize("name", ["uha_em", "ldvi_em"])
+    def test_one_forward_em_per_chain(self, name, K, monkeypatch):
+        built = []
+
+        def counting_forward_em(*args):
+            built.append(args)
+            return ForwardEM(*args)
+
+        monkeypatch.setattr(estimator, "ForwardEM", counting_forward_em)
+        cfg = config_variant(get_method(name), score_hidden=4)
+        target = gaussian_toy_target(3, mean=0.2)
+        run_estimate(cfg, init_params(cfg, 3, K), target, K,
+                     NoiseBundle.draw(0, 0, 2, 3, K))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("raw", ["raw_gamma", "raw_delta"])
+    @pytest.mark.parametrize("name", ["uha_em", "ldvi_em"])
+    def test_zero_gamma_delta_rejected(self, name, raw):
+        cfg = get_method(name)
+        params = init_params(cfg, 2, 3)
+        params[raw] = np.asarray(-800.0)  # softplus underflows to 0.0
+        with pytest.raises(DomainError, match="gamma \\* delta"):
+            run_estimate(cfg, params, gaussian_toy_target(2), 3,
+                         NoiseBundle.draw(0, 0, None, 2, 3))
+
+
+class TestErrorContext:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("name", ["ula", "uha_em"])
+    def test_names_delta_and_gamma(self, name):
+        bad = TargetModel(
+            name="bad", dim=1,
+            logp=lambda t, z: t.sum(z),
+            score=lambda t, z: t.mul(1e200, z))
+        cfg = get_method(name)
+        params = init_params(cfg, 1, 3, delta=0.07, gamma=1.5)
+        model = lift_model(Tape(), cfg, params, 1, 3)
+        with pytest.raises(EstimatorError) as info:
+            estimate_elbo(model, bad, NoiseBundle.draw(0, 0, None, 1, 3))
+        message = str(info.value)
+        delta = float(model.delta.value)
+        assert message.endswith(
+            f"at transition k=1, delta={delta!r}"
+            if name == "ula" else
+            f"at transition k=1, delta={delta!r}, "
+            f"gamma={float(model.gamma.value)!r}")
+        assert ("gamma=" in message) == (name == "uha_em")

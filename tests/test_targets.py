@@ -317,9 +317,100 @@ class TestBrownian:
         np.testing.assert_allclose(BROWNIAN_OBSERVED_MASK[:10], 1.0)
 
 
+def chain_brownian_score(t, v):
+    """The Brownian score as the primitive tape chain (reference)."""
+    n, mask = 30, BROWNIAN_OBSERVED_MASK
+    ymask = BROWNIAN_OBSERVATIONS * mask
+    shift, unshift = np.eye(n, k=-1), np.eye(n, k=1)
+    u_inn, u_obs, x = t.narrow(v, 0, 1), t.narrow(v, 1, 2), t.narrow(v, 2, 2 + n)
+    d = t.sub(x, t.affine(x, shift))
+    r = t.sub(ymask, t.mul(mask, x))
+    prec_inn = t.exp(t.mul(-2.0, u_inn))
+    prec_obs = t.exp(t.mul(-2.0, u_obs))
+    sse_inn = t.affine(t.square(d), np.ones((1, n)))
+    sse_obs = t.affine(t.square(r), np.ones((1, n)))
+    g_uinn = t.mul(-0.25, u_inn) + t.mul(prec_inn, sse_inn) - float(n)
+    g_uobs = t.mul(-0.25, u_obs) + t.mul(prec_obs, sse_obs) - float(mask.sum())
+    gx = t.add(t.mul(prec_inn, t.sub(t.affine(d, unshift), d)),
+               t.mul(prec_obs, r))
+    return t.concat([g_uinn, g_uobs, gx])
+
+
+class TestBrownianFusedScore:
+    """The fused score node against the primitive chain it replaces."""
+
+    D = 32
+
+    @pytest.fixture()
+    def model(self):
+        return brownian_motion_target()
+
+    @staticmethod
+    def point(shape):
+        return 0.7 * np.random.default_rng(len(shape)).normal(size=shape)
+
+    @staticmethod
+    def projected_grad(build, v0, proj):
+        """Value of build(t, v) and the gradient of sum(build(t, v) * proj)."""
+        t = Tape()
+        v = t.lift(v0, trainable=True, name="v")
+        out = build(t, v)
+        return out.value, t.backward(t.mean_all(t.mul(out, proj)))["v"]
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_score_pushes_one_node(self, model, shape):
+        t = Tape()
+        v = t.lift(self.point(shape))
+        before = len(t.nodes)
+        model.score(t, v)
+        assert len(t.nodes) == before + 1
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_value_matches_chain_bit_for_bit(self, model, shape):
+        t = Tape()
+        v = t.lift(self.point(shape))
+        np.testing.assert_array_equal(model.score(t, v).value,
+                                      chain_brownian_score(t, v).value)
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_gradients_match_chain(self, model, shape):
+        v0 = self.point(shape)
+        proj = np.random.default_rng(3).normal(size=shape)
+        _, got = self.projected_grad(model.score, v0, proj)
+        _, ref = self.projected_grad(chain_brownian_score, v0, proj)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_gradients_match_central_differences(self, model, shape):
+        v0 = self.point(shape)
+        proj = np.random.default_rng(6).normal(size=shape)
+        _, got = self.projected_grad(model.score, v0, proj)
+
+        def f(flat):
+            t = Tape()
+            out = model.score(t, t.lift(flat.reshape(shape))).value
+            return float(np.mean(out * proj))
+
+        ref = fd_grad(f, v0.ravel()).reshape(shape)
+        np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+
+
 # ------------------------------------------------------------- Lorenz system
 
 def lorenz_oracle(v):
+    lx, ly, lz = v[:30], v[30:60], v[60:]
+    xh, yh, zh = lx[:-1], ly[:-1], lz[:-1]
+    lp = norm.logpdf(lx[0]) + norm.logpdf(ly[0]) + norm.logpdf(lz[0])
+    lp += norm.logpdf(lx[1:], 10.0 * (yh - xh), 0.1).sum()
+    lp += norm.logpdf(ly[1:], xh * (28.0 - zh) - yh, 0.1).sum()
+    lp += norm.logpdf(lz[1:], xh * yh - (8.0 / 3.0) * zh, 0.1).sum()
+    lp += (LORENZ_OBSERVED_MASK * norm.logpdf(LORENZ_OBSERVATIONS, lx, 1.0)).sum()
+    return lp
+
+
+def lorenz_oracle_loop(v):
+    """`lorenz_oracle` as one scipy term per step (reference)."""
     lx, ly, lz = v[:30], v[30:60], v[60:]
     lp = norm.logpdf(lx[0]) + norm.logpdf(ly[0]) + norm.logpdf(lz[0])
     for i in range(29):
@@ -331,6 +422,14 @@ def lorenz_oracle(v):
 
 
 class TestLorenz:
+    def test_oracle_matches_loop_form(self):
+        # only the summation order differs
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            v = 0.5 * rng.normal(size=90)
+            assert lorenz_oracle(v) == pytest.approx(lorenz_oracle_loop(v),
+                                                     rel=1e-13)
+
     def test_against_scipy_oracle(self):
         model = lorenz_target()
         assert model.dim == 90
