@@ -1,24 +1,29 @@
-"""Simulated underdamped Langevin dynamics: integrator and momentum kernels.
+"""Simulated underdamped Langevin dynamics: integrator and momentum kernel.
 
-A transition of the augmented chain first partially refreshes the momentum
-with a forward kernel m_F, then moves position and momentum with one leapfrog
-step of the bridge density pi_k. The matching reverse-time transition is the
-inverse leapfrog followed by a backward kernel m_B. Because the leapfrog map
-is deterministic and volume preserving, the per-step contribution to the
-augmented lower bound reduces to log m_B(rho | rho', z) - log m_F(rho' | rho).
+Every transition of the augmented chain, for every method, is a Gaussian
+momentum refresh m_F, a deterministic map of (z, rho), and a Gaussian
+reverse kernel m_B that scores the old momentum given the new state. The
+map is either one leapfrog step of the bridge density pi_k, or (for the
+Euler-Maruyama variants) the position update z + delta rho' after a refresh
+that also carries the drift delta grad log pi_k(z). Both maps are
+deterministic and volume preserving, so the per-step contribution to the
+augmented lower bound is log m_B(rho | rho', z) - log m_F(rho' | rho).
 
-The Euler-Maruyama variants instead discretize the underdamped dynamics
-jointly: one Gaussian momentum update whose mean mixes friction and the bridge
-gradient, followed by a deterministic position update.
+Both kernels are one `MomentumKernel`: N(mean, var I) with
+
+    mean = shrink rho (+ drift going forward, - drift in reverse)
+           + coef s(k, z, rho),
+
+where s is the learned score. The exact Ornstein-Uhlenbeck refresh has
+shrink eta and variance 1 - eta^2, the Euler-Maruyama refresh shrink
+1 - gamma delta and variance 2 gamma delta. A reverse kernel shares its
+forward kernel's shrink and variance nodes; LDVI's adds var s, and MCD's
+(paired with a complete refresh) has no shrink, variance 1 and coef 2.
 
 All kernel parameters (step size delta, friction gamma, momentum retention
-eta) are scalar tape Vars, so gradients flow through every density below.
-A kernel is built once per chain: its constructor records the shared
-variance, the noise scale sqrt(var) and (for the EM kernel) the shrink
-1 - gamma delta, and every transition reuses those nodes. The joint EM step
-takes such a `ForwardEM`: `em_forward_transition` returns the drift
-delta * grad and the forward mean it computed, and `em_log_ratio_step`
-evaluates both densities from them instead of rebuilding either.
+eta) are scalar tape Vars, so gradients flow through every density. A
+kernel is built once per chain, so its shrink, variance and noise scale
+sqrt(var) are tape nodes shared by every transition.
 """
 
 from __future__ import annotations
@@ -29,12 +34,7 @@ import numpy as np
 
 from ldvi.tape import DomainError, Tape, Var
 
-__all__ = [
-    "leapfrog", "leapfrog_inverse", "ExactOU", "ForwardEM",
-    "BackwardExactNoScore", "BackwardEM", "MCDBackward",
-    "forward_transition", "log_ratio_step",
-    "em_forward_transition", "em_log_ratio_step",
-]
+__all__ = ["leapfrog", "leapfrog_inverse", "MomentumKernel"]
 
 # score callables take (k, z, rho) and return the score evaluated on the tape
 ScoreFn = Callable[[int, Var, Var], Var]
@@ -62,7 +62,7 @@ def leapfrog_inverse(t: Tape, z_new: Var, rho_new: Var, delta: Var,
     return z, rho
 
 
-# ----------------------------------------------------------- momentum kernels
+# ------------------------------------------------------------ momentum kernel
 
 def _check_scalar(name: str, v: Var) -> Var:
     if v.value.ndim != 0:
@@ -70,177 +70,92 @@ def _check_scalar(name: str, v: Var) -> Var:
     return v
 
 
-class ExactOU:
-    """Exact Ornstein-Uhlenbeck momentum refresh: N(eta rho, (1 - eta^2) I).
+class MomentumKernel:
+    """Diagonal-Gaussian momentum kernel N(mean, var I).
 
-    eta = exp(-gamma delta) is the momentum retention over one step; eta = 0
-    is a complete refresh, eta -> 1 degenerates (zero variance) and is
-    rejected. The variance and the noise scale sqrt(1 - eta^2) are built
-    once, in the constructor.
+    mean = shrink rho, plus the drift (added by a forward kernel, subtracted
+    by a reverse one), plus coef s(k, z, rho) when the kernel has a score.
+    Build a forward kernel with `exact_ou` or `euler_maruyama`, and its
+    reverse with `reverse`, or MCD's with `mcd_reverse`. Only forward
+    kernels are sampled, so only they build the noise scale sqrt(var).
     """
 
-    def __init__(self, tape: Tape, eta: Var):
+    def __init__(self, tape: Tape, shrink: Var | None, var: Var | float,
+                 forward: bool, coef: Var | float | None = None,
+                 score_fn: ScoreFn | None = None):
+        self.tape = tape
+        self.shrink = shrink
+        self.var = var
+        self.forward = forward
+        self.coef = coef
+        self.score_fn = score_fn
+        self.scale = tape.sqrt(var) if forward else None
+
+    @classmethod
+    def exact_ou(cls, tape: Tape, eta: Var) -> "MomentumKernel":
+        """Exact Ornstein-Uhlenbeck refresh N(eta rho, (1 - eta^2) I).
+
+        eta = exp(-gamma delta) is the momentum retention over one step;
+        eta = 0 is a complete refresh, eta -> 1 degenerates (zero variance)
+        and is rejected.
+        """
         _check_scalar("exact_ou", eta)
         if not 0.0 <= float(eta.value) < 1.0:
             raise DomainError("exact_ou",
                               f"eta must lie in [0, 1), got {float(eta.value)}")
-        self.tape = tape
-        self.eta = eta
-        self.var = tape.sub(1.0, tape.square(eta))
-        self.scale = tape.sqrt(self.var)
+        return cls(tape, eta, tape.sub(1.0, tape.square(eta)), forward=True)
 
-    def sample(self, rho: Var, eps: np.ndarray) -> Var:
-        t = self.tape
-        return t.add(t.mul(self.eta, rho),
-                     t.mul(self.scale, t.constant(eps)))
-
-    def log_pdf(self, x: Var, rho: Var, z: Var | None = None,
-                k: int | None = None) -> Var:
-        t = self.tape
-        return t.gaussian_logpdf(x, t.mul(self.eta, rho), self.var)
-
-
-class BackwardExactNoScore:
-    """Score-free reverse kernel N(eta rho', (1 - eta^2) I).
-
-    The stationary-case exact reversal of `ExactOU`: the OU refresh leaves
-    N(0, I) invariant and is self-adjoint with respect to it.
-    """
-
-    def __init__(self, tape: Tape, eta: Var):
-        self._ou = ExactOU(tape, eta)
-
-    def log_pdf(self, x: Var, rho_prime: Var, z: Var | None = None,
-                k: int | None = None) -> Var:
-        return self._ou.log_pdf(x, rho_prime)
-
-
-class ForwardEM:
-    """Euler-Maruyama momentum refresh: N(rho (1 - gamma delta), 2 gamma delta I).
-
-    The constructor builds the shrink 1 - gamma delta, the variance
-    2 gamma delta and the noise scale sqrt(2 gamma delta) once; `sample`,
-    `log_pdf`, `BackwardEM` and the joint EM step all reuse them. It keeps
-    the step size `delta` for the EM drift and position update.
-    """
-
-    def __init__(self, tape: Tape, gamma: Var, delta: Var):
+    @classmethod
+    def euler_maruyama(cls, tape: Tape, gamma: Var,
+                       delta: Var) -> "MomentumKernel":
+        """Euler-Maruyama refresh N(rho (1 - gamma delta), 2 gamma delta I)."""
         _check_scalar("forward_em", gamma)
         _check_scalar("forward_em", delta)
-        self.tape = tape
-        self.delta = delta
         gd = tape.mul(gamma, delta)
-        self.shrink = tape.sub(1.0, gd)
-        self.var = tape.mul(2.0, gd)
-        if float(self.var.value) <= 0.0:
-            raise DomainError("forward_em",
-                              "gamma * delta must be positive")
-        self.scale = tape.sqrt(self.var)
+        shrink = tape.sub(1.0, gd)
+        var = tape.mul(2.0, gd)
+        if float(var.value) <= 0.0:
+            raise DomainError("forward_em", "gamma * delta must be positive")
+        return cls(tape, shrink, var, forward=True)
 
-    def sample(self, rho: Var, eps: np.ndarray) -> Var:
+    def reverse(self, score_fn: ScoreFn | None = None) -> "MomentumKernel":
+        """The reverse kernel, sharing this kernel's shrink and variance.
+
+        Without a score it is the stationary-case exact reversal (the OU
+        refresh is self-adjoint with respect to N(0, I)); with one, its mean
+        adds var s(k, z, rho'), the discretized time reversal whose drift
+        correction is twice the momentum score of the forward marginal.
+        """
+        return MomentumKernel(self.tape, self.shrink, self.var, forward=False,
+                              coef=None if score_fn is None else self.var,
+                              score_fn=score_fn)
+
+    @classmethod
+    def mcd_reverse(cls, tape: Tape, score_fn: ScoreFn) -> "MomentumKernel":
+        """MCD's reverse kernel N(2 s(k, z), I) for a complete refresh.
+
+        The position-only score s approximates the score of the intermediate
+        marginal, so 2 s recenters the reverse refresh.
+        """
+        return cls(tape, None, 1.0, forward=False, coef=2.0,
+                   score_fn=score_fn)
+
+    def mean(self, rho: Var, z: Var | None = None, k: int | None = None,
+             drift: Var | None = None) -> Var:
+        """Mean of the kernel at momentum rho, position z and transition k."""
         t = self.tape
-        return t.add(t.mul(self.shrink, rho),
-                     t.mul(self.scale, t.constant(eps)))
-
-    def log_pdf(self, x: Var, rho: Var, z: Var | None = None,
-                k: int | None = None) -> Var:
-        t = self.tape
-        return t.gaussian_logpdf(x, t.mul(self.shrink, rho), self.var)
-
-
-class BackwardEM:
-    """Score-corrected Euler-Maruyama reversal.
-
-    m_B(rho | rho', z) = N(rho' (1 - gamma delta) + 2 gamma delta s(k, z, rho'),
-    2 gamma delta I), the discretization of the exact time reversal whose drift
-    correction is twice the (approximated) momentum score of the forward
-    marginal. It shares the shrink and variance of the forward kernel `fwd`.
-    """
-
-    def __init__(self, fwd: ForwardEM, score_fn: ScoreFn | None):
-        self._fwd = fwd
-        self.score_fn = score_fn
-
-    def log_pdf(self, x: Var, rho_prime: Var, z: Var, k: int) -> Var:
-        t = self._fwd.tape
-        mean = t.mul(self._fwd.shrink, rho_prime)
+        mean = None if self.shrink is None else t.mul(self.shrink, rho)
+        if drift is not None:
+            mean = t.add(mean, drift) if self.forward else t.sub(mean, drift)
         if self.score_fn is not None:
-            mean = t.add(mean,
-                         t.mul(self._fwd.var, self.score_fn(k, z, rho_prime)))
-        return t.gaussian_logpdf(x, mean, self._fwd.var)
+            correction = t.mul(self.coef, self.score_fn(k, z, rho))
+            mean = correction if mean is None else t.add(mean, correction)
+        return mean
 
-
-class MCDBackward:
-    """Reverse kernel for full momentum refresh, N(2 s(k, z), I).
-
-    Pairs with a forward complete refresh m_F = N(0, I); the learned,
-    position-only score s approximates the score of the intermediate marginal
-    so that 2 s recenters the reverse refresh.
-    """
-
-    def __init__(self, tape: Tape, score_fn: ScoreFn):
-        self.tape = tape
-        self.score_fn = score_fn
-
-    def log_pdf(self, x: Var, rho_prime: Var, z: Var, k: int) -> Var:
+    def sample(self, mean: Var, eps: np.ndarray) -> Var:
+        """mean + sqrt(var) eps, for standard-Normal noise eps."""
         t = self.tape
-        mean = t.mul(2.0, self.score_fn(k, z, rho_prime))
-        return t.gaussian_logpdf(x, mean, 1.0)
+        return t.add(mean, t.mul(self.scale, t.constant(eps)))
 
-
-# ---------------------------------------------------------------- transitions
-
-def forward_transition(t: Tape, z: Var, rho: Var, delta: Var, fwd_kernel,
-                       grad_fn: Callable[[Var], Var],
-                       eps: np.ndarray) -> tuple[Var, Var, Var]:
-    """Momentum refresh then leapfrog; returns (z_new, rho_new, rho_refreshed).
-
-    The refreshed momentum rho' is returned because the per-step bound term
-    evaluates both kernels at it.
-    """
-    rho_prime = fwd_kernel.sample(rho, eps)
-    z_new, rho_new = leapfrog(t, z, rho_prime, delta, grad_fn)
-    return z_new, rho_new, rho_prime
-
-
-def log_ratio_step(t: Tape, rho: Var, rho_prime: Var, z: Var, k: int,
-                   fwd_kernel, bwd_kernel) -> Var:
-    """log m_B(rho | rho', z) - log m_F(rho' | rho) for one transition."""
-    return t.sub(bwd_kernel.log_pdf(rho, rho_prime, z, k),
-                 fwd_kernel.log_pdf(rho_prime, rho, z, k))
-
-
-def em_forward_transition(t: Tape, z: Var, rho: Var, kernel: ForwardEM,
-                          grad: Var, eps: np.ndarray
-                          ) -> tuple[Var, Var, Var, Var]:
-    """Joint Euler-Maruyama step: Gaussian momentum update, then drift in z.
-
-    `grad` is the bridge gradient at the current z and `kernel` carries the
-    chain's shrink, noise scale and step size. Returns (z_new, rho_new,
-    drift, mean): the drift delta * grad and the forward mean
-    rho (1 - gamma delta) + drift are handed on to `em_log_ratio_step`, so
-    each transition builds them once.
-    """
-    drift = t.mul(kernel.delta, grad)
-    mean = t.add(t.mul(kernel.shrink, rho), drift)
-    rho_new = t.add(mean, t.mul(kernel.scale, t.constant(eps)))
-    z_new = t.add(z, t.mul(kernel.delta, rho_new))
-    return z_new, rho_new, drift, mean
-
-
-def em_log_ratio_step(t: Tape, z: Var, rho: Var, rho_new: Var, k: int,
-                      kernel: ForwardEM, drift: Var, mean: Var,
-                      score_fn: ScoreFn | None) -> Var:
-    """Reverse/forward density ratio of one Euler-Maruyama transition.
-
-    Forward: rho_new ~ N(mean, 2 gamma delta I), with `mean` and `drift` as
-    returned by `em_forward_transition`. Backward: rho ~ N(rho_new
-    (1 - gamma delta) - drift + 2 gamma delta s(k, z, rho_new),
-    2 gamma delta I); with score_fn None the score correction is dropped.
-    """
-    fwd = t.gaussian_logpdf(rho_new, mean, kernel.var)
-    bwd_mean = t.sub(t.mul(kernel.shrink, rho_new), drift)
-    if score_fn is not None:
-        bwd_mean = t.add(bwd_mean, t.mul(kernel.var, score_fn(k, z, rho_new)))
-    bwd = t.gaussian_logpdf(rho, bwd_mean, kernel.var)
-    return t.sub(bwd, fwd)
+    def log_pdf(self, x: Var, mean: Var) -> Var:
+        return self.tape.gaussian_logpdf(x, mean, self.var)

@@ -20,17 +20,14 @@ score usage, momentum augmentations, and which parameter groups train. The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ldvi.annealing import (AnnealingSchedule, MeanFieldGaussian,
                             inverse_softplus)
-from ldvi.dynamics import (BackwardEM, BackwardExactNoScore, ExactOU,
-                           ForwardEM, MCDBackward, em_forward_transition,
-                           em_log_ratio_step, forward_transition,
-                           log_ratio_step)
+from ldvi.dynamics import MomentumKernel, leapfrog
 from ldvi.scorenet import ScoreNet
 from ldvi.tape import Tape, Var
 from ldvi.targets import TargetModel
@@ -60,12 +57,13 @@ class MethodConfig:
 
     scheme: "plain" (no chain), "leapfrog" (momentum refresh + leapfrog), or
         "em" (joint Euler-Maruyama momentum/position update).
-    forward / backward: momentum kernel variants for the leapfrog scheme
-        ("exact_ou" or "em"; backward additionally "mcd").
+    forward / backward: momentum kernel variants for the leapfrog scheme.
+        forward is "exact_ou" or "em"; backward is the forward kernel's own
+        reversal (the same name) or "mcd", which needs a score network.
     score_mode: "none", "position" (score net sees position only), or "full".
     eta_mode: momentum retention for exact-OU kernels — "zero" (complete
-        refresh), "learnable" (sigmoid of a raw parameter), or "derived"
-        (exp(-gamma delta)).
+        refresh) or "learnable" (sigmoid of a raw parameter); "none" for
+        methods without one.
     mcd_augment: tie the initial/terminal momentum augmentation means to the
         score network (mean 2 s at the endpoint times) instead of N(0, I).
     trainable: parameter groups the optimizer may move, subset of
@@ -87,8 +85,26 @@ class MethodConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.score_mode not in ("none", "position", "full"):
             raise ValueError(f"unknown score_mode {self.score_mode!r}")
+        if self.eta_mode not in ("none", "zero", "learnable"):
+            raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
         if self.mcd_augment and self.score_mode == "none":
             raise ValueError("mcd_augment requires a score network")
+        if self.scheme != "leapfrog":
+            if (self.forward, self.backward) != ("none", "none"):
+                raise ValueError(f"scheme {self.scheme!r} has no forward or "
+                                 f"backward kernel choice; both must be 'none'")
+            return
+        if self.forward not in ("exact_ou", "em"):
+            raise ValueError(f"unknown forward kernel {self.forward!r}")
+        if self.backward not in (self.forward, "mcd"):
+            raise ValueError(f"backward kernel {self.backward!r} does not "
+                             f"reverse forward kernel {self.forward!r}")
+        if self.forward == "exact_ou" and self.eta_mode == "none":
+            raise ValueError("forward kernel 'exact_ou' needs eta_mode "
+                             "'zero' or 'learnable'")
+        if self.backward == "mcd" and self.score_mode == "none":
+            raise ValueError("backward kernel 'mcd' needs a score network "
+                             "(score_mode)")
 
     @property
     def uses_score(self) -> bool:
@@ -178,10 +194,7 @@ def init_params(config: MethodConfig, dim: int, num_steps: int,
         return params
     params["schedule.weights"] = AnnealingSchedule.init_params(num_steps)
     params["raw_delta"] = np.asarray(inverse_softplus(delta))
-    needs_gamma = (config.scheme == "em" or "em" in (config.forward,
-                                                     config.backward)
-                   or config.eta_mode == "derived")
-    if needs_gamma:
+    if config.scheme == "em" or config.forward == "em":
         params["raw_gamma"] = np.asarray(inverse_softplus(gamma))
     if config.eta_mode == "learnable":
         if not 0.0 < eta < 1.0:
@@ -241,8 +254,6 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
     elif config.eta_mode == "learnable":
         eta = tape.sigmoid(tape.lift(params["raw_eta"], trainable=on("eta"),
                                      name="raw_eta"))
-    elif config.eta_mode == "derived":
-        eta = tape.exp(tape.neg(tape.mul(gamma, delta)))
     score_fn = None
     if config.uses_score:
         net = ScoreNet(dim, hidden=config.score_hidden,
@@ -277,22 +288,16 @@ def _check_finite(model: LiftedModel, k: int, **quantities: Var) -> None:
 
 
 def _momentum_kernels(model: LiftedModel):
+    """The chain's forward momentum kernel and the reverse kernel paired
+    with it, each built once."""
     t, c = model.tape, model.config
-    if c.forward == "exact_ou":
-        fwd = ExactOU(t, model.eta)
-    elif c.forward == "em":
-        fwd = ForwardEM(t, model.gamma, model.delta)
+    if c.scheme == "em" or c.forward == "em":
+        fwd = MomentumKernel.euler_maruyama(t, model.gamma, model.delta)
     else:
-        raise ValueError(f"unknown forward kernel {c.forward!r}")
-    if c.backward == "exact_ou":
-        bwd = BackwardExactNoScore(t, model.eta)
-    elif c.backward == "em":
-        bwd = BackwardEM(fwd, model.score_fn)
-    elif c.backward == "mcd":
-        bwd = MCDBackward(t, model.score_fn)
-    else:
-        raise ValueError(f"unknown backward kernel {c.backward!r}")
-    return fwd, bwd
+        fwd = MomentumKernel.exact_ou(t, model.eta)
+    if c.backward == "mcd":
+        return fwd, MomentumKernel.mcd_reverse(t, model.score_fn)
+    return fwd, fwd.reverse(model.score_fn)
 
 
 def _momentum_aug_logpdf(model: LiftedModel, k: int, z: Var, rho: Var) -> Var:
@@ -325,9 +330,14 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     `target.score` K times, once per position, and an Euler-Maruyama chain,
     which scores only where each transition starts, K - 1 times.
 
-    The Euler-Maruyama scheme builds one `ForwardEM` per chain, so its
-    shrink, variance and noise scale are tape nodes shared by every
-    transition.
+    Every transition draws rho' from the forward momentum kernel, moves
+    (z, rho') by the scheme's map and adds log m_B(rho | rho', z) -
+    log m_F(rho' | rho). The two schemes differ only in the map and the
+    drift: a leapfrog step with no drift, or the Euler-Maruyama position
+    update z + delta rho' with the drift delta grad log pi_k(z) added to the
+    forward mean and subtracted from the reverse one. The kernels are built
+    once per chain, and each transition builds its forward mean once, for
+    both the sample and the density.
 
     Raises EstimatorError naming the transition index, the quantity
     (position, momentum, log-ratio, initial or terminal density) and the
@@ -365,30 +375,24 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     _check_finite(model, 0, initial_density=L)
     trace: list[Var] = []
 
-    if c.scheme == "leapfrog":
-        fwd, bwd = _momentum_kernels(model)
-        for k in range(1, K):
-            z_new, rho_new, rho_prime = forward_transition(
-                t, z, rho, model.delta, fwd, grad_at(k), noise.step_eps[k - 1])
-            ratio = log_ratio_step(t, rho, rho_prime, z, k, fwd, bwd)
-            _check_finite(model, k, position=z_new, momentum=rho_new,
-                          log_ratio=ratio)
-            L = t.add(L, ratio)
-            trace.append(ratio)
-            z, rho = z_new, rho_new
-    else:  # joint Euler-Maruyama scheme
-        kernel = ForwardEM(t, model.gamma, model.delta)
-        score_fn = model.score_fn if c.uses_score else None
-        for k in range(1, K):
-            z_new, rho_new, drift, mean = em_forward_transition(
-                t, z, rho, kernel, grad_at(k)(z), noise.step_eps[k - 1])
-            ratio = em_log_ratio_step(t, z, rho, rho_new, k, kernel, drift,
-                                      mean, score_fn)
-            _check_finite(model, k, position=z_new, momentum=rho_new,
-                          log_ratio=ratio)
-            L = t.add(L, ratio)
-            trace.append(ratio)
-            z, rho = z_new, rho_new
+    em = c.scheme == "em"
+    fwd, bwd = _momentum_kernels(model)
+    for k in range(1, K):
+        grad = grad_at(k)
+        drift = t.mul(model.delta, grad(z)) if em else None
+        mean = fwd.mean(rho, z, k, drift)
+        rho_prime = fwd.sample(mean, noise.step_eps[k - 1])
+        if em:
+            z_new, rho_new = t.add(z, t.mul(model.delta, rho_prime)), rho_prime
+        else:
+            z_new, rho_new = leapfrog(t, z, rho_prime, model.delta, grad)
+        ratio = t.sub(bwd.log_pdf(rho, bwd.mean(rho_prime, z, k, drift)),
+                      fwd.log_pdf(rho_prime, mean))
+        _check_finite(model, k, position=z_new, momentum=rho_new,
+                      log_ratio=ratio)
+        L = t.add(L, ratio)
+        trace.append(ratio)
+        z, rho = z_new, rho_new
 
     terminal = t.add(target.logp(t, z),
                      _momentum_aug_logpdf(model, K, z, rho))
@@ -425,8 +429,3 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
         chunk += 1
     vals = np.concatenate(values)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
-
-
-def config_variant(base: MethodConfig, **changes) -> MethodConfig:
-    """Named-config copy with overridden fields (for equivalence checks)."""
-    return replace(base, **changes)

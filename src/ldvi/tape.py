@@ -23,12 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tape", "Var", "DomainError", "OPCODES", "sigmoid", "softplus"]
-
-OPCODES = (
-    "add", "sub", "mul", "div", "neg", "exp", "log", "tanh", "softplus",
-    "sigmoid", "square", "sqrt", "dot", "scale", "sum", "affine",
-)
+__all__ = ["Tape", "Var", "DomainError", "sigmoid", "softplus"]
 
 
 class DomainError(ValueError):
@@ -153,14 +148,6 @@ class Tape:
             return self.push(np.asarray(x, dtype=np.float64), (), None)
         return self.constant(x)
 
-    # ------------------------------------------------------------- dispatcher
-
-    def apply(self, op: str, *args) -> Var:
-        """Apply a named operation; the preferred entry point is the methods."""
-        if op not in OPCODES:
-            raise DomainError(op, f"unknown opcode (valid: {', '.join(OPCODES)})")
-        return getattr(self, op)(*args)
-
     # ------------------------------------------------------------ arithmetic
 
     def add(self, a, b) -> Var:
@@ -271,32 +258,6 @@ class Tape:
             return (np.broadcast_to(adj / n, a.shape).copy(),)
 
         return self.push(value, (a,), vjp)
-
-    def dot(self, a, b) -> Var:
-        a, b = self._coerce(a), self._coerce(b)
-        value = (a.value * b.value).sum(axis=-1)
-
-        def vjp(adj):
-            g = adj[..., None]
-            return (_unbroadcast(g * b.value, a.shape),
-                    _unbroadcast(g * a.value, b.shape))
-
-        return self.push(value, (a, b), vjp)
-
-    def scale(self, s, v) -> Var:
-        """Scalar (or batch of scalars) times vector."""
-        s, v = self._coerce(s), self._coerce(v)
-        sval = s.value[..., None] if s.value.ndim == v.value.ndim - 1 else s.value
-        value = sval * v.value
-
-        def vjp(adj):
-            if s.value.ndim == v.value.ndim - 1:
-                gs = _unbroadcast((adj * v.value).sum(axis=-1), s.shape)
-            else:
-                gs = _unbroadcast(adj * v.value, s.shape)
-            return gs, _unbroadcast(adj * sval, v.shape)
-
-        return self.push(value, (s, v), vjp)
 
     # ----------------------------------------------------------- linear maps
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ldvi.estimator import (MethodConfig, NoiseBundle, config_variant,
-                            estimate_elbo, evaluate_elbo_mean, get_method,
-                            init_params, lift_model)
+from ldvi.estimator import (MethodConfig, NoiseBundle, estimate_elbo,
+                            evaluate_elbo_mean, get_method, init_params,
+                            lift_model)
 from ldvi.tape import Tape
 from ldvi.targets import TargetModel, get_target
 
@@ -169,7 +169,7 @@ def _resolve_target(plan: TrainPlan) -> TargetModel:
 def _resolve_config(plan: TrainPlan) -> MethodConfig:
     config = get_method(plan.method)
     if plan.score_hidden is not None:
-        config = config_variant(config, score_hidden=plan.score_hidden)
+        config = dataclasses.replace(config, score_hidden=plan.score_hidden)
     return config
 
 

@@ -1,15 +1,16 @@
-"""Unit tests for the leapfrog integrator and momentum kernels."""
+"""Unit tests for the leapfrog integrator and the momentum kernel."""
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal, norm
+from scipy.stats import norm
 
-from ldvi.dynamics import (
-    BackwardEM, BackwardExactNoScore, ExactOU, ForwardEM, MCDBackward,
-    em_forward_transition, em_log_ratio_step, forward_transition, leapfrog,
-    leapfrog_inverse, log_ratio_step,
-)
+from ldvi.dynamics import MomentumKernel, leapfrog, leapfrog_inverse
+from ldvi.estimator import (NoiseBundle, estimate_elbo, get_method,
+                            init_params, lift_model)
 from ldvi.tape import DomainError, Tape
+from ldvi.targets import gaussian_toy_target
+
+OU, EM = MomentumKernel.exact_ou, MomentumKernel.euler_maruyama
 
 
 def standard_grad(t):
@@ -21,12 +22,18 @@ def iso_logpdf(x, mean, var):
     return norm.logpdf(x, mean, np.sqrt(var)).sum(axis=-1)
 
 
+def kernel_log_pdf(kernel, x, rho, z=None, k=None, drift=None):
+    """log m(x | rho, z) for a kernel, at the mean it builds from rho."""
+    return kernel.log_pdf(x, kernel.mean(rho, z, k, drift))
+
+
 def em_ratio(t, z, rho, rho_n, k, delta, gamma, grad, score):
-    """em_log_ratio_step with the drift and forward mean of the transition."""
-    kernel = ForwardEM(t, gamma, delta)
+    """Reverse/forward log-ratio of one Euler-Maruyama transition."""
+    fwd = EM(t, gamma, delta)
     drift = t.mul(delta, grad)
-    mean = t.add(t.mul(kernel.shrink, rho), drift)
-    return em_log_ratio_step(t, z, rho, rho_n, k, kernel, drift, mean, score)
+    bwd = fwd.reverse(score)
+    return t.sub(kernel_log_pdf(bwd, rho, rho_n, z, k, drift),
+                 kernel_log_pdf(fwd, rho_n, rho, z, k, drift))
 
 
 class TestLeapfrog:
@@ -99,20 +106,20 @@ class TestExactOU:
     def test_log_pdf_matches_scipy(self):
         rng = np.random.default_rng(2)
         t = Tape()
-        ou = ExactOU(t, t.lift(0.6))
+        ou = OU(t, t.lift(0.6))
         for _ in range(10):
             rho = rng.normal(size=4)
             x = rng.normal(size=4)
-            got = ou.log_pdf(t.lift(x), t.lift(rho)).value
+            got = kernel_log_pdf(ou, t.lift(x), t.lift(rho)).value
             want = iso_logpdf(x, 0.6 * rho, 1 - 0.36)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_sample_formula(self):
         t = Tape()
-        ou = ExactOU(t, t.lift(0.5))
+        ou = OU(t, t.lift(0.5))
         rho = t.lift([2.0, -2.0])
         eps = np.array([1.0, 0.0])
-        got = ou.sample(rho, eps).value
+        got = ou.sample(ou.mean(rho), eps).value
         np.testing.assert_allclose(got, [1.0 + np.sqrt(0.75), -1.0], rtol=1e-14)
 
     def test_stationary_under_standard_normal(self):
@@ -120,8 +127,9 @@ class TestExactOU:
         rng = np.random.default_rng(3)
         rho = rng.normal(size=100_000)
         t = Tape()
-        ou = ExactOU(t, t.lift(0.8))
-        out = ou.sample(t.lift(rho[:, None]), rng.normal(size=(100_000, 1))).value
+        ou = OU(t, t.lift(0.8))
+        out = ou.sample(ou.mean(t.lift(rho[:, None])),
+                        rng.normal(size=(100_000, 1))).value
         assert abs(out.mean()) < 0.02
         assert abs(out.std() - 1.0) < 0.02
 
@@ -129,36 +137,38 @@ class TestExactOU:
         # N(rho) m_F(rho'|rho) = N(rho') m_B(rho|rho') for the OU pair
         rng = np.random.default_rng(4)
         t = Tape()
-        eta = t.lift(0.35)
-        fwd, bwd = ExactOU(t, eta), BackwardExactNoScore(t, eta)
+        fwd = OU(t, t.lift(0.35))
+        bwd = fwd.reverse()
         for _ in range(20):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            lhs = iso_logpdf(a, 0, 1) + fwd.log_pdf(t.lift(b), t.lift(a)).value
-            rhs = iso_logpdf(b, 0, 1) + bwd.log_pdf(t.lift(a), t.lift(b)).value
+            lhs = (iso_logpdf(a, 0, 1)
+                   + kernel_log_pdf(fwd, t.lift(b), t.lift(a)).value)
+            rhs = (iso_logpdf(b, 0, 1)
+                   + kernel_log_pdf(bwd, t.lift(a), t.lift(b)).value)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_eta_one_rejected(self):
         t = Tape()
         with pytest.raises(DomainError):
-            ExactOU(t, t.lift(1.0))
+            OU(t, t.lift(1.0))
 
     def test_eta_negative_rejected(self):
         t = Tape()
         with pytest.raises(DomainError):
-            ExactOU(t, t.lift(-0.1))
+            OU(t, t.lift(-0.1))
 
     def test_eta_zero_is_full_refresh(self):
         t = Tape()
-        ou = ExactOU(t, t.lift(0.0))
+        ou = OU(t, t.lift(0.0))
         eps = np.array([0.7, -0.2])
-        np.testing.assert_allclose(ou.sample(t.lift([5.0, -5.0]), eps).value,
-                                   eps, rtol=1e-14)
+        np.testing.assert_allclose(
+            ou.sample(ou.mean(t.lift([5.0, -5.0])), eps).value, eps,
+            rtol=1e-14)
 
     def test_gradient_flows_to_eta(self):
         t = Tape()
         eta = t.lift(0.5, trainable=True, name="eta")
-        ou = ExactOU(t, eta)
-        lp = ou.log_pdf(t.lift([0.3]), t.lift([0.9]))
+        lp = kernel_log_pdf(OU(t, eta), t.lift([0.3]), t.lift([0.9]))
         assert t.backward(lp)["eta"] != 0.0
 
 
@@ -167,46 +177,47 @@ class TestEMKernels:
         rng = np.random.default_rng(5)
         t = Tape()
         gamma, delta = t.lift(0.8), t.lift(0.1)
-        fwd = ForwardEM(t, gamma, delta)
+        fwd = EM(t, gamma, delta)
         gd = 0.08
         for _ in range(10):
             rho, x = rng.normal(size=3), rng.normal(size=3)
             want = iso_logpdf(x, rho * (1 - gd), 2 * gd)
-            got = fwd.log_pdf(t.lift(x), t.lift(rho)).value
+            got = kernel_log_pdf(fwd, t.lift(x), t.lift(rho)).value
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_forward_sample_formula(self):
         t = Tape()
-        fwd = ForwardEM(t, t.lift(1.0), t.lift(0.125))
-        got = fwd.sample(t.lift([2.0]), np.array([1.0])).value
+        fwd = EM(t, t.lift(1.0), t.lift(0.125))
+        got = fwd.sample(fwd.mean(t.lift([2.0])), np.array([1.0])).value
         np.testing.assert_allclose(got, [2.0 * 0.875 + np.sqrt(0.25)], rtol=1e-14)
 
     def test_zero_friction_rejected(self):
         t = Tape()
         with pytest.raises(DomainError):
-            ForwardEM(t, t.lift(0.0), t.lift(0.1))
+            EM(t, t.lift(0.0), t.lift(0.1))
 
     def test_backward_with_score(self):
         rng = np.random.default_rng(6)
         t = Tape()
         gamma, delta = t.lift(0.5), t.lift(0.2)
         score = lambda k, z, rho: t.mul(float(k), t.add(z, rho))
-        bwd = BackwardEM(ForwardEM(t, gamma, delta), score)
+        bwd = EM(t, gamma, delta).reverse(score)
         gd = 0.1
         z = rng.normal(size=2)
         rho_p, x = rng.normal(size=2), rng.normal(size=2)
         want = iso_logpdf(x, rho_p * (1 - gd) + 2 * gd * 3 * (z + rho_p), 2 * gd)
-        got = bwd.log_pdf(t.lift(x), t.lift(rho_p), t.lift(z), 3).value
+        got = kernel_log_pdf(bwd, t.lift(x), t.lift(rho_p), t.lift(z), 3).value
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_mcd_backward(self):
         rng = np.random.default_rng(7)
         t = Tape()
         score = lambda k, z, rho: t.mul(0.5, z)  # position-only
-        bwd = MCDBackward(t, score)
+        bwd = MomentumKernel.mcd_reverse(t, score)
         z, x = rng.normal(size=3), rng.normal(size=3)
         want = iso_logpdf(x, z, 1.0)
-        got = bwd.log_pdf(t.lift(x), t.lift(np.zeros(3)), t.lift(z), 1).value
+        got = kernel_log_pdf(bwd, t.lift(x), t.lift(np.zeros(3)), t.lift(z),
+                             1).value
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -217,9 +228,9 @@ class TestTransitions:
         eps = rng.normal(size=3)
         t = Tape()
         delta = t.lift(0.2)
-        ou = ExactOU(t, t.lift(0.4))
-        zn, rn, rp = forward_transition(t, t.lift(z0), t.lift(r0), delta, ou,
-                                        standard_grad(t), eps)
+        ou = OU(t, t.lift(0.4))
+        rp = ou.sample(ou.mean(t.lift(r0)), eps)
+        zn, rn = leapfrog(t, t.lift(z0), rp, delta, standard_grad(t))
         rp_ref = 0.4 * r0 + np.sqrt(1 - 0.16) * eps
         np.testing.assert_allclose(rp.value, rp_ref, rtol=1e-14)
         t2 = Tape()
@@ -229,16 +240,20 @@ class TestTransitions:
         np.testing.assert_allclose(rn.value, rr.value, rtol=1e-14)
 
     def test_log_ratio_step_is_kernel_difference(self):
-        rng = np.random.default_rng(9)
-        t = Tape()
-        eta = t.lift(0.3)
-        fwd, bwd = ExactOU(t, eta), BackwardExactNoScore(t, eta)
-        rho, rho_p, z = (rng.normal(size=2) for _ in range(3))
-        got = log_ratio_step(t, t.lift(rho), t.lift(rho_p), t.lift(z), 2,
-                             fwd, bwd).value
-        want = (bwd.log_pdf(t.lift(rho), t.lift(rho_p)).value
-                - fwd.log_pdf(t.lift(rho_p), t.lift(rho)).value)
-        assert got == pytest.approx(want, rel=1e-12)
+        # the estimator's trace entry for a transition is log m_B - log m_F
+        # with the exact-OU pair: m_F(rho'|rho) and m_B(rho|rho') alike
+        # N(eta ., (1 - eta^2) I)
+        cfg = get_method("uha")
+        params = init_params(cfg, 2, 2, eta=0.3)
+        noise = NoiseBundle.draw(9, 0, None, 2, 2)
+        model = lift_model(Tape(), cfg, params, 2, 2)
+        est = estimate_elbo(model, gaussian_toy_target(2, mean=0.3), noise)
+        eta = float(model.eta.value)
+        rho, var = noise.rho_eps, 1 - eta ** 2
+        rho_p = eta * rho + np.sqrt(var) * noise.step_eps[0]
+        want = (iso_logpdf(rho, eta * rho_p, var)
+                - iso_logpdf(rho_p, eta * rho, var))
+        assert float(est.trace[0].value) == pytest.approx(want, rel=1e-12)
 
     def test_em_transition_matches_numpy(self):
         rng = np.random.default_rng(10)
@@ -246,8 +261,10 @@ class TestTransitions:
         t = Tape()
         delta, gamma = t.lift(0.1), t.lift(0.5)
         grad = t.mul(-1.0, t.lift(z0))
-        zn, rn, _, _ = em_forward_transition(
-            t, t.lift(z0), t.lift(r0), ForwardEM(t, gamma, delta), grad, eps)
+        kernel = EM(t, gamma, delta)
+        rn = kernel.sample(kernel.mean(t.lift(r0), drift=t.mul(delta, grad)),
+                           eps)
+        zn = t.add(t.lift(z0), t.mul(delta, rn))
         gd = 0.05
         rho_ref = r0 * (1 - gd) + 0.1 * (-z0) + np.sqrt(2 * gd) * eps
         np.testing.assert_allclose(rn.value, rho_ref, rtol=1e-14)
@@ -256,9 +273,7 @@ class TestTransitions:
     def test_em_zero_step_rejected(self):
         t = Tape()
         with pytest.raises(DomainError):
-            em_forward_transition(t, t.lift([0.0]), t.lift([0.0]),
-                                  ForwardEM(t, t.lift(1.0), t.lift(0.0)),
-                                  t.lift([0.0]), np.zeros(1))
+            EM(t, t.lift(1.0), t.lift(0.0))
 
     def test_em_log_ratio_matches_scipy(self):
         rng = np.random.default_rng(11)

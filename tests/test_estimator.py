@@ -7,17 +7,14 @@ import pytest
 from scipy.special import expit
 from scipy.stats import norm
 
-from ldvi import estimator
 from ldvi.annealing import bridge_score, inverse_softplus
-from ldvi.dynamics import (ForwardEM, em_forward_transition,
-                           em_log_ratio_step, forward_transition,
-                           log_ratio_step)
+from ldvi.dynamics import MomentumKernel
 from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
                             MethodConfig, NoiseBundle, _momentum_aug_logpdf,
-                            _momentum_kernels, _sample_initial_momentum,
-                            config_variant, estimate_elbo, evaluate_elbo_mean,
-                            get_method, init_params, lift_model, method_names,
-                            plain_vi_elbo, ula_epsilon)
+                            _sample_initial_momentum, estimate_elbo,
+                            evaluate_elbo_mean, get_method, init_params,
+                            lift_model, method_names, plain_vi_elbo,
+                            ula_epsilon)
 from ldvi.scorenet import ScoreNet
 from ldvi.tape import DomainError, Tape
 from ldvi.targets import (TargetModel, brownian_motion_target,
@@ -59,6 +56,22 @@ class TestRegistry:
             MethodConfig(name="x", scheme="rk4")
         with pytest.raises(ValueError):
             MethodConfig(name="x", scheme="leapfrog", mcd_augment=True)
+
+    @pytest.mark.parametrize("field,kernels", [
+        ("eta_mode", dict(forward="exact_ou", backward="exact_ou")),
+        ("eta_mode", dict(forward="exact_ou", backward="exact_ou",
+                          eta_mode="learnabel")),
+        ("backward", dict(forward="exact_ou", backward="mcd",
+                          eta_mode="zero")),
+        ("backward", dict(forward="exact_ou", backward="em",
+                          eta_mode="zero")),
+        ("forward", dict(forward="exact-ou", backward="exact_ou",
+                         eta_mode="zero")),
+        ("backward", dict(scheme="em", backward="mcd", score_mode="full")),
+    ])
+    def test_invalid_kernel_choices_rejected(self, field, kernels):
+        with pytest.raises(ValueError, match=field):
+            MethodConfig(name="x", **({"scheme": "leapfrog"} | kernels))
 
     def test_trainable_groups(self):
         assert METHODS["plainvi"].trainable == {"q"}
@@ -104,7 +117,7 @@ class TestInitParams:
             "ldvi_em": chain | {"raw_gamma"},
         }
         for name, want in expect.items():
-            cfg = config_variant(get_method(name), score_hidden=4)
+            cfg = dataclasses.replace(get_method(name), score_hidden=4)
             keys = set(init_params(cfg, 3, 4).keys())
             non_score = {k for k in keys if not k.startswith("score.")}
             assert non_score == want, name
@@ -130,7 +143,7 @@ class TestPerfectBase:
                                       "ldvi_em"])
     def test_k1_is_exact(self, name):
         target = gaussian_toy_target(3, mean=1.0, cov_diag=1.5)
-        cfg = config_variant(get_method(name), score_hidden=4)
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
         params = self.matched_params(cfg, 3, 1)
         noise = NoiseBundle.draw(0, 0, 8, 3, 1)
         est = run_estimate(cfg, params, target, 1, noise)
@@ -161,12 +174,44 @@ class TestPerfectBase:
             evaluate_elbo_mean(cfg, params, target, 4, n_samples=1, seed=0)
 
 
+class TestUnbiasedness:
+    """exp(L) is an unbiased estimate of Z, whatever the parameters.
+
+    So over many chains logmeanexp(L) reaches log Z up to its Monte Carlo
+    error, and mean(L) <= log Z. A forward density that is not the one the
+    momentum was drawn from (taken at the post-leapfrog momentum, or without
+    the EM drift) breaks the first at once. Any reverse kernel keeps the
+    bound valid, so its mean is checked by `TestBruteForceOracle` instead.
+    The check is one-sided: heavy-tailed weights pull logmeanexp(L) below
+    log Z, never above it.
+    """
+
+    @pytest.mark.parametrize("K", [2, 4, 8])
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_logmeanexp_reaches_log_z(self, name, K):
+        n, case = 8000, 10 * method_names().index(name) + K
+        target = gaussian_toy_target(2, mean=[0.5, -0.3], cov_diag=[0.8, 1.6])
+        cfg = get_method(name)
+        rng = np.random.default_rng(case)
+        params = {k: v + (0.05 if k.startswith("score.") else 0.2)
+                  * rng.normal(size=v.shape)
+                  for k, v in init_params(cfg, 2, K).items()}
+        model = lift_model(Tape(), cfg, params, 2, K, trainable=False)
+        L = estimate_elbo(model, target,
+                          NoiseBundle.draw(case, 0, n, 2, K)).value.value
+        w = np.exp(L - L.max())
+        log_z_hat = L.max() + np.log(w.mean())
+        se = w.std() / (np.sqrt(n) * w.mean())
+        assert log_z_hat - target.log_z <= 4 * se
+        assert L.mean() <= target.log_z
+
+
 class TestRecoveryIdentities:
     """Score-free exact-kernel reductions coincide on shared noise."""
 
     def test_ula_equals_reduced_general_config(self):
         rng = np.random.default_rng(10)
-        reduced = config_variant(
+        reduced = dataclasses.replace(
             get_method("ldvi"), forward="exact_ou", backward="exact_ou",
             eta_mode="zero", score_mode="none",
             trainable=get_method("ula").trainable)
@@ -184,7 +229,7 @@ class TestRecoveryIdentities:
 
     def test_uha_equals_reduced_general_config(self):
         rng = np.random.default_rng(11)
-        reduced = config_variant(
+        reduced = dataclasses.replace(
             get_method("ldvi"), forward="exact_ou", backward="exact_ou",
             eta_mode="learnable", score_mode="none",
             trainable=get_method("uha").trainable)
@@ -206,15 +251,15 @@ class TestRecoveryIdentities:
         target = gaussian_toy_target(3, mean=0.4, cov_diag=1.2)
         noise = NoiseBundle.draw(3, 0, 4, 3, 5)
 
-        ldvi = config_variant(get_method("ldvi"), score_hidden=8)
+        ldvi = dataclasses.replace(get_method("ldvi"), score_hidden=8)
         params = init_params(ldvi, 3, 5, seed=9)
         params["q.mu"] = rng.normal(size=3)
-        scoreless = config_variant(ldvi, score_mode="none")
+        scoreless = dataclasses.replace(ldvi, score_mode="none")
         a = run_estimate(ldvi, params, target, 5, noise)
         b = run_estimate(scoreless, params, target, 5, noise)
         np.testing.assert_array_equal(a.value.value, b.value.value)
 
-        ldvi_em = config_variant(get_method("ldvi_em"), score_hidden=8)
+        ldvi_em = dataclasses.replace(get_method("ldvi_em"), score_hidden=8)
         params = init_params(ldvi_em, 3, 5, seed=9)
         c = run_estimate(ldvi_em, params, target, 5, noise)
         d = run_estimate(get_method("uha_em"), params, target, 5, noise)
@@ -302,8 +347,6 @@ def scipy_replay(config, params, target, K, noise, score_value):
         eta = 0.0
     elif config.eta_mode == "learnable":
         eta = float(expit(params["raw_eta"]))
-    elif config.eta_mode == "derived":
-        eta = float(np.exp(-gamma * delta))
     else:
         eta = None
 
@@ -392,7 +435,7 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("dim,K", [(1, 2), (1, 3), (2, 3)])
     def test_matches_scipy_composition(self, name, dim, K):
         rng = np.random.default_rng(dim * 100 + K * 10 + len(name))
-        cfg = config_variant(get_method(name), score_hidden=6)
+        cfg = dataclasses.replace(get_method(name), score_hidden=6)
         target = gaussian_toy_target(dim, mean=rng.normal(size=dim),
                                      cov_diag=rng.uniform(0.5, 2.0, size=dim))
         params = random_params(cfg, dim, K, rng, score_scale=0.2)
@@ -407,7 +450,7 @@ class TestGradients:
     def test_gradients_reach_exactly_the_trainable_groups(self):
         target = gaussian_toy_target(2, mean=0.5, cov_diag=1.3)
         for name in ("ula", "mcd", "uha", "ldvi", "uha_em", "ldvi_em"):
-            cfg = config_variant(get_method(name), score_hidden=4)
+            cfg = dataclasses.replace(get_method(name), score_hidden=4)
             rng = np.random.default_rng(sum(map(ord, name)))
             params = random_params(cfg, 2, 3, rng, score_scale=0.2)
             t = Tape()
@@ -428,7 +471,7 @@ class TestGradients:
 
     def test_finite_differences_full_method(self):
         """Pathwise gradient of the mean bound vs central differences."""
-        cfg = config_variant(get_method("ldvi"), score_hidden=4)
+        cfg = dataclasses.replace(get_method("ldvi"), score_hidden=4)
         dim, K = 2, 3
         target = gaussian_toy_target(dim, mean=0.4, cov_diag=0.8)
         rng = np.random.default_rng(31)
@@ -510,7 +553,7 @@ class TestBatching:
         rng = np.random.default_rng(40)
         target = gaussian_toy_target(2, mean=0.2, cov_diag=1.1)
         for name in ("ula", "uha", "ldvi", "ldvi_em", "mcd"):
-            cfg = config_variant(get_method(name), score_hidden=4)
+            cfg = dataclasses.replace(get_method(name), score_hidden=4)
             params = random_params(cfg, 2, 3, rng, score_scale=0.2)
             noise = NoiseBundle.draw(6, 0, 5, 2, 3)
             batched = run_estimate(cfg, params, target, 3, noise)
@@ -560,8 +603,16 @@ def counting_target(target):
 
 
 def per_call_reference(model, target, noise):
-    """The bound with every bridge score computed afresh by bridge_score."""
+    """The bound with every bridge score computed afresh by bridge_score.
+
+    Built from tape primitives: each transition rebuilds the forward mean
+    for its density, and an Euler-Maruyama chain is the per-transition
+    reference below.
+    """
     t, c, K = model.tape, model.config, model.num_steps
+    if c.scheme == "em":
+        return per_transition_em_reference(model, target, noise)
+    delta, score_fn = model.delta, model.score_fn
 
     def grad_at(k):
         return lambda zz: bridge_score(t, zz, k, K, model.q, target,
@@ -571,23 +622,30 @@ def per_call_reference(model, target, noise):
     rho = _sample_initial_momentum(model, z, noise.rho_eps)
     L = t.neg(t.add(model.q.log_pdf(z),
                     _momentum_aug_logpdf(model, 1, z, rho)))
-    if c.scheme == "leapfrog":
-        fwd, bwd = _momentum_kernels(model)
-        for k in range(1, K):
-            z_new, rho_new, rho_prime = forward_transition(
-                t, z, rho, model.delta, fwd, grad_at(k), noise.step_eps[k - 1])
-            L = t.add(L, log_ratio_step(t, rho, rho_prime, z, k, fwd, bwd))
-            z, rho = z_new, rho_new
+    if c.forward == "exact_ou":
+        shrink = model.eta
+        var = t.sub(1.0, t.square(shrink))
     else:
-        kernel = ForwardEM(t, model.gamma, model.delta)
-        score_fn = model.score_fn if c.uses_score else None
-        for k in range(1, K):
-            grad = grad_at(k)(z)
-            z_new, rho_new, drift, mean = em_forward_transition(
-                t, z, rho, kernel, grad, noise.step_eps[k - 1])
-            L = t.add(L, em_log_ratio_step(t, z, rho, rho_new, k, kernel,
-                                           drift, mean, score_fn))
-            z, rho = z_new, rho_new
+        gd = t.mul(model.gamma, delta)
+        shrink, var = t.sub(1.0, gd), t.mul(2.0, gd)
+    for k in range(1, K):
+        grad = grad_at(k)
+        rho_p = t.add(t.mul(shrink, rho),
+                      t.mul(t.sqrt(var), t.constant(noise.step_eps[k - 1])))
+        half = t.mul(0.5, delta)
+        rho_half = t.add(rho_p, t.mul(half, grad(z)))
+        z_new = t.add(z, t.mul(delta, rho_half))
+        rho_new = t.add(rho_half, t.mul(half, grad(z_new)))
+        if c.backward == "mcd":
+            bwd = t.gaussian_logpdf(rho, t.mul(2.0, score_fn(k, z, rho_p)), 1.0)
+        else:
+            bwd_mean = t.mul(shrink, rho_p)
+            if score_fn is not None:
+                bwd_mean = t.add(bwd_mean, t.mul(var, score_fn(k, z, rho_p)))
+            bwd = t.gaussian_logpdf(rho, bwd_mean, var)
+        fwd = t.gaussian_logpdf(rho_p, t.mul(shrink, rho), var)
+        L = t.add(L, t.sub(bwd, fwd))
+        z, rho = z_new, rho_new
     return t.add(L, t.add(target.logp(t, z),
                           _momentum_aug_logpdf(model, K, z, rho)))
 
@@ -601,7 +659,7 @@ class TestScoreReuse:
         ("uha_em", -1), ("ldvi_em", -1)])
     def test_one_target_score_per_position(self, name, per_chain, K):
         target, calls = counting_target(gaussian_toy_target(3, mean=0.2))
-        cfg = config_variant(get_method(name), score_hidden=4)
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
         params = init_params(cfg, 3, K)
         run_estimate(cfg, params, target, K, NoiseBundle.draw(0, 0, 4, 3, K))
         assert len(calls) == K + per_chain
@@ -612,7 +670,7 @@ class TestScoreReuse:
     def test_matches_per_call_bridge_scores(self, name):
         rng = np.random.default_rng(sum(map(ord, name)))
         dim, K = 3, 5
-        cfg = config_variant(get_method(name), score_hidden=6)
+        cfg = dataclasses.replace(get_method(name), score_hidden=6)
         target = gaussian_toy_target(dim, mean=rng.normal(size=dim),
                                      cov_diag=rng.uniform(0.5, 2.0, size=dim))
         params = random_params(cfg, dim, K, rng, score_scale=0.2)
@@ -673,7 +731,7 @@ def per_transition_em_reference(model, target, noise):
 
 
 class TestEMChain:
-    """One ForwardEM per chain, shared by every Euler-Maruyama transition."""
+    """One EM kernel per chain, shared by every Euler-Maruyama transition."""
 
     @pytest.mark.parametrize("target_name", ["toy", "brownian"])
     @pytest.mark.parametrize("name", ["uha_em", "ldvi_em"])
@@ -682,7 +740,7 @@ class TestEMChain:
         target = (brownian_motion_target() if target_name == "brownian"
                   else gaussian_toy_target(3, mean=0.4, cov_diag=1.3))
         dim, K = target.dim, 5
-        cfg = config_variant(get_method(name), score_hidden=6)
+        cfg = dataclasses.replace(get_method(name), score_hidden=6)
         params = random_params(cfg, dim, K, rng, score_scale=0.2)
         noise = NoiseBundle.draw(int(rng.integers(1000)), 0, 3, dim, K)
 
@@ -705,13 +763,15 @@ class TestEMChain:
     @pytest.mark.parametrize("name", ["uha_em", "ldvi_em"])
     def test_one_forward_em_per_chain(self, name, K, monkeypatch):
         built = []
+        build = MomentumKernel.euler_maruyama
 
-        def counting_forward_em(*args):
+        def counting_euler_maruyama(*args):
             built.append(args)
-            return ForwardEM(*args)
+            return build(*args)
 
-        monkeypatch.setattr(estimator, "ForwardEM", counting_forward_em)
-        cfg = config_variant(get_method(name), score_hidden=4)
+        monkeypatch.setattr(MomentumKernel, "euler_maruyama",
+                            counting_euler_maruyama)
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
         target = gaussian_toy_target(3, mean=0.2)
         run_estimate(cfg, init_params(cfg, 3, K), target, K,
                      NoiseBundle.draw(0, 0, 2, 3, K))
