@@ -5,8 +5,8 @@ target p: log pi_k = (1 - beta_k) log q + beta_k log p, with an increasing
 schedule 0 = beta_0 < beta_1 < ... < beta_K = 1. The interior schedule values
 are trainable: beta_k is the normalized cumulative sum of softplus-transformed
 weights, which keeps the schedule strictly monotone for any real weights. The
-endpoints k = 0 and k = K short-circuit to log q and log p exactly, so the
-first and last bridge densities carry no schedule roundoff.
+estimator mixes the bridge score from q's and the target's scores at each
+interior step, and uses log q and log p themselves at the chain's endpoints.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ import math
 import numpy as np
 
 from ldvi.tape import Tape, Var
-from ldvi.targets import TargetModel
 
-__all__ = ["MeanFieldGaussian", "AnnealingSchedule", "bridge_logdensity",
-           "bridge_score", "inverse_softplus"]
+__all__ = ["MeanFieldGaussian", "AnnealingSchedule", "inverse_softplus"]
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -118,28 +116,3 @@ class AnnealingSchedule:
         """Primal schedule values (beta_1, ..., beta_K)."""
         return np.asarray(self._betas.value)
 
-
-def bridge_logdensity(tape: Tape, z: Var, k: int, num_steps: int,
-                      base: MeanFieldGaussian, target: TargetModel,
-                      schedule: AnnealingSchedule) -> Var:
-    """log pi_k(z); exactly log q at k=0 and exactly log p at k=K."""
-    if k <= 0:
-        return base.log_pdf(z)
-    if k >= num_steps:
-        return target.logp(tape, z)
-    b = schedule.beta(k)
-    return tape.add(tape.mul(tape.sub(1.0, b), base.log_pdf(z)),
-                    tape.mul(b, target.logp(tape, z)))
-
-
-def bridge_score(tape: Tape, z: Var, k: int, num_steps: int,
-                 base: MeanFieldGaussian, target: TargetModel,
-                 schedule: AnnealingSchedule) -> Var:
-    """Gradient of log pi_k in z, same endpoint conventions as the density."""
-    if k <= 0:
-        return base.score(z)
-    if k >= num_steps:
-        return target.score(tape, z)
-    b = schedule.beta(k)
-    return tape.add(tape.mul(tape.sub(1.0, b), base.score(z)),
-                    tape.mul(b, target.score(tape, z)))

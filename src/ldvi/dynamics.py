@@ -17,8 +17,8 @@ Both kernels are one `MomentumKernel`: N(mean, var I) with
 where s is the learned score. The exact Ornstein-Uhlenbeck refresh has
 shrink eta and variance 1 - eta^2, the Euler-Maruyama refresh shrink
 1 - gamma delta and variance 2 gamma delta. A reverse kernel shares its
-forward kernel's shrink and variance nodes; LDVI's adds var s, and MCD's
-(paired with a complete refresh) has no shrink, variance 1 and coef 2.
+forward kernel's shrink and variance nodes, and LDVI's adds var s. MCD's
+has no shrink, variance 1 and coef 2, whatever the refresh.
 
 All kernel parameters (step size delta, friction gamma, momentum retention
 eta) are scalar tape Vars, so gradients flow through every density. A
@@ -34,7 +34,7 @@ import numpy as np
 
 from ldvi.tape import DomainError, Tape, Var
 
-__all__ = ["leapfrog", "leapfrog_inverse", "MomentumKernel"]
+__all__ = ["leapfrog", "MomentumKernel"]
 
 # score callables take (k, z, rho) and return the score evaluated on the tape
 ScoreFn = Callable[[int, Var, Var], Var]
@@ -50,16 +50,6 @@ def leapfrog(t: Tape, z: Var, rho: Var, delta: Var,
     z_new = t.add(z, t.mul(delta, rho_half))
     rho_new = t.add(rho_half, t.mul(half, grad_fn(z_new)))
     return z_new, rho_new
-
-
-def leapfrog_inverse(t: Tape, z_new: Var, rho_new: Var, delta: Var,
-                     grad_fn: Callable[[Var], Var]) -> tuple[Var, Var]:
-    """Exact inverse of `leapfrog` (run the updates backwards)."""
-    half = t.mul(0.5, delta)
-    rho_half = t.sub(rho_new, t.mul(half, grad_fn(z_new)))
-    z = t.sub(z_new, t.mul(delta, rho_half))
-    rho = t.sub(rho_half, t.mul(half, grad_fn(z)))
-    return z, rho
 
 
 # ------------------------------------------------------------ momentum kernel
@@ -132,7 +122,7 @@ class MomentumKernel:
 
     @classmethod
     def mcd_reverse(cls, tape: Tape, score_fn: ScoreFn) -> "MomentumKernel":
-        """MCD's reverse kernel N(2 s(k, z), I) for a complete refresh.
+        """MCD's reverse kernel N(2 s(k, z), I).
 
         The position-only score s approximates the score of the intermediate
         marginal, so 2 s recenters the reverse refresh.

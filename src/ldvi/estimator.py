@@ -13,14 +13,16 @@ differentiable function of the parameters (pathwise gradients), and two
 configurations that reduce to the same computation produce identical values on
 shared noise.
 
-A `MethodConfig` names the choices: integration scheme, momentum kernels,
-score usage, momentum augmentations, and which parameter groups train. The
+A `MethodConfig` names a method by three choices: the integration scheme,
+the momentum refresh (forward kernel) and the reverse kernel. Everything
+else (which parameters exist, whether a score network exists and what it
+sees, the endpoint momentum augmentation) is derived from those three. The
 `METHODS` registry instantiates the seven named methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,7 +38,7 @@ __all__ = [
     "MethodConfig", "METHODS", "get_method", "method_names",
     "NoiseBundle", "ElboEstimate", "LiftedModel",
     "init_params", "lift_model", "estimate_elbo", "plain_vi_elbo",
-    "evaluate_elbo_mean", "ula_epsilon", "EstimatorError",
+    "evaluate_elbo_mean", "EstimatorError",
 ]
 
 
@@ -44,99 +46,104 @@ class EstimatorError(RuntimeError):
     """Raised when the bound estimate turns non-finite mid-chain."""
 
 
-def ula_epsilon(delta: float) -> float:
-    """Overdamped step size implied by one leapfrog step: eps = delta^2 / 2."""
-    return 0.5 * delta * delta
-
-
 # ------------------------------------------------------------- configurations
+
+# scheme -> (momentum refreshes, reverse kernels); every pair is allowed
+_KERNELS = {
+    "plain": (("none",), ("none",)),
+    "leapfrog": (("full", "ou", "em"), ("exact", "score", "mcd")),
+    "em": (("em",), ("exact", "score")),
+}
+
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Which kernels, score usage, and augmentations define a named method.
+    """A method: integration scheme, momentum refresh and reverse kernel.
 
-    scheme: "plain" (no chain), "leapfrog" (momentum refresh + leapfrog), or
-        "em" (joint Euler-Maruyama momentum/position update).
-    forward / backward: momentum kernel variants for the leapfrog scheme.
-        forward is "exact_ou" or "em"; backward is the forward kernel's own
-        reversal (the same name) or "mcd", which needs a score network.
-    score_mode: "none", "position" (score net sees position only), or "full".
-    eta_mode: momentum retention for exact-OU kernels — "zero" (complete
-        refresh) or "learnable" (sigmoid of a raw parameter); "none" for
-        methods without one.
-    mcd_augment: tie the initial/terminal momentum augmentation means to the
-        score network (mean 2 s at the endpoint times) instead of N(0, I).
-    trainable: parameter groups the optimizer may move, subset of
-        {"q", "delta", "beta", "eta", "gamma", "score"}.
+    scheme: "plain" (no chain), "leapfrog" (momentum refresh, then one
+        leapfrog step) or "em" (Euler-Maruyama refresh carrying the drift,
+        then the position update z + delta rho').
+    forward: the momentum refresh. Under "leapfrog" it is "full" (exact OU
+        with eta = 0, a complete refresh), "ou" (exact OU with a learned
+        momentum retention eta) or "em" (Euler-Maruyama with a learned
+        friction gamma). It is always "em" under "em", "none" under "plain".
+    backward: the reverse kernel. "exact" is the refresh's own reversal,
+        "score" that reversal plus var s(k, z, rho') from a score network,
+        and "mcd" (leapfrog only) is N(2 s(k, z), I) with a position-only
+        score that also sets the endpoint momentum augmentation N(2 s, I).
+        "none" under "plain".
+
+    The seven named methods:
+
+        name     scheme    forward  backward  in the paper
+        plainvi  plain     none     none      mean-field VI
+        ula      leapfrog  full     exact     ULA
+        mcd      leapfrog  full     mcd       MCD
+        uha      leapfrog  ou       exact     UHA
+        ldvi     leapfrog  em       score     LDVI
+        uha_em   em        em       exact     UHA, Euler-Maruyama
+        ldvi_em  em        em       score     LDVI, Euler-Maruyama
+
+    ULA is unadjusted Langevin annealing, MCD Monte Carlo diffusion, UHA
+    uncorrected Hamiltonian annealing and LDVI Langevin diffusion VI, the
+    paper's method, which pairs the Euler-Maruyama refresh with a learned
+    score in the reverse kernel.
+
+    Every parameter group a method has trains (`trainable`).
     """
 
     name: str
     scheme: str
     forward: str = "none"
     backward: str = "none"
-    score_mode: str = "none"
-    eta_mode: str = "none"
-    mcd_augment: bool = False
-    trainable: frozenset = field(default_factory=frozenset)
     score_hidden: int | None = None
 
     def __post_init__(self):
-        if self.scheme not in ("plain", "leapfrog", "em"):
+        if self.scheme not in _KERNELS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.score_mode not in ("none", "position", "full"):
-            raise ValueError(f"unknown score_mode {self.score_mode!r}")
-        if self.eta_mode not in ("none", "zero", "learnable"):
-            raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
-        if self.mcd_augment and self.score_mode == "none":
-            raise ValueError("mcd_augment requires a score network")
-        if self.scheme != "leapfrog":
-            if (self.forward, self.backward) != ("none", "none"):
-                raise ValueError(f"scheme {self.scheme!r} has no forward or "
-                                 f"backward kernel choice; both must be 'none'")
-            return
-        if self.forward not in ("exact_ou", "em"):
-            raise ValueError(f"unknown forward kernel {self.forward!r}")
-        if self.backward not in (self.forward, "mcd"):
-            raise ValueError(f"backward kernel {self.backward!r} does not "
-                             f"reverse forward kernel {self.forward!r}")
-        if self.forward == "exact_ou" and self.eta_mode == "none":
-            raise ValueError("forward kernel 'exact_ou' needs eta_mode "
-                             "'zero' or 'learnable'")
-        if self.backward == "mcd" and self.score_mode == "none":
-            raise ValueError("backward kernel 'mcd' needs a score network "
-                             "(score_mode)")
+        forwards, backwards = _KERNELS[self.scheme]
+        if self.forward not in forwards:
+            raise ValueError(f"forward kernel {self.forward!r} is not one of "
+                             f"{forwards} under scheme {self.scheme!r}")
+        if self.backward not in backwards:
+            raise ValueError(f"backward kernel {self.backward!r} is not one "
+                             f"of {backwards} under scheme {self.scheme!r}")
 
     @property
     def uses_score(self) -> bool:
-        return self.score_mode != "none"
+        return self.backward in ("score", "mcd")
+
+    @property
+    def trainable(self) -> frozenset:
+        """The parameter groups the method has, all of which train."""
+        if self.scheme == "plain":
+            return frozenset({"q"})
+        groups = {"q", "delta", "beta"}
+        if self.forward == "em":
+            groups.add("gamma")
+        if self.forward == "ou":
+            groups.add("eta")
+        if self.uses_score:
+            groups.add("score")
+        return frozenset(groups)
+
+    def score_net(self, dim: int) -> ScoreNet | None:
+        """The method's score network; position-only for MCD."""
+        if not self.uses_score:
+            return None
+        return ScoreNet(dim, hidden=self.score_hidden,
+                        position_only=self.backward == "mcd")
 
 
-METHODS: dict[str, MethodConfig] = {
-    "plainvi": MethodConfig(
-        name="plainvi", scheme="plain", trainable=frozenset({"q"})),
-    "ula": MethodConfig(
-        name="ula", scheme="leapfrog", forward="exact_ou",
-        backward="exact_ou", eta_mode="zero",
-        trainable=frozenset({"q", "delta", "beta"})),
-    "mcd": MethodConfig(
-        name="mcd", scheme="leapfrog", forward="exact_ou", backward="mcd",
-        score_mode="position", eta_mode="zero", mcd_augment=True,
-        trainable=frozenset({"q", "delta", "beta", "score"})),
-    "uha": MethodConfig(
-        name="uha", scheme="leapfrog", forward="exact_ou",
-        backward="exact_ou", eta_mode="learnable",
-        trainable=frozenset({"q", "delta", "beta", "eta"})),
-    "ldvi": MethodConfig(
-        name="ldvi", scheme="leapfrog", forward="em", backward="em",
-        score_mode="full",
-        trainable=frozenset({"q", "delta", "beta", "gamma", "score"})),
-    "uha_em": MethodConfig(
-        name="uha_em", scheme="em",
-        trainable=frozenset({"q", "delta", "beta", "gamma"})),
-    "ldvi_em": MethodConfig(
-        name="ldvi_em", scheme="em", score_mode="full",
-        trainable=frozenset({"q", "delta", "beta", "gamma", "score"})),
-}
+METHODS: dict[str, MethodConfig] = {m.name: m for m in (
+    MethodConfig("plainvi", "plain"),
+    MethodConfig("ula", "leapfrog", "full", "exact"),
+    MethodConfig("mcd", "leapfrog", "full", "mcd"),
+    MethodConfig("uha", "leapfrog", "ou", "exact"),
+    MethodConfig("ldvi", "leapfrog", "em", "score"),
+    MethodConfig("uha_em", "em", "em", "exact"),
+    MethodConfig("ldvi_em", "em", "em", "score"),
+)}
 
 
 def method_names() -> tuple[str, ...]:
@@ -194,15 +201,14 @@ def init_params(config: MethodConfig, dim: int, num_steps: int,
         return params
     params["schedule.weights"] = AnnealingSchedule.init_params(num_steps)
     params["raw_delta"] = np.asarray(inverse_softplus(delta))
-    if config.scheme == "em" or config.forward == "em":
+    if config.forward == "em":
         params["raw_gamma"] = np.asarray(inverse_softplus(gamma))
-    if config.eta_mode == "learnable":
+    if config.forward == "ou":
         if not 0.0 < eta < 1.0:
             raise ValueError("initial eta must lie in (0, 1)")
         params["raw_eta"] = np.asarray(np.log(eta / (1.0 - eta)))
-    if config.uses_score:
-        net = ScoreNet(dim, hidden=config.score_hidden,
-                       position_only=config.score_mode == "position")
+    net = config.score_net(dim)
+    if net is not None:
         params.update(net.init_params(seed=seed))
     return params
 
@@ -225,40 +231,31 @@ class LiftedModel:
 def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
                dim: int, num_steps: int,
                trainable: bool = True) -> LiftedModel:
-    """Lift a flat parameter dict; only groups in config.trainable get adjoints.
-
-    With trainable=False nothing trains (pure evaluation).
+    """Lift a flat parameter dict; every group of the method gets adjoints
+    unless trainable=False (pure evaluation).
     """
-
-    def on(group: str) -> bool:
-        return trainable and group in config.trainable
-
     q = MeanFieldGaussian.lifted(
         tape, {"mu": params["q.mu"], "raw_scale": params["q.raw_scale"]},
-        trainable=on("q"))
+        trainable=trainable)
     if config.scheme == "plain":
         return LiftedModel(tape, config, q, None, None, None, None, None,
                            num_steps)
     schedule = AnnealingSchedule.lifted(tape, params["schedule.weights"],
-                                        trainable=on("beta"))
-    delta = tape.softplus(tape.lift(params["raw_delta"], trainable=on("delta"),
+                                        trainable=trainable)
+    delta = tape.softplus(tape.lift(params["raw_delta"], trainable=trainable,
                                     name="raw_delta"))
-    gamma = None
-    if "raw_gamma" in params:
+    gamma = eta = score_fn = None
+    if config.forward == "em":
         gamma = tape.softplus(tape.lift(params["raw_gamma"],
-                                        trainable=on("gamma"),
-                                        name="raw_gamma"))
-    eta = None
-    if config.eta_mode == "zero":
+                                        trainable=trainable, name="raw_gamma"))
+    elif config.forward == "full":
         eta = tape.constant(0.0)
-    elif config.eta_mode == "learnable":
-        eta = tape.sigmoid(tape.lift(params["raw_eta"], trainable=on("eta"),
+    else:
+        eta = tape.sigmoid(tape.lift(params["raw_eta"], trainable=trainable,
                                      name="raw_eta"))
-    score_fn = None
-    if config.uses_score:
-        net = ScoreNet(dim, hidden=config.score_hidden,
-                       position_only=config.score_mode == "position")
-        lifted = net.lift(tape, params, trainable=on("score"))
+    net = config.score_net(dim)
+    if net is not None:
+        lifted = net.lift(tape, params, trainable=trainable)
         score_fn = net.make_score_fn(tape, lifted, num_steps)
     return LiftedModel(tape, config, q, schedule, delta, gamma, eta, score_fn,
                        num_steps)
@@ -291,7 +288,7 @@ def _momentum_kernels(model: LiftedModel):
     """The chain's forward momentum kernel and the reverse kernel paired
     with it, each built once."""
     t, c = model.tape, model.config
-    if c.scheme == "em" or c.forward == "em":
+    if c.forward == "em":
         fwd = MomentumKernel.euler_maruyama(t, model.gamma, model.delta)
     else:
         fwd = MomentumKernel.exact_ou(t, model.eta)
@@ -303,7 +300,7 @@ def _momentum_kernels(model: LiftedModel):
 def _momentum_aug_logpdf(model: LiftedModel, k: int, z: Var, rho: Var) -> Var:
     """Density of the momentum augmentation at an endpoint state."""
     t = model.tape
-    if model.config.mcd_augment:
+    if model.config.backward == "mcd":
         mean = t.mul(2.0, model.score_fn(k, z, rho))
         return t.gaussian_logpdf(rho, mean, 1.0)
     return t.gaussian_logpdf(rho, 0.0, 1.0)
@@ -313,7 +310,7 @@ def _sample_initial_momentum(model: LiftedModel, z1: Var,
                              eps: np.ndarray) -> Var:
     t = model.tape
     rho = t.constant(eps)
-    if model.config.mcd_augment:
+    if model.config.backward == "mcd":
         rho = t.add(t.mul(2.0, model.score_fn(1, z1, rho)), t.constant(eps))
     return rho
 

@@ -62,9 +62,10 @@ class ScoreNet:
         """Evaluate the score at annealing step k of num_steps."""
         t = tape
         p = self.prefix
-        # batch-shaped constant feature holding the annealing fraction
-        frac = t.add(t.mul(0.0, t.narrow(z, 0, 1)), k / num_steps)
-        rho_in = t.mul(0.0, rho) if self.position_only else rho
+        # batch-shaped constant feature holding the annealing fraction; the
+        # constants are zero-stride views that take no memory of their own
+        frac = np.broadcast_to(k / num_steps, z.shape[:-1] + (1,))
+        rho_in = np.broadcast_to(0.0, rho.shape) if self.position_only else rho
         x = t.concat([frac, z, rho_in])
         h = t.tanh(t.linear(x, lifted[f"{p}.W0"], lifted[f"{p}.b0"]))
         h = t.add(h, t.tanh(t.linear(h, lifted[f"{p}.W1"], lifted[f"{p}.b1"])))
@@ -72,5 +73,20 @@ class ScoreNet:
         return t.linear(h, lifted[f"{p}.W3"], lifted[f"{p}.b3"])
 
     def make_score_fn(self, tape: Tape, lifted: dict[str, Var], num_steps: int):
-        """Close over tape and parameters, yielding s(k, z, rho)."""
-        return lambda k, z, rho: self.apply(tape, lifted, k, num_steps, z, rho)
+        """Close over tape and parameters, yielding s(k, z, rho).
+
+        A position-only score ignores rho, so it is built once per (k, z)
+        and every later call at the same step and position reuses it.
+        """
+        if not self.position_only:
+            return lambda k, z, rho: self.apply(tape, lifted, k, num_steps,
+                                                z, rho)
+        built: dict[tuple[int, int], Var] = {}
+
+        def score(k: int, z: Var, rho: Var) -> Var:
+            key = (k, z.index)
+            if key not in built:
+                built[key] = self.apply(tape, lifted, k, num_steps, z, rho)
+            return built[key]
+
+        return score

@@ -118,10 +118,14 @@ class TrainPlan:
     data_dir: str | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be at least 1")
+        for name in ("steps", "num_steps", "batch", "record_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.eval_samples < 2:
+            raise ValueError("eval_samples must be at least 2")
+        for name in ("lr", "pretrain_lr", "grad_clip"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ldvi.dynamics import MomentumKernel, leapfrog, leapfrog_inverse
+from ldvi.dynamics import MomentumKernel, leapfrog
 from ldvi.estimator import (NoiseBundle, estimate_elbo, get_method,
                             init_params, lift_model)
 from ldvi.tape import DomainError, Tape
@@ -16,6 +16,15 @@ OU, EM = MomentumKernel.exact_ou, MomentumKernel.euler_maruyama
 def standard_grad(t):
     """Gradient of log N(z | 0, I)."""
     return lambda z: t.neg(z)
+
+
+def leapfrog_inverse(t, z_new, rho_new, delta, grad_fn):
+    """Exact inverse of `leapfrog`: its three updates run backwards."""
+    half = t.mul(0.5, delta)
+    rho_half = t.sub(rho_new, t.mul(half, grad_fn(z_new)))
+    z = t.sub(z_new, t.mul(delta, rho_half))
+    rho = t.sub(rho_half, t.mul(half, grad_fn(z)))
+    return z, rho
 
 
 def iso_logpdf(x, mean, var):

@@ -1,20 +1,20 @@
 """Unit tests for the augmented-ELBO estimator and method configurations."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from scipy.special import expit
 from scipy.stats import norm
 
-from ldvi.annealing import bridge_score, inverse_softplus
+from ldvi.annealing import inverse_softplus
 from ldvi.dynamics import MomentumKernel
 from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
                             MethodConfig, NoiseBundle, _momentum_aug_logpdf,
                             _sample_initial_momentum, estimate_elbo,
                             evaluate_elbo_mean, get_method, init_params,
-                            lift_model, method_names, plain_vi_elbo,
-                            ula_epsilon)
+                            lift_model, method_names, plain_vi_elbo)
 from ldvi.scorenet import ScoreNet
 from ldvi.tape import DomainError, Tape
 from ldvi.targets import (TargetModel, brownian_motion_target,
@@ -28,6 +28,17 @@ def run_estimate(config, params, target, K, noise):
     t = Tape()
     model = lift_model(t, config, params, target.dim, K)
     return estimate_elbo(model, target, noise)
+
+
+def bridge_score(t, z, k, K, q, target, schedule):
+    """Score of the bridge pi_k at z: exactly q's at k=0, the target's at K."""
+    if k <= 0:
+        return q.score(z)
+    if k >= K:
+        return target.score(t, z)
+    b = schedule.beta(k)
+    return t.add(t.mul(t.sub(1.0, b), q.score(z)),
+                 t.mul(b, target.score(t, z)))
 
 
 def random_params(config, dim, K, rng, score_scale=0.1):
@@ -55,19 +66,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             MethodConfig(name="x", scheme="rk4")
         with pytest.raises(ValueError):
-            MethodConfig(name="x", scheme="leapfrog", mcd_augment=True)
+            MethodConfig(name="x", scheme="leapfrog")
 
     @pytest.mark.parametrize("field,kernels", [
-        ("eta_mode", dict(forward="exact_ou", backward="exact_ou")),
-        ("eta_mode", dict(forward="exact_ou", backward="exact_ou",
-                          eta_mode="learnabel")),
-        ("backward", dict(forward="exact_ou", backward="mcd",
-                          eta_mode="zero")),
-        ("backward", dict(forward="exact_ou", backward="em",
-                          eta_mode="zero")),
-        ("forward", dict(forward="exact-ou", backward="exact_ou",
-                         eta_mode="zero")),
-        ("backward", dict(scheme="em", backward="mcd", score_mode="full")),
+        ("forward", dict(forward="exact_ou", backward="exact")),
+        ("forward", dict(scheme="em", forward="full", backward="exact")),
+        ("backward", dict(forward="em", backward="em")),
+        ("backward", dict(forward="full", backward="none")),
+        ("forward", dict(scheme="plain", forward="full")),
+        ("backward", dict(scheme="em", forward="em", backward="mcd")),
+        ("backward", dict(scheme="plain", backward="exact")),
+        ("forward", dict(forward="none", backward="exact")),
     ])
     def test_invalid_kernel_choices_rejected(self, field, kernels):
         with pytest.raises(ValueError, match=field):
@@ -212,9 +221,7 @@ class TestRecoveryIdentities:
     def test_ula_equals_reduced_general_config(self):
         rng = np.random.default_rng(10)
         reduced = dataclasses.replace(
-            get_method("ldvi"), forward="exact_ou", backward="exact_ou",
-            eta_mode="zero", score_mode="none",
-            trainable=get_method("ula").trainable)
+            get_method("ldvi"), forward="full", backward="exact")
         for _ in range(20):
             dim = int(rng.integers(1, 5))
             K = int(rng.integers(1, 6))
@@ -230,9 +237,7 @@ class TestRecoveryIdentities:
     def test_uha_equals_reduced_general_config(self):
         rng = np.random.default_rng(11)
         reduced = dataclasses.replace(
-            get_method("ldvi"), forward="exact_ou", backward="exact_ou",
-            eta_mode="learnable", score_mode="none",
-            trainable=get_method("uha").trainable)
+            get_method("ldvi"), forward="ou", backward="exact")
         for _ in range(20):
             dim = int(rng.integers(1, 5))
             K = int(rng.integers(1, 6))
@@ -254,7 +259,7 @@ class TestRecoveryIdentities:
         ldvi = dataclasses.replace(get_method("ldvi"), score_hidden=8)
         params = init_params(ldvi, 3, 5, seed=9)
         params["q.mu"] = rng.normal(size=3)
-        scoreless = dataclasses.replace(ldvi, score_mode="none")
+        scoreless = dataclasses.replace(ldvi, backward="exact")
         a = run_estimate(ldvi, params, target, 5, noise)
         b = run_estimate(scoreless, params, target, 5, noise)
         np.testing.assert_array_equal(a.value.value, b.value.value)
@@ -281,7 +286,7 @@ class TestRecoveryIdentities:
         # replay the chain to extract z_2 from the terminal log p term
         est = estimate_elbo(model, target, noise)
         # overdamped prediction at the midpoint bridge pi_1 (beta = 1/2)
-        eps_step = ula_epsilon(delta)
+        eps_step = 0.5 * delta * delta
         grad = 0.5 * (-z1) + 0.5 * ((0.7 - z1) / 0.9)
         z2 = z1 + eps_step * grad + np.sqrt(2 * eps_step) * noise.step_eps[0]
         lp_rho = norm.logpdf(est_terminal_rho(params, target, noise, delta)).sum()
@@ -342,13 +347,14 @@ def scipy_replay(config, params, target, K, noise, score_value):
     betas = np.cumsum(w) / np.sum(w)
     delta = float(softplus(params["raw_delta"]))
     gamma = (float(softplus(params["raw_gamma"]))
-             if "raw_gamma" in params else None)
-    if config.eta_mode == "zero":
+             if config.forward == "em" else None)
+    if config.forward == "full":
         eta = 0.0
-    elif config.eta_mode == "learnable":
+    elif config.forward == "ou":
         eta = float(expit(params["raw_eta"]))
     else:
         eta = None
+    mcd = config.backward == "mcd"
 
     def q_logpdf(z):
         return norm.logpdf(z, mu, sigma).sum()
@@ -362,33 +368,31 @@ def scipy_replay(config, params, target, K, noise, score_value):
         return (1 - b) * (mu - z) / sigma ** 2 + b * (m - z) / v
 
     def aug_logpdf(k, z, rho):
-        mean = 2.0 * score_value(k, z, rho) if config.mcd_augment else 0.0
+        mean = 2.0 * score_value(k, z, rho) if mcd else 0.0
         return norm.logpdf(rho, mean, 1.0).sum()
 
     z = mu + sigma * noise.z_eps
     rho = noise.rho_eps
-    if config.mcd_augment:
+    if mcd:
         rho = 2.0 * score_value(1, z, noise.rho_eps) + noise.rho_eps
     L = -(q_logpdf(z) + aug_logpdf(1, z, rho))
 
     for k in range(1, K):
         eps = noise.step_eps[k - 1]
         if config.scheme == "leapfrog":
-            if config.forward == "exact_ou":
-                f_mean, f_sd = eta * rho, np.sqrt(1 - eta ** 2)
+            if config.forward == "em":
+                shrink, var = 1 - gamma * delta, 2 * gamma * delta
             else:
-                f_mean = (1 - gamma * delta) * rho
-                f_sd = np.sqrt(2 * gamma * delta)
+                shrink, var = eta, 1 - eta ** 2
+            f_mean, f_sd = shrink * rho, np.sqrt(var)
             rho_p = f_mean + f_sd * eps
             log_f = norm.logpdf(rho_p, f_mean, f_sd).sum()
-            if config.backward == "exact_ou":
-                b_mean, b_sd = eta * rho_p, np.sqrt(1 - eta ** 2)
-            elif config.backward == "em":
-                b_mean = ((1 - gamma * delta) * rho_p
-                          + 2 * gamma * delta * score_value(k, z, rho_p))
-                b_sd = np.sqrt(2 * gamma * delta)
-            else:  # mcd
+            if mcd:
                 b_mean, b_sd = 2.0 * score_value(k, z, rho_p), 1.0
+            else:
+                b_mean, b_sd = shrink * rho_p, f_sd
+                if config.backward == "score":
+                    b_mean = b_mean + var * score_value(k, z, rho_p)
             log_b = norm.logpdf(rho, b_mean, b_sd).sum()
             rho_half = rho_p + 0.5 * delta * bridge_grad(z, k)
             z = z + delta * rho_half
@@ -401,7 +405,7 @@ def scipy_replay(config, params, target, K, noise, score_value):
             z_new = z + delta * rho_new
             log_f = norm.logpdf(rho_new, f_mean, sd).sum()
             b_mean = (1 - gamma * delta) * rho_new - delta * g
-            if config.uses_score:
+            if config.backward == "score":
                 b_mean = b_mean + 2 * gamma * delta * score_value(k, z,
                                                                   rho_new)
             log_b = norm.logpdf(rho, b_mean, sd).sum()
@@ -415,7 +419,7 @@ def make_score_value(config, params, dim, K):
     if not config.uses_score:
         return lambda k, z, rho: np.zeros(dim)
     net = ScoreNet(dim, hidden=config.score_hidden,
-                   position_only=config.score_mode == "position")
+                   position_only=config.backward == "mcd")
 
     def score_value(k, z, rho):
         t = Tape()
@@ -446,6 +450,11 @@ class TestBruteForceOracle:
         assert abs(float(est.value.value) - ref) < 1e-8
 
 
+# parameter key -> group; every other key belongs to the score net
+GROUP_OF = {"q.mu": "q", "q.raw_scale": "q", "schedule.weights": "beta",
+            "raw_delta": "delta", "raw_gamma": "gamma", "raw_eta": "eta"}
+
+
 class TestGradients:
     def test_gradients_reach_exactly_the_trainable_groups(self):
         target = gaussian_toy_target(2, mean=0.5, cov_diag=1.3)
@@ -458,11 +467,8 @@ class TestGradients:
             est = estimate_elbo(model, target,
                                 NoiseBundle.draw(2, 0, 4, 2, 3))
             grads = t.backward(t.mean_all(est.value))
-            group_of = {"q.mu": "q", "q.raw_scale": "q",
-                        "schedule.weights": "beta", "raw_delta": "delta",
-                        "raw_gamma": "gamma", "raw_eta": "eta"}
             for key in params:
-                group = group_of.get(key, "score")
+                group = GROUP_OF.get(key, "score")
                 if group in cfg.trainable:
                     assert key in grads, (name, key)
                     assert np.any(grads[key] != 0.0), (name, key)
@@ -504,6 +510,33 @@ class TestGradients:
                 fd = (value_at(pp) - value_at(pm)) / (2 * h)
                 got = grads[key][idx] if val.ndim else float(grads[key])
                 assert got == pytest.approx(fd, rel=5e-4, abs=1e-7), (key, idx)
+
+    def test_every_accepted_config_runs(self):
+        """Each accepted (scheme, forward, backward) gives a finite bound and
+        a non-zero gradient for every parameter of every group it has."""
+        target = gaussian_toy_target(2, mean=0.5, cov_diag=1.3)
+        accepted = []
+        for scheme, forward, backward in itertools.product(
+                ("plain", "leapfrog", "em"), ("none", "full", "ou", "em"),
+                ("none", "exact", "score", "mcd")):
+            try:
+                accepted.append(MethodConfig("x", scheme, forward, backward,
+                                             score_hidden=4))
+            except ValueError:
+                pass
+        assert len(accepted) == 12
+        for i, cfg in enumerate(accepted):
+            rng = np.random.default_rng(60 + i)
+            params = random_params(cfg, 2, 3, rng, score_scale=0.2)
+            t = Tape()
+            est = estimate_elbo(lift_model(t, cfg, params, 2, 3), target,
+                                NoiseBundle.draw(i, 0, 4, 2, 3))
+            assert np.all(np.isfinite(est.value.value)), cfg
+            grads = t.backward(t.mean_all(est.value))
+            assert grads.keys() == params.keys(), cfg
+            assert {GROUP_OF.get(k, "score") for k in params} == cfg.trainable
+            for key, g in grads.items():
+                assert np.all(np.isfinite(g)) and np.any(g != 0.0), (cfg, key)
 
 
 class TestErrors:
@@ -622,7 +655,7 @@ def per_call_reference(model, target, noise):
     rho = _sample_initial_momentum(model, z, noise.rho_eps)
     L = t.neg(t.add(model.q.log_pdf(z),
                     _momentum_aug_logpdf(model, 1, z, rho)))
-    if c.forward == "exact_ou":
+    if c.forward != "em":
         shrink = model.eta
         var = t.sub(1.0, t.square(shrink))
     else:
@@ -665,6 +698,27 @@ class TestScoreReuse:
         assert len(calls) == K + per_chain
         assert len({z.index for z in calls}) == len(calls)
 
+    @pytest.mark.parametrize("name,calls_per_chain", [
+        ("mcd", 0), ("ldvi", -1), ("ldvi_em", -1)])
+    def test_score_net_calls(self, name, calls_per_chain, monkeypatch):
+        """MCD's position-only score is built once per (k, z): at the K
+        positions of the chain. The other score nets run once per reverse
+        kernel."""
+        calls = []
+        apply = ScoreNet.apply
+
+        def counting_apply(self, tape, lifted, k, num_steps, z, rho):
+            calls.append((k, z.index))
+            return apply(self, tape, lifted, k, num_steps, z, rho)
+
+        monkeypatch.setattr(ScoreNet, "apply", counting_apply)
+        K = 8
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
+        run_estimate(cfg, init_params(cfg, 3, K), gaussian_toy_target(3), K,
+                     NoiseBundle.draw(0, 0, 2, 3, K))
+        assert len(calls) == K + calls_per_chain
+        assert len(set(calls)) == len(calls)
+
     @pytest.mark.parametrize("name", ["ula", "mcd", "uha", "ldvi", "uha_em",
                                       "ldvi_em"])
     def test_matches_per_call_bridge_scores(self, name):
@@ -701,7 +755,7 @@ def per_transition_em_reference(model, target, noise):
     """
     t, K = model.tape, model.num_steps
     delta, gamma = model.delta, model.gamma
-    score_fn = model.score_fn if model.config.uses_score else None
+    score_fn = model.score_fn
 
     def constants():
         return (t.sub(1.0, t.mul(gamma, delta)),

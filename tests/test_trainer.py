@@ -126,6 +126,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             toy_plan(num_steps=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch", 0), ("eval_samples", 1), ("record_every", 0),
+        ("grad_clip", 0.0), ("grad_clip", float("nan")), ("lr", 0.0),
+        ("lr", -1e-2), ("pretrain_lr", float("nan"))])
+    def test_plan_rejects_bad_value(self, field, value):
+        """Each value failed mid-run, trained nothing or descended the
+        bound before."""
+        with pytest.raises(ValueError, match=field):
+            toy_plan(**{field: value})
+
     def test_transform_safety_after_training(self):
         """delta, gamma, sigma stay positive and beta stays increasing."""
         plan = toy_plan(method="ldvi", num_steps=3, steps=30, lr=5e-2,

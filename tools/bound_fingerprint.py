@@ -6,7 +6,10 @@ bound, the `repr` of the `evaluate_elbo_mean` output, and per-parameter
 gradient digests: the SHA-256 of the gradient's bytes, its largest absolute
 entry and its 2-norm. Two checkouts whose fingerprints have equal bounds
 compute bit-identical forward values; equal hashes mean equal gradients, and
-the two norms show how far unequal ones drift. Compare two checkouts with
+the two norms show how far unequal ones drift. It also records the SHA-256 of
+`RunRecord.canonical_bytes()` for a short `train()` run of every method on
+toy and brownian, so equal digests mean byte-identical records. Compare two
+checkouts with
 
     PYTHONPATH=src python3 tools/bound_fingerprint.py > after.json
     PYTHONPATH=/path/to/other/checkout/src python3 tools/bound_fingerprint.py > before.json
@@ -23,6 +26,7 @@ from ldvi.estimator import (NoiseBundle, estimate_elbo, evaluate_elbo_mean,
                             get_method, init_params, lift_model, method_names)
 from ldvi.tape import Tape
 from ldvi.targets import TARGET_NAMES, get_target
+from ldvi.trainer import TrainPlan, train
 
 K, BATCH, SEED = 8, 4, 7
 
@@ -50,6 +54,14 @@ def fingerprint() -> dict:
                               "l2": repr(float(np.linalg.norm(g)))}
                           for k, g in sorted(grads.items())},
             }
+    for target_name in ("toy", "brownian"):
+        for method in method_names():
+            plan = TrainPlan(method, target_name, num_steps=K, steps=5,
+                             batch=BATCH, eval_samples=2 * BATCH, seed=SEED,
+                             pretrain_steps=2, record_every=1)
+            record = train(plan)
+            out[f"train/{method}/{target_name}"] = hashlib.sha256(
+                record.canonical_bytes()).hexdigest()
     return out
 
 
