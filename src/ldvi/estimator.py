@@ -311,7 +311,7 @@ def _sample_initial_momentum(model: LiftedModel, z1: Var,
     t = model.tape
     rho = t.constant(eps)
     if model.config.backward == "mcd":
-        rho = t.add(t.mul(2.0, model.score_fn(1, z1, rho)), t.constant(eps))
+        rho = t.add(t.mul(2.0, model.score_fn(1, z1, rho)), rho)
     return rho
 
 
@@ -408,7 +408,15 @@ def plain_vi_elbo(tape: Tape, q: MeanFieldGaussian, target: TargetModel,
 def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
                        target: TargetModel, num_steps: int, n_samples: int,
                        seed: int, batch: int = 256) -> tuple[float, float]:
-    """Mean and standard error of n independent estimates (no gradients)."""
+    """Mean and standard error of n independent estimates (no gradients).
+
+    The chains run `batch` at a time, each chunk on a fresh tape lifted with
+    trainable=False. No node then descends from a trainable leaf, so the
+    tape records none of them in full: every slot holds the shared
+    placeholder, with no value, parents or VJP, and each intermediate array
+    is freed as soon as the chain moves past it. A chunk's tape is freed by
+    reference counting when the next chunk replaces it.
+    """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     values: list[np.ndarray] = []

@@ -14,11 +14,29 @@ same order, so values match it bit for bit while the tape holds one node.
 and `softplus` serve both the tape operations of those names and fused nodes.
 The sigmoid has no select between its two branches: it divides exp(min(x, 0))
 by 1 + exp(-|x|), which gives the same float as either branch.
+
+The tape records only what backward can use. A node needs a gradient when it
+is a trainable leaf or when some parent needs one (`Var.needs_grad`); only
+such a node keeps its parents and its VJP on the tape. Any other node, such
+as a constant or an operation on constants only, still takes its index slot,
+so indices stay unique and `len(tape.nodes)` counts every operation, but the
+slot holds one shared placeholder with no value, parents or VJP. Its value
+lives only in the `Var` handed to the caller, so numpy frees it as soon as
+the caller drops that `Var`. Backward skips placeholders and sends no adjoint
+into a parent that needs none. A tape lifted with no trainable leaf (pure
+evaluation) therefore holds no node value at all.
+
+A `Var` holds a weak reference to its tape (one `weakref.ref` per tape,
+shared by its nodes), so tape -> nodes -> tape is no reference cycle, and
+reference counting frees a tape with every array it holds as soon as the
+last strong reference to the tape goes. `Var.tape` raises `RuntimeError`
+once the tape has been freed.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -50,19 +68,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Var:
-    """Handle to a node on a tape."""
+    """Handle to a node on a tape.
 
-    __slots__ = ("tape", "index", "value", "parents", "vjp", "trainable", "name")
+    `needs_grad` is true when the node is trainable or descends from a
+    trainable node; only such nodes are recorded in full (see `Tape.push`).
+    """
 
-    def __init__(self, tape, index, value, parents=(), vjp=None,
-                 trainable=False, name=None):
-        self.tape = tape
+    __slots__ = ("_tape", "index", "value", "parents", "vjp", "name",
+                 "needs_grad")
+
+    def __init__(self, tape_ref, index, value, parents=(), vjp=None,
+                 name=None, needs_grad=False):
+        self._tape = tape_ref
         self.index = index
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.trainable = trainable
         self.name = name
+        self.needs_grad = needs_grad
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape()
+        if tape is None:
+            raise RuntimeError(f"the tape of Var #{self.index} has been freed; "
+                               "keep a reference to the tape while its "
+                               "Vars are in use")
+        return tape
 
     @property
     def shape(self):
@@ -111,6 +143,7 @@ class Tape:
         self.nodes: list[Var] = []
         self.params: list[Var] = []
         self._consumed = False
+        self._ref = weakref.ref(self)
 
     # ------------------------------------------------------------------ leaves
 
@@ -134,8 +167,20 @@ class Tape:
         the order of `parents`; a leaf has no parents and `vjp=None`. Tape
         methods and fused nodes defined outside this module (such as the
         logistic-regression target's) are all recorded through here.
+
+        A node that is not trainable and has no parent needing a gradient is
+        not recorded: its slot gets the shared placeholder, and the returned
+        Var carries the value but neither the parents nor the VJP.
         """
-        var = Var(self, len(self.nodes), value, parents, vjp, trainable, name)
+        index = len(self.nodes)
+        if not trainable:
+            for parent in parents:
+                if parent.needs_grad:
+                    break
+            else:
+                self.nodes.append(_UNTRACKED)
+                return Var(self._ref, index, value, name=name)
+        var = Var(self._ref, index, value, parents, vjp, name, True)
         self.nodes.append(var)
         return var
 
@@ -388,10 +433,14 @@ class Tape:
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
         grads[loss.index] = np.ones(())
         for node in reversed(self.nodes[: loss.index + 1]):
+            if node.vjp is None:    # a leaf or an untracked placeholder
+                continue
             adj = grads[node.index]
-            if adj is None or node.vjp is None:
+            if adj is None:
                 continue
             for parent, g in zip(node.parents, node.vjp(adj)):
+                if not parent.needs_grad:
+                    continue
                 if grads[parent.index] is None:
                     grads[parent.index] = np.asarray(g, dtype=np.float64).copy()
                 else:
@@ -409,6 +458,10 @@ class Tape:
         self.nodes = []
         self.params = []
         self._consumed = False
+
+
+# Holds the slot of every node that is not recorded (see `Tape.push`).
+_UNTRACKED = Var(lambda: None, None, None)
 
 
 def _operand_value(a) -> np.ndarray:

@@ -123,6 +123,10 @@ class TrainPlan:
                 raise ValueError(f"{name} must be at least 1")
         if self.eval_samples < 2:
             raise ValueError("eval_samples must be at least 2")
+        if self.pretrain_steps < 0:
+            raise ValueError("pretrain_steps must not be negative")
+        if np.isnan(self.divergence_floor):
+            raise ValueError("divergence_floor must not be nan")
         for name in ("lr", "pretrain_lr", "grad_clip"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

@@ -1,9 +1,17 @@
 """Unit tests for the reverse-mode tape."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from ldvi import estimator, trainer
+from ldvi.estimator import (NoiseBundle, estimate_elbo, get_method,
+                            init_params, lift_model, method_names)
 from ldvi.tape import Tape, DomainError, sigmoid, softplus
+from ldvi.targets import gaussian_toy_target
+from ldvi.trainer import TrainPlan, train
 
 
 def fd_grad(f, x, h=1e-6):
@@ -304,6 +312,12 @@ class TestBackward:
         y = t.lift(2.0, trainable=True, name="y")
         assert t.backward(y)["y"] == pytest.approx(1.0)
 
+    def test_loss_from_another_tape_rejected(self):
+        t, other = Tape(), Tape()
+        x = other.lift(2.0, trainable=True, name="x")
+        with pytest.raises(ValueError, match="different tape"):
+            t.backward(other.mul(x, x))
+
     def test_deterministic_primals(self):
         def build():
             t = Tape()
@@ -420,3 +434,91 @@ class TestSigmoidKernel:
         s = where_sigmoid(x0)
         assert_same_bits(grad, s * (1.0 - s) if op == "sigmoid" else s)
 
+
+
+class TestTracking:
+    """Only nodes with a trainable ancestor are recorded, and a tape is
+    freed by reference counting alone."""
+
+    def test_op_on_constants_leaves_placeholder(self):
+        t = Tape()
+        a = t.lift([1.0, 2.0])
+        b = t.exp(t.mul(a, 3.0))
+        assert not b.needs_grad
+        np.testing.assert_array_equal(b.value, np.exp([3.0, 6.0]))
+        assert len({v.index for v in (a, b)}) == 2
+        assert len(t.nodes) == 4        # a, the lifted 3.0, the mul, b
+        slot = t.nodes[b.index]
+        assert slot is not b and slot is t.nodes[a.index]
+        assert slot.value is None and slot.parents == () and slot.vjp is None
+        assert b.parents == () and b.vjp is None
+
+    def test_op_with_trainable_ancestor_is_recorded(self):
+        t = Tape()
+        x = t.lift(1.5, trainable=True, name="x")
+        c = t.constant(2.0)
+        y = t.mul(t.exp(x), c)
+        assert y.needs_grad and t.nodes[y.index] is y
+        assert y.vjp is not None and y.parents[1] is c
+        assert t.backward(y)["x"] == pytest.approx(2.0 * np.exp(1.5))
+
+    def test_var_outliving_its_tape_raises(self):
+        v = Tape().lift(1.0)
+        assert v.value == 1.0
+        with pytest.raises(RuntimeError, match="freed"):
+            v + 1.0
+
+    def test_training_step_tape_freed_without_collector(self):
+        target = gaussian_toy_target(2)
+        cfg = get_method("ldvi")
+        params = init_params(cfg, target.dim, 4)
+        gc.disable()
+        try:
+            t = Tape()
+            model = lift_model(t, cfg, params, target.dim, 4)
+            est = estimate_elbo(model, target,
+                                NoiseBundle.draw(0, 0, 3, target.dim, 4))
+            t.backward(t.mean_all(est.value))
+            ref = weakref.ref(t)
+            del t, model, est
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_train_frees_every_tape_without_collector(self, monkeypatch):
+        made = []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(trainer, "Tape", WatchedTape)
+        monkeypatch.setattr(estimator, "Tape", WatchedTape)
+        plan = TrainPlan("ldvi", "toy", num_steps=3, steps=4, batch=2,
+                         eval_samples=4, pretrain_steps=2, score_hidden=4)
+        gc.disable()
+        try:
+            train(plan)
+            assert len(made) == 2 + 4 + 1   # pretrain, main, one eval chunk
+            assert all(ref() is None for ref in made)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_evaluation_tape_holds_no_value(self, method):
+        target = gaussian_toy_target(2)
+        cfg = get_method(method)
+        rng = np.random.default_rng(5)
+        params = {k: v + 0.05 * rng.normal(size=v.shape)
+                  for k, v in init_params(cfg, target.dim, 4).items()}
+        noise = NoiseBundle.draw(0, 0, 3, target.dim, 4)
+        bounds = {}
+        for trainable in (True, False):
+            t = Tape()
+            model = lift_model(t, cfg, params, target.dim, 4,
+                               trainable=trainable)
+            bounds[trainable] = estimate_elbo(model, target, noise).value.value
+            if not trainable:
+                assert t.nodes and all(n.value is None for n in t.nodes)
+        assert np.array_equal(bounds[True], bounds[False])

@@ -129,7 +129,8 @@ class TestTrain:
     @pytest.mark.parametrize("field,value", [
         ("batch", 0), ("eval_samples", 1), ("record_every", 0),
         ("grad_clip", 0.0), ("grad_clip", float("nan")), ("lr", 0.0),
-        ("lr", -1e-2), ("pretrain_lr", float("nan"))])
+        ("lr", -1e-2), ("pretrain_lr", float("nan")), ("pretrain_steps", -1),
+        ("divergence_floor", float("nan"))])
     def test_plan_rejects_bad_value(self, field, value):
         """Each value failed mid-run, trained nothing or descended the
         bound before."""
