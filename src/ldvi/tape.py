@@ -101,6 +101,8 @@ class Var:
         return self.value.shape
 
     def __repr__(self):
+        if self.value is None:
+            return "Var(untracked)"
         return f"Var(#{self.index}, shape={self.value.shape})"
 
     # Operator sugar; constants are lifted on the fly.
@@ -460,7 +462,8 @@ class Tape:
         self._consumed = False
 
 
-# Holds the slot of every node that is not recorded (see `Tape.push`).
+# Holds the slot of every node that is not recorded (see `Tape.push`). It has
+# no index, value or shape; its repr is "Var(untracked)".
 _UNTRACKED = Var(lambda: None, None, None)
 
 

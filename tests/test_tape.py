@@ -452,6 +452,7 @@ class TestTracking:
         assert slot is not b and slot is t.nodes[a.index]
         assert slot.value is None and slot.parents == () and slot.vjp is None
         assert b.parents == () and b.vjp is None
+        assert repr(t.nodes) == "[" + ", ".join(["Var(untracked)"] * 4) + "]"
 
     def test_op_with_trainable_ancestor_is_recorded(self):
         t = Tape()

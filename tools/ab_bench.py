@@ -5,13 +5,15 @@ checkout, one after the other, and alternates which side runs first, so
 that drift of the host's speed over minutes falls on both sides alike. It
 then writes, per workload and end-to-end metric, every pair's values, each
 side's median and quartiles, how many pairs the change won, and the median
-gap against the parent's interquartile range.
+gap against the parent's interquartile range, and whether the change's
+median is worse than the parent's by no more than the metric's bound.
 
     python3 tools/ab_bench.py PARENT CHANGE --workload eval-mcd-ionosphere \\
-        --seeds 1 2 3 4 5 6 7 8 9 10 --seconds 20 --out ab.json
+        --seeds 1 2 3 4 5 6 7 8 9 10 --out ab.json
 
 PARENT and CHANGE are checkout roots (each with perfbench/ and src/). The
-metric names and their directions come from CHANGE's BENCHMARK.json. Runs
+run length, the metric names, their directions and their bounds come from
+CHANGE's BENCHMARK.json. Runs
 are sequential, one process at a time; a run that exits non-zero or reports
 a failed check stops the comparison.
 """
@@ -56,18 +58,20 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(pairs: list[dict], better: str) -> dict:
-    """Each side's quartiles, the pairs won and the median gap vs the IQR."""
+def compare(pairs: list[dict], better: str, bound: float) -> dict:
+    """Each side's quartiles, the pairs won, the median gap vs the IQR and
+    whether the change's median is worse than the parent's by at most
+    `bound` (a fraction of the parent's median)."""
     sides = {side: summary([p[side] for p in pairs]) for side in SIDES}
     sign = 1.0 if better == "higher" else -1.0
     won = sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs)
     gap = sign * (sides["change"]["median"] - sides["parent"]["median"])
     iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+    change = sides["change"]["median"] / sides["parent"]["median"] - 1.0
     return {**sides, "better": better, "pairs": len(pairs),
-            "change_won": won,
-            "median_change": (sides["change"]["median"]
-                              / sides["parent"]["median"] - 1.0),
-            "median_gap_exceeds_parent_iqr": gap > iqr}
+            "change_won": won, "median_change": change,
+            "median_gap_exceeds_parent_iqr": gap > iqr,
+            "bound": bound, "within_bound": -sign * change <= bound}
 
 
 def main(argv=None) -> int:
@@ -78,7 +82,6 @@ def main(argv=None) -> int:
                         help="repeatable; default: every workload in "
                              "CHANGE's BENCHMARK.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=pathlib.Path, required=True,
                         help="JSON file to write, e.g. BENCH_<n>.json")
     args = parser.parse_args(argv)
@@ -86,17 +89,18 @@ def main(argv=None) -> int:
         parser.error("need at least two seeds for quartiles")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
-    report = {"seconds": args.seconds, "seeds": args.seeds,
+    report = {"seconds": seconds, "seeds": args.seeds,
               "host": {"machine": platform.machine(), "cpu": cpu_model()},
               "env": {}, "workloads": {}}
     for workload in workloads:
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            runs = {side: run_once(roots[side], workload, seed, args.seconds)
+            runs = {side: run_once(roots[side], workload, seed, seconds)
                     for side in order}
             for side in SIDES:     # the env line less its per-run keys
                 report["env"].setdefault(side, {
@@ -106,13 +110,13 @@ def main(argv=None) -> int:
                           **{side: runs[side]["metrics"] for side in SIDES}})
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{m} {pairs[-1]['parent'][m]:.4g} -> "
-                f"{pairs[-1]['change'][m]:.4g}" for m in directions),
+                f"{pairs[-1]['change'][m]:.4g}" for m in metrics),
                 file=sys.stderr)
         report["workloads"][workload] = {
             "pairs": pairs,
             "metrics": {m: compare([{side: p[side][m] for side in SIDES}
-                                    for p in pairs], better)
-                        for m, better in directions.items()}}
+                                    for p in pairs], better, bound)
+                        for m, (better, bound) in metrics.items()}}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
