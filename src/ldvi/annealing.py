@@ -50,16 +50,17 @@ class MeanFieldGaussian:
     def init_params(dim: int, mu: float | np.ndarray = 0.0,
                     sigma: float | np.ndarray = 1.0) -> dict[str, np.ndarray]:
         return {
-            "mu": np.broadcast_to(np.asarray(mu, dtype=np.float64), (dim,)).copy(),
-            "raw_scale": np.broadcast_to(inverse_softplus(sigma), (dim,)).copy(),
+            "q.mu": np.broadcast_to(np.asarray(mu, dtype=np.float64), (dim,)).copy(),
+            "q.raw_scale": np.broadcast_to(inverse_softplus(sigma), (dim,)).copy(),
         }
 
     @classmethod
     def lifted(cls, tape: Tape, params: dict[str, np.ndarray],
-               trainable: bool = True, prefix: str = "q") -> "MeanFieldGaussian":
-        mu = tape.lift(params["mu"], trainable=trainable, name=f"{prefix}.mu")
-        raw = tape.lift(params["raw_scale"], trainable=trainable,
-                        name=f"{prefix}.raw_scale")
+               trainable: bool = True) -> "MeanFieldGaussian":
+        """Lift the "q.mu" and "q.raw_scale" entries of `params`."""
+        mu = tape.lift(params["q.mu"], trainable=trainable, name="q.mu")
+        raw = tape.lift(params["q.raw_scale"], trainable=trainable,
+                        name="q.raw_scale")
         return cls(tape, mu, raw)
 
     def sample(self, eps: np.ndarray) -> Var:
@@ -82,7 +83,8 @@ class AnnealingSchedule:
     """Strictly increasing bridge schedule from trainable real weights.
 
     ``beta(k)`` for k in 1..K is cumsum(softplus(w))_k / sum(softplus(w)),
-    a scalar Var differentiable in the weights. beta(0) is the constant 0.
+    a scalar Var differentiable in the weights. beta_0 = 0 is implicit: the
+    chain starts from q itself, so no caller asks for it.
     """
 
     def __init__(self, tape: Tape, weights: Var):
@@ -100,19 +102,12 @@ class AnnealingSchedule:
         return np.zeros(num_steps, dtype=np.float64)
 
     @classmethod
-    def lifted(cls, tape: Tape, weights: np.ndarray, trainable: bool = True,
-               name: str = "schedule.weights") -> "AnnealingSchedule":
-        return cls(tape, tape.lift(weights, trainable=trainable, name=name))
+    def lifted(cls, tape: Tape, weights: np.ndarray,
+               trainable: bool = True) -> "AnnealingSchedule":
+        return cls(tape, tape.lift(weights, trainable=trainable,
+                                   name="schedule.weights"))
 
     def beta(self, k: int) -> Var:
-        if not 0 <= k <= self.num_steps:
-            raise ValueError(f"k={k} outside schedule range 0..{self.num_steps}")
-        if k == 0:
-            return self.tape.constant(0.0)
+        if not 1 <= k <= self.num_steps:
+            raise ValueError(f"k={k} outside schedule range 1..{self.num_steps}")
         return self.tape.index(self._betas, k - 1)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Primal schedule values (beta_1, ..., beta_K)."""
-        return np.asarray(self._betas.value)
-

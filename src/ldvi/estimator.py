@@ -195,8 +195,7 @@ def init_params(config: MethodConfig, dim: int, num_steps: int,
                 sigma: float | np.ndarray = 1.0, delta: float = 0.1,
                 gamma: float = 1.0, eta: float = 0.5) -> dict[str, np.ndarray]:
     """Flat parameter dictionary for a method at its default starting point."""
-    q = MeanFieldGaussian.init_params(dim, mu=mu, sigma=sigma)
-    params = {"q.mu": q["mu"], "q.raw_scale": q["raw_scale"]}
+    params = MeanFieldGaussian.init_params(dim, mu=mu, sigma=sigma)
     if config.scheme == "plain":
         return params
     params["schedule.weights"] = AnnealingSchedule.init_params(num_steps)
@@ -234,9 +233,7 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
     """Lift a flat parameter dict; every group of the method gets adjoints
     unless trainable=False (pure evaluation).
     """
-    q = MeanFieldGaussian.lifted(
-        tape, {"mu": params["q.mu"], "raw_scale": params["q.raw_scale"]},
-        trainable=trainable)
+    q = MeanFieldGaussian.lifted(tape, params, trainable=trainable)
     if config.scheme == "plain":
         return LiftedModel(tape, config, q, None, None, None, None, None,
                            num_steps)
@@ -419,6 +416,8 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     values: list[np.ndarray] = []
     done = 0
     chunk = 0

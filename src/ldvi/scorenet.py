@@ -21,13 +21,12 @@ class ScoreNet:
     """Residual tanh MLP: R^(2 dim + 1) -> R^dim, zero at initialization."""
 
     def __init__(self, dim: int, hidden: int | None = None,
-                 position_only: bool = False, prefix: str = "score"):
+                 position_only: bool = False):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.hidden = hidden if hidden is not None else max(64, 2 * dim)
         self.position_only = position_only
-        self.prefix = prefix
         self.input_dim = 1 + 2 * dim
 
     # layer name -> (out_features, in_features)
@@ -41,18 +40,18 @@ class ScoreNet:
         params: dict[str, np.ndarray] = {}
         for name, (out, fan_in) in self._layer_shapes().items():
             if name == "W3":  # zero-initialized output layer
-                params[f"{self.prefix}.{name}"] = np.zeros((out, fan_in))
+                params[f"score.{name}"] = np.zeros((out, fan_in))
             else:
-                params[f"{self.prefix}.{name}"] = rng.normal(
+                params[f"score.{name}"] = rng.normal(
                     size=(out, fan_in)) / np.sqrt(fan_in)
-            params[f"{self.prefix}.b{name[1]}"] = np.zeros(out)
+            params[f"score.b{name[1]}"] = np.zeros(out)
         return params
 
     def lift(self, tape: Tape, params: dict[str, np.ndarray],
              trainable: bool = True) -> dict[str, Var]:
         lifted = {}
         for name in self._layer_shapes():
-            for key in (f"{self.prefix}.{name}", f"{self.prefix}.b{name[1]}"):
+            for key in (f"score.{name}", f"score.b{name[1]}"):
                 lifted[key] = tape.lift(params[key], trainable=trainable,
                                         name=key)
         return lifted
@@ -61,16 +60,15 @@ class ScoreNet:
               z: Var, rho: Var) -> Var:
         """Evaluate the score at annealing step k of num_steps."""
         t = tape
-        p = self.prefix
         # batch-shaped constant feature holding the annealing fraction; the
         # constants are zero-stride views that take no memory of their own
         frac = np.broadcast_to(k / num_steps, z.shape[:-1] + (1,))
         rho_in = np.broadcast_to(0.0, rho.shape) if self.position_only else rho
         x = t.concat([frac, z, rho_in])
-        h = t.tanh(t.linear(x, lifted[f"{p}.W0"], lifted[f"{p}.b0"]))
-        h = t.add(h, t.tanh(t.linear(h, lifted[f"{p}.W1"], lifted[f"{p}.b1"])))
-        h = t.add(h, t.tanh(t.linear(h, lifted[f"{p}.W2"], lifted[f"{p}.b2"])))
-        return t.linear(h, lifted[f"{p}.W3"], lifted[f"{p}.b3"])
+        h = t.tanh(t.linear(x, lifted["score.W0"], lifted["score.b0"]))
+        h = t.add(h, t.tanh(t.linear(h, lifted["score.W1"], lifted["score.b1"])))
+        h = t.add(h, t.tanh(t.linear(h, lifted["score.W2"], lifted["score.b2"])))
+        return t.linear(h, lifted["score.W3"], lifted["score.b3"])
 
     def make_score_fn(self, tape: Tape, lifted: dict[str, Var], num_steps: int):
         """Close over tape and parameters, yielding s(k, z, rho).

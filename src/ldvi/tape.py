@@ -105,46 +105,19 @@ class Var:
             return "Var(untracked)"
         return f"Var(#{self.index}, shape={self.value.shape})"
 
-    # Operator sugar; constants are lifted on the fly.
-    def __add__(self, other):
-        return self.tape.add(self, other)
-
-    def __radd__(self, other):
-        return self.tape.add(other, self)
-
-    def __sub__(self, other):
-        return self.tape.sub(self, other)
-
-    def __rsub__(self, other):
-        return self.tape.sub(other, self)
-
-    def __mul__(self, other):
-        return self.tape.mul(self, other)
-
-    def __rmul__(self, other):
-        return self.tape.mul(other, self)
-
-    def __truediv__(self, other):
-        return self.tape.div(self, other)
-
-    def __rtruediv__(self, other):
-        return self.tape.div(other, self)
-
-    def __neg__(self):
-        return self.tape.neg(self)
-
 
 class Tape:
-    """Append-only record of operations, supporting one backward sweep.
+    """Append-only record of operations.
 
-    The tape is rebuilt for every loss evaluation (dynamic graph). It is
-    single-threaded; independent tapes may be evaluated concurrently.
+    The tape is rebuilt for every loss evaluation (dynamic graph). `backward`
+    reads the tape without changing it, so a second sweep from the same loss
+    returns the same adjoints. A tape is single-threaded; independent tapes
+    may be evaluated concurrently.
     """
 
     def __init__(self):
         self.nodes: list[Var] = []
         self.params: list[Var] = []
-        self._consumed = False
         self._ref = weakref.ref(self)
 
     # ------------------------------------------------------------------ leaves
@@ -308,37 +281,29 @@ class Tape:
 
     # ----------------------------------------------------------- linear maps
 
-    def affine(self, x, matrix, bias=None) -> Var:
-        """Constant linear map: x @ matrix.T (+ bias). `matrix`, `bias` are fixed."""
+    def affine(self, x, matrix) -> Var:
+        """Constant linear map: x @ matrix.T, with `matrix` fixed."""
         x = self._coerce(x)
         matrix = _as_array(matrix)
         value = x.value @ matrix.T
-        if bias is not None:
-            value = value + _as_array(bias)
 
         def vjp(adj):
             return (adj @ matrix,)
 
         return self.push(value, (x,), vjp)
 
-    def linear(self, x, weight: Var, bias: Var | None = None) -> Var:
+    def linear(self, x, weight: Var, bias: Var) -> Var:
         """Trainable linear layer: x @ W.T + b, with W and b on the tape."""
         x = self._coerce(x)
-        value = x.value @ weight.value.T
-        if bias is not None:
-            value = value + bias.value
-        parents = (x, weight) if bias is None else (x, weight, bias)
+        value = x.value @ weight.value.T + bias.value
 
         def vjp(adj):
             a2 = adj.reshape(-1, adj.shape[-1])
             x2 = x.value.reshape(-1, x.value.shape[-1])
-            gw = a2.T @ x2
-            gx = adj @ weight.value
-            if bias is None:
-                return gx, gw
-            return gx, gw, _unbroadcast(adj, bias.shape)
+            return (adj @ weight.value, a2.T @ x2,
+                    _unbroadcast(adj, bias.shape))
 
-        return self.push(value, parents, vjp)
+        return self.push(value, (x, weight, bias), vjp)
 
     # ------------------------------------------------------- shape utilities
 
@@ -421,16 +386,13 @@ class Tape:
         """Reverse sweep from a scalar loss; returns adjoints per parameter slot.
 
         Parameter slots are keyed by their lift name (or ``param{i}`` when
-        unnamed). The tape must be reset before a second backward pass.
+        unnamed). The sweep leaves the tape unchanged, so it may be repeated.
         """
         if loss.tape is not self:
             raise ValueError("loss lives on a different tape")
         if loss.value.ndim != 0:
             raise DomainError("backward",
                               f"loss must be scalar, got shape {loss.value.shape}")
-        if self._consumed:
-            raise RuntimeError("tape already consumed; call reset() first")
-        self._consumed = True
 
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
         grads[loss.index] = np.ones(())
@@ -454,12 +416,6 @@ class Tape:
             g = grads[p.index]
             out[key] = np.zeros(p.shape) if g is None else np.asarray(g)
         return out
-
-    def reset(self) -> None:
-        """Discard all recorded nodes; the tape may then be reused."""
-        self.nodes = []
-        self.params = []
-        self._consumed = False
 
 
 # Holds the slot of every node that is not recorded (see `Tape.push`). It has

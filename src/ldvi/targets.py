@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Callable
@@ -77,7 +76,7 @@ def _rowsum(t: Tape, v: Var) -> Var:
 
 # --------------------------------------------------------------------- loading
 
-def load_binary_classification_csv(path, positive_label: str | None = None) -> Dataset:
+def load_binary_classification_csv(path, positive_label: str) -> Dataset:
     """Read a comma-separated file whose last column is a binary class label.
 
     Feature columns are standardized (constant columns become all zeros), an
@@ -106,12 +105,6 @@ def load_binary_classification_csv(path, positive_label: str | None = None) -> D
 
     X = np.asarray(rows, dtype=np.float64)
     distinct = sorted(set(labels))
-    if positive_label is None:
-        if distinct == ["0", "1"]:
-            positive_label = "1"
-        else:
-            raise ValueError(
-                f"{path.name}: positive_label required for labels {distinct}")
     if positive_label not in distinct or len(distinct) != 2:
         raise ValueError(
             f"{path.name}: unknown label values {distinct} "
@@ -128,10 +121,11 @@ def load_binary_classification_csv(path, positive_label: str | None = None) -> D
 
 
 def default_data_dir() -> pathlib.Path:
-    """Bundled data directory, overridable with the LDVI_DATA_DIR env var."""
-    override = os.environ.get("LDVI_DATA_DIR")
-    if override:
-        return pathlib.Path(override)
+    """The data directory bundled with the package.
+
+    `get_target(data_dir=...)` and `TrainPlan.data_dir` read another one;
+    the plan records that choice, so a run depends on nothing outside it.
+    """
     return pathlib.Path(__file__).resolve().parent / "data"
 
 
@@ -223,8 +217,10 @@ def brownian_motion_target(observations: np.ndarray | None = None) -> TargetMode
     def logp(t: Tape, v: Var) -> Var:
         u_inn, u_obs, d, r, prec_inn, prec_obs = pieces(t, v)
         pri = t.mul(-0.125, t.add(t.sum(t.square(u_inn)), t.sum(t.square(u_obs))))
-        walk = t.mul(-0.5, t.sum(t.mul(prec_inn, t.square(d)))) - float(n) * t.sum(u_inn)
-        obs = t.mul(-0.5, t.sum(t.mul(prec_obs, t.square(r)))) - float(n_obs) * t.sum(u_obs)
+        walk = t.sub(t.mul(-0.5, t.sum(t.mul(prec_inn, t.square(d)))),
+                     t.mul(float(n), t.sum(u_inn)))
+        obs = t.sub(t.mul(-0.5, t.sum(t.mul(prec_obs, t.square(r)))),
+                    t.mul(float(n_obs), t.sum(u_obs)))
         const = -math.log(8.0 * math.pi) - 0.5 * (n + n_obs) * LOG_2PI
         return t.add(t.add(pri, walk), t.add(obs, const))
 
@@ -396,8 +392,8 @@ def seeds_target() -> TargetModel:
         u, a, b, logits = pieces(t, v)
         tau1 = t.exp(u)  # length-1
         resid = t.sub(SEEDS_R, t.mul(SEEDS_N, t.sigmoid(logits)))
-        g_u = t.add(alpha + 0.5 * n_plate,
-                    t.mul(-beta, tau1)) - t.mul(0.5, t.mul(tau1, _rowsum(t, t.square(b))))
+        g_u = t.sub(t.add(alpha + 0.5 * n_plate, t.mul(-beta, tau1)),
+                    t.mul(0.5, t.mul(tau1, _rowsum(t, t.square(b)))))
         g_a = t.add(t.affine(resid, design.T), t.mul(-1.0 / a_var, a))
         g_b = t.add(t.mul(t.neg(tau1), b), resid)
         return t.concat([g_u, g_a, g_b])

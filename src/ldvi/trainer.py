@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -35,6 +36,8 @@ SCHEMA_VERSION = 1
 # evaluation noise must not reuse the training stream, which is keyed by
 # (seed, step) for step < plan.steps
 EVAL_SEED_STRIDE = 1_000_003
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,9 +50,6 @@ class TrainingDiverged(RuntimeError):
 class AdamState:
     """First/second moment accumulators with bias correction."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -68,13 +68,13 @@ def adam_step(state: AdamState, params: dict, grads: dict,
         g = np.asarray(g, dtype=np.float64)
         m = state.m.get(key, np.zeros_like(g))
         v = state.v.get(key, np.zeros_like(g))
-        m = state.beta1 * m + (1 - state.beta1) * g
-        v = state.beta2 * v + (1 - state.beta2) * g * g
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         state.m[key], state.v[key] = m, v
-        m_hat = m / (1 - state.beta1 ** t)
-        v_hat = v / (1 - state.beta2 ** t)
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
         out[key] = np.asarray(params[key]
-                              - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+                              - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return out
 
 
@@ -118,9 +118,11 @@ class TrainPlan:
     data_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("steps", "num_steps", "batch", "record_every"):
+        for name in ("steps", "num_steps", "batch", "record_every", "toy_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.score_hidden is not None and self.score_hidden < 1:
+            raise ValueError("score_hidden must be at least 1")
         if self.eval_samples < 2:
             raise ValueError("eval_samples must be at least 2")
         if self.pretrain_steps < 0:
@@ -182,13 +184,12 @@ def _resolve_config(plan: TrainPlan) -> MethodConfig:
 
 
 def _optimize(config, params, target, num_steps, steps, lr, batch, seed,
-              grad_clip, divergence_floor, record_every, seed_offset=0):
+              grad_clip, divergence_floor, record_every):
     """Shared Adam loop; returns (params, curve, skipped, clipped)."""
     state = AdamState()
     curve, skipped, clipped = [], 0, 0
     for step in range(steps):
-        noise = NoiseBundle.draw(seed + seed_offset, step, batch,
-                                 target.dim, num_steps)
+        noise = NoiseBundle.draw(seed, step, batch, target.dim, num_steps)
         tape = Tape()
         model = lift_model(tape, config, params, target.dim, num_steps)
         value = tape.mean_all(estimate_elbo(model, target, noise).value)
@@ -225,9 +226,8 @@ def train(plan: TrainPlan, target: TargetModel | None = None) -> RunRecord:
                     "q.raw_scale": params["q.raw_scale"]}
         q_params, _, _, _ = _optimize(
             plain, q_params, target, 1, plan.pretrain_steps,
-            plan.pretrain_lr, plan.batch, plan.seed, plan.grad_clip,
-            plan.divergence_floor, plan.record_every,
-            seed_offset=2 * EVAL_SEED_STRIDE)
+            plan.pretrain_lr, plan.batch, plan.seed + 2 * EVAL_SEED_STRIDE,
+            plan.grad_clip, plan.divergence_floor, plan.record_every)
         params.update(q_params)
 
     params, curve, skipped, clipped = _optimize(
@@ -246,7 +246,8 @@ def train(plan: TrainPlan, target: TargetModel | None = None) -> RunRecord:
         metadata={"target_dim": target.dim,
                   "trainable": sorted(config.trainable),
                   "score_hidden": config.score_hidden,
-                  "adam": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}})
+                  "adam": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                           "eps": ADAM_EPS}})
     record.params = params  # in-memory only; persisted via save_checkpoint
     return record
 
@@ -300,13 +301,14 @@ def load_checkpoint(path) -> dict:
     with open(path, "rb") as fh:
         head_len = int.from_bytes(fh.read(8), "little")
         header = json.loads(fh.read(head_len).decode())
-        flat = np.frombuffer(fh.read(), dtype="<f8")
+        payload = fh.read()
+    sizes = {key: math.prod(header[key]) for key in header}
+    if 8 * sum(sizes.values()) != len(payload):
+        raise ValueError("checkpoint payload size does not match header")
+    flat = np.frombuffer(payload, dtype="<f8")
     params, offset = {}, 0
     for key in sorted(header):
-        shape = tuple(header[key])
-        size = int(np.prod(shape)) if shape else 1
-        params[key] = flat[offset:offset + size].reshape(shape).copy()
+        size = sizes[key]
+        params[key] = flat[offset:offset + size].reshape(header[key]).copy()
         offset += size
-    if offset != flat.size:
-        raise ValueError("checkpoint payload size does not match header")
     return params

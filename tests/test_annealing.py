@@ -108,12 +108,18 @@ class TestMeanFieldGaussian:
             MeanFieldGaussian(t, t.lift(np.zeros(2)), t.lift(np.zeros(3)))
 
 
+def schedule_values(sched):
+    """(beta_0, ..., beta_K), with the implicit beta_0 = 0 prepended."""
+    return np.array([0.0] + [float(sched.beta(k).value)
+                             for k in range(1, sched.num_steps + 1)])
+
+
 class TestAnnealingSchedule:
     def test_uniform_at_init(self):
         t = Tape()
         sched = AnnealingSchedule.lifted(t, AnnealingSchedule.init_params(8))
-        np.testing.assert_allclose(sched.values, np.arange(1, 9) / 8.0,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(schedule_values(sched),
+                                   np.arange(0, 9) / 8.0, rtol=1e-12)
 
     def test_strictly_monotone_for_random_weights(self):
         rng = np.random.default_rng(3)
@@ -121,7 +127,7 @@ class TestAnnealingSchedule:
             w = rng.normal(scale=3.0, size=rng.integers(1, 12))
             t = Tape()
             sched = AnnealingSchedule.lifted(t, w)
-            vals = np.concatenate([[sched.beta(0).value], sched.values])
+            vals = schedule_values(sched)
             assert np.all(np.diff(vals) > 0)
             assert vals[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -134,10 +140,9 @@ class TestAnnealingSchedule:
     def test_beta_range_checked(self):
         t = Tape()
         sched = AnnealingSchedule.lifted(t, np.zeros(4))
-        with pytest.raises(ValueError):
-            sched.beta(5)
-        with pytest.raises(ValueError):
-            sched.beta(-1)
+        for k in (5, 0, -1):
+            with pytest.raises(ValueError, match="range 1..4"):
+                sched.beta(k)
 
     def test_weights_must_be_vector(self):
         t = Tape()

@@ -181,6 +181,9 @@ class TestPerfectBase:
         assert mean == pytest.approx(target.log_z, abs=0.05)
         with pytest.raises(ValueError):
             evaluate_elbo_mean(cfg, params, target, 4, n_samples=1, seed=0)
+        with pytest.raises(ValueError, match="batch"):
+            evaluate_elbo_mean(cfg, params, target, 4, n_samples=4, seed=0,
+                               batch=0)
 
 
 class TestUnbiasedness:

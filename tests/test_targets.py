@@ -6,7 +6,6 @@ backward pass through logp, and against finite differences of the oracle.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -134,20 +133,22 @@ class TestLoader:
         with pytest.raises(ValueError, match="no data rows"):
             load_binary_classification_csv(p, "a")
 
-    def test_binary_numeric_labels_default(self, tmp_path):
-        p = self._write(tmp_path / "d.csv", "1.0,0\n2.0,1\n")
-        data = load_binary_classification_csv(p)
-        np.testing.assert_allclose(data.labels, [0.0, 1.0])
-
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             Dataset(features=np.array([[1.0, np.nan]]), labels=np.array([1.0]))
 
     def test_data_dir_override(self, tmp_path, monkeypatch):
+        """`data_dir` picks the files; the environment does not."""
+        bundled_dir = default_data_dir()
+        lines = (bundled_dir / "sonar.csv").read_text().splitlines()
+        (tmp_path / "sonar.csv").write_text("\n".join(lines[:-1]) + "\n")
+        bundled = get_target("sonar")
+        copy = get_target("sonar", data_dir=tmp_path)
+        assert copy.meta["source"] == str(tmp_path / "sonar.csv")
+        assert copy.meta["n_rows"] == bundled.meta["n_rows"] - 1
         monkeypatch.setenv("LDVI_DATA_DIR", str(tmp_path))
-        assert default_data_dir() == tmp_path
-        monkeypatch.delenv("LDVI_DATA_DIR")
-        assert default_data_dir().name == "data"
+        assert default_data_dir() == bundled_dir
+        assert get_target("sonar").meta == bundled.meta
 
 
 # -------------------------------------------------------- logistic regression
@@ -329,8 +330,10 @@ def chain_brownian_score(t, v):
     prec_obs = t.exp(t.mul(-2.0, u_obs))
     sse_inn = t.affine(t.square(d), np.ones((1, n)))
     sse_obs = t.affine(t.square(r), np.ones((1, n)))
-    g_uinn = t.mul(-0.25, u_inn) + t.mul(prec_inn, sse_inn) - float(n)
-    g_uobs = t.mul(-0.25, u_obs) + t.mul(prec_obs, sse_obs) - float(mask.sum())
+    g_uinn = t.sub(t.add(t.mul(-0.25, u_inn), t.mul(prec_inn, sse_inn)),
+                   float(n))
+    g_uobs = t.sub(t.add(t.mul(-0.25, u_obs), t.mul(prec_obs, sse_obs)),
+                   float(mask.sum()))
     gx = t.add(t.mul(prec_inn, t.sub(t.affine(d, unshift), d)),
                t.mul(prec_obs, r))
     return t.concat([g_uinn, g_uobs, gx])

@@ -130,7 +130,8 @@ class TestTrain:
         ("batch", 0), ("eval_samples", 1), ("record_every", 0),
         ("grad_clip", 0.0), ("grad_clip", float("nan")), ("lr", 0.0),
         ("lr", -1e-2), ("pretrain_lr", float("nan")), ("pretrain_steps", -1),
-        ("divergence_floor", float("nan"))])
+        ("divergence_floor", float("nan")), ("toy_dim", 0),
+        ("score_hidden", 0), ("score_hidden", -3)])
     def test_plan_rejects_bad_value(self, field, value):
         """Each value failed mid-run, trained nothing or descended the
         bound before."""
@@ -207,6 +208,7 @@ class TestPersistence:
         path = tmp_path / "ck.bin"
         save_checkpoint(params, path)
         data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        for cut in (8, 3):  # a whole value short, and a partial value
+            path.write_bytes(data[:-cut])
+            with pytest.raises(ValueError, match="payload size"):
+                load_checkpoint(path)

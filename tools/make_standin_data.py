@@ -4,8 +4,8 @@ The logistic-regression benchmarks are normally run against the UCI
 "ionosphere" (351 rows, 34 features) and "sonar" (208 rows, 60 features)
 files, which cannot be redistributed here. This script generates synthetic
 stand-ins with the same shape and label conventions so the whole pipeline is
-runnable out of the box. Point --data-dir (or LDVI_DATA_DIR) at a directory
-containing the real files to use them instead.
+runnable out of the box. Pass a directory containing the real files as
+`TrainPlan.data_dir` (or `get_target(..., data_dir=...)`) to use them instead.
 
 Also regenerates `src/ldvi/data/_observations.py`, the simulated observation
 records for the Brownian-motion and Lorenz time-series models.
