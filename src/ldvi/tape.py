@@ -433,32 +433,38 @@ def _operand_value(a) -> np.ndarray:
     return arr
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+            scratch: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of an array, as exp(min(x, 0)) / (1 + exp(-|x|)).
 
     Neither exponent is positive, so nothing overflows, and the quotient is
     the same float as 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x))
-    for x < 0, with no select. Working in two preallocated buffers matters
-    more than the arithmetic: on (256, 351) logits each fresh temporary is a
-    large allocation whose pages cost more to touch than the exp itself.
-    A 0-d input gives a 0-d array.
+    for x < 0, with no select. Working in two buffers matters more than the
+    arithmetic: on (256, 351) logits each fresh temporary is a large
+    allocation whose pages cost more to touch than the exp itself. The
+    result goes to `out` and the denominator to `scratch`, each a fresh
+    array when not given; both must have x's shape, and `out` may be `x`
+    itself (the denominator is taken from x first). A 0-d input gives a
+    0-d array.
     """
-    num = np.empty_like(x)
-    den = np.empty_like(x)
-    np.exp(np.minimum(x, 0.0, out=num), out=num)
+    num = np.empty_like(x) if out is None else out
+    den = np.empty_like(x) if scratch is None else scratch
     np.exp(np.negative(np.abs(x, out=den), out=den), out=den)
     den += 1.0
+    np.exp(np.minimum(x, 0.0, out=num), out=num)
     num /= den
     return num
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
+def softplus(x: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """log(1 + exp(x)) of an array, as max(x, 0) + log1p(exp(-|x|)).
 
-    Stable for large |x|; works in two buffers like `sigmoid`.
+    Stable for large |x|. Like `sigmoid` it works in two buffers, `out` and
+    `scratch` (fresh when not given, shaped like x); `out` may be `x`.
     """
-    out = np.empty_like(x)
-    buf = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
+    buf = np.empty_like(x) if scratch is None else scratch
     np.log1p(np.exp(np.negative(np.abs(x, out=buf), out=buf), out=buf), out=buf)
     np.maximum(x, 0.0, out=out)
     out += buf

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import pathlib
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -140,18 +141,46 @@ def logistic_regression_target(data: Dataset, name: str,
     likelihood and the score are one tape node each; their values repeat the
     numpy operations of the primitive chain `affine`, `softplus`/`sigmoid`,
     `sub`, `sum` (or `affine` by X and `div` by the prior variance) in order.
+
+    Their (rows, n) arrays, rows being the product of w's leading axes, live
+    in a workspace of three float64 buffers that the target keeps and grows
+    to the largest row count seen. At batch 256 each such array is several
+    hundred KiB, and glibc hands the pages of a freed one back to the system
+    (heap trim, or `munmap` of an mmap-served block), so fresh arrays would
+    make every call fault their pages in again, which costs more than the
+    arithmetic. The workspace is per thread, so independent tapes may still
+    be evaluated concurrently. A later call overwrites it, so when w needs a
+    gradient the array the VJP reads (logits for `logp`, the sigmoid for
+    `score`) is copied out first; evaluation copies nothing. No returned
+    value aliases the workspace.
     """
     if not (math.isfinite(prior_scale) and prior_scale > 0):
         raise ValueError(
             f"prior_scale must be finite and positive, got {prior_scale!r}")
     X = data.features
+    XT = X.T
     y = data.labels
     n, d = X.shape
     pv = prior_scale ** 2
+    local = threading.local()
+
+    def workspace(w: np.ndarray) -> list[np.ndarray]:
+        """Three (*w.shape[:-1], n) views of this thread's buffers."""
+        shape = w.shape[:-1] + (n,)
+        size = math.prod(shape)
+        bufs = getattr(local, "bufs", None)
+        if bufs is None or bufs[0].size < size:
+            local.bufs = bufs = [np.empty(size) for _ in range(3)]
+        return [b[:size].reshape(shape) for b in bufs]
 
     def logp(t: Tape, w: Var) -> Var:
-        logits = w.value @ X.T
-        like = (y * logits - softplus(logits)).sum(axis=-1)
+        logits, soft, terms = workspace(w.value)
+        np.matmul(w.value, XT, out=logits)
+        softplus(logits, out=soft, scratch=terms)
+        np.multiply(y, logits, out=terms)
+        like = np.subtract(terms, soft, out=terms).sum(axis=-1)
+        if w.needs_grad:
+            logits = logits.copy()
 
         def vjp(adj):
             return ((adj[..., None] * (y - sigmoid(logits))) @ X,)
@@ -160,11 +189,14 @@ def logistic_regression_target(data: Dataset, name: str,
         return t.add(t.push(like, (w,), vjp), prior)
 
     def score(t: Tape, w: Var) -> Var:
-        sig = sigmoid(w.value @ X.T)
-        value = (y - sig) @ X - w.value / pv
+        sig, resid, _ = workspace(w.value)
+        sigmoid(np.matmul(w.value, XT, out=sig), out=sig, scratch=resid)
+        value = np.subtract(y, sig, out=resid) @ X - w.value / pv
+        if w.needs_grad:
+            sig = sig.copy()
 
         def vjp(adj):
-            return (-(((adj @ X.T) * sig * (1.0 - sig)) @ X) - adj / pv,)
+            return (-(((adj @ XT) * sig * (1.0 - sig)) @ X) - adj / pv,)
 
         return t.push(value, (w,), vjp)
 

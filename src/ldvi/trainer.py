@@ -297,14 +297,26 @@ def save_checkpoint(params: dict, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """Read a `save_checkpoint` file; a malformed one raises ValueError."""
     path = pathlib.Path(path)
     with open(path, "rb") as fh:
         head_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(head_len).decode())
+        head = fh.read(head_len)
         payload = fh.read()
+    try:
+        header = json.loads(head)
+    except ValueError:  # JSONDecodeError, or UnicodeDecodeError
+        header = None
+    if not (isinstance(header, dict)
+            and all(isinstance(shape, list)
+                    and all(type(s) is int and s >= 0 for s in shape)
+                    for shape in header.values())):
+        raise ValueError(f"{path}: checkpoint header {head[:80]!r} is cut "
+                         "short or is not a JSON object of shape lists")
     sizes = {key: math.prod(header[key]) for key in header}
     if 8 * sum(sizes.values()) != len(payload):
-        raise ValueError("checkpoint payload size does not match header")
+        raise ValueError(
+            f"{path}: checkpoint payload size does not match header")
     flat = np.frombuffer(payload, dtype="<f8")
     params, offset = {}, 0
     for key in sorted(header):

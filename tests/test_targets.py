@@ -6,12 +6,15 @@ backward pass through logp, and against finite differences of the oracle.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import expit
 from scipy.stats import binom, gamma, multivariate_normal, norm
 
+from ldvi.estimator import evaluate_elbo_mean, get_method
 from ldvi.tape import Tape
 from ldvi.targets import (
     BROWNIAN_OBSERVED_MASK, LORENZ_OBSERVED_MASK, SEEDS_N, SEEDS_R,
@@ -20,6 +23,7 @@ from ldvi.targets import (
     load_binary_classification_csv, logistic_regression_target, lorenz_target,
     seeds_target,
 )
+from ldvi.trainer import TrainPlan, train
 from ldvi.data._observations import BROWNIAN_OBSERVATIONS, LORENZ_OBSERVATIONS
 
 
@@ -289,6 +293,102 @@ class TestLogisticFusedNodes:
 
             ref = fd_grad(f, w0.ravel()).reshape(shape)
             np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+
+
+class TestLogisticWorkspace:
+    """The target's reused buffers never leak into a value or a gradient."""
+
+    D = 5
+
+    @pytest.fixture()
+    def build(self):
+        rng = np.random.default_rng(11)
+        X = np.hstack([rng.normal(size=(200, self.D - 1)), np.ones((200, 1))])
+        y = (rng.random(200) < 0.5).astype(float)
+        return lambda: logistic_regression_target(Dataset(X, y), "ws")
+
+    def point(self, rows, seed):
+        shape = (self.D,) if rows is None else (rows, self.D)
+        return np.random.default_rng(seed).normal(size=shape)
+
+    def record(self, target, w0, proj):
+        """A trainable tape with logp and score at w0, and its loss."""
+        t = Tape()
+        w = t.lift(w0, trainable=True, name="w")
+        lp, sc = target.logp(t, w), target.score(t, w)
+        loss = t.add(t.sum(t.sum(t.mul(sc, proj))), t.sum(lp))
+        return t, lp, sc, loss
+
+    def evaluate(self, target, rows, seed):
+        t = Tape()
+        w = t.lift(self.point(rows, seed))
+        return target.logp(t, w).value, target.score(t, w).value
+
+    def test_results_survive_later_calls(self, build):
+        target = build()
+        w0, proj = self.point(256, 0), self.point(256, 1)
+        ref_tape, _, _, ref_loss = self.record(build(), w0, proj)
+        ref_grad = ref_tape.backward(ref_loss)["w"]
+        for later in (256, 3, None, 300):   # None: an unbatched (D,) call
+            t, lp, sc, loss = self.record(target, w0, proj)
+            kept = lp.value.copy(), sc.value.copy()
+            self.evaluate(target, later, seed=2)
+            np.testing.assert_array_equal(lp.value, kept[0])
+            np.testing.assert_array_equal(sc.value, kept[1])
+            np.testing.assert_array_equal(t.backward(loss)["w"], ref_grad)
+
+    def test_training_tape_interleaved_with_evaluation(self, build):
+        w0, proj = self.point(4, 3), self.point(4, 4)
+        ref_tape, _, _, ref_loss = self.record(build(), w0, proj)
+        ref_grad = ref_tape.backward(ref_loss)["w"]
+        target = build()
+        self.evaluate(target, 256, seed=5)  # buffers at full size, as after
+        t, _, _, loss = self.record(target, w0, proj)  # a final evaluation
+        self.evaluate(target, 256, seed=5)
+        self.evaluate(target, 3, seed=6)
+        np.testing.assert_array_equal(t.backward(loss)["w"], ref_grad)
+
+    def test_threads_give_serial_values(self, build):
+        ROUNDS = 50
+        target = build()
+        jobs = [(rows, seed) for seed, rows in enumerate((256, 3, None, 64))]
+        serial = [self.evaluate(build(), rows, seed) for rows, seed in jobs]
+        got = [[] for _ in jobs]
+
+        def work(i):
+            for _ in range(ROUNDS):
+                got[i].append(self.evaluate(target, *jobs[i]))
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for want, results in zip(serial, got):
+            assert len(results) == ROUNDS
+            for lp, sc in results:
+                np.testing.assert_array_equal(lp, want[0])
+                np.testing.assert_array_equal(sc, want[1])
+
+    def test_reused_target_evaluates_like_a_fresh_one(self):
+        """A target that trained first gives a fresh one's bits on a
+        256-chain evaluation whose last chunk is a ragged 88."""
+        plan = TrainPlan("mcd", "ionosphere", num_steps=4, steps=2, batch=4,
+                         eval_samples=8, seed=3, pretrain_steps=1)
+        reused = get_target("ionosphere")
+        record = train(plan, target=reused)
+        args = (get_method("mcd"), record.params)
+        got = evaluate_elbo_mean(*args, reused, 4, 600, seed=9, batch=256)
+        want = evaluate_elbo_mean(*args, get_target("ionosphere"), 4, 600,
+                                  seed=9, batch=256)
+        assert got == want
 
 
 # ------------------------------------------------------------ Brownian motion

@@ -212,3 +212,9 @@ class TestPersistence:
             path.write_bytes(data[:-cut])
             with pytest.raises(ValueError, match="payload size"):
                 load_checkpoint(path)
+        head = b"[1, 2]"
+        for bad in (data[:0], data[:5], data[:12],
+                    len(head).to_bytes(8, "little") + head):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="ck.bin: checkpoint header"):
+                load_checkpoint(path)

@@ -8,8 +8,10 @@ entry and its 2-norm. Two checkouts whose fingerprints have equal bounds
 compute bit-identical forward values; equal hashes mean equal gradients, and
 the two norms show how far unequal ones drift. It also records the SHA-256 of
 `RunRecord.canonical_bytes()` for a short `train()` run of every method on
-toy and brownian, so equal digests mean byte-identical records. Compare two
-checkouts with
+toy, brownian, sonar and ionosphere, so equal digests mean byte-identical
+records, and the `repr` of an `evaluate_elbo_mean` of every method on
+ionosphere at the default batch of 256 over 600 samples, whose last chunk
+is a ragged 88. Compare two checkouts with
 
     PYTHONPATH=src python3 tools/bound_fingerprint.py > after.json
     PYTHONPATH=/path/to/other/checkout/src python3 tools/bound_fingerprint.py > before.json
@@ -29,6 +31,7 @@ from ldvi.targets import TARGET_NAMES, get_target
 from ldvi.trainer import TrainPlan, train
 
 K, BATCH, SEED = 8, 4, 7
+WIDE_SAMPLES = 600   # two full 256-chain chunks and a ragged one of 88
 
 
 def fingerprint() -> dict:
@@ -54,7 +57,11 @@ def fingerprint() -> dict:
                               "l2": repr(float(np.linalg.norm(g)))}
                           for k, g in sorted(grads.items())},
             }
-    for target_name in ("toy", "brownian"):
+            if target_name == "ionosphere":
+                out[f"eval256/{method}/{target_name}"] = [
+                    repr(v) for v in evaluate_elbo_mean(
+                        cfg, params, target, K, WIDE_SAMPLES, SEED)]
+    for target_name in ("toy", "brownian", "sonar", "ionosphere"):
         for method in method_names():
             plan = TrainPlan(method, target_name, num_steps=K, steps=5,
                              batch=BATCH, eval_samples=2 * BATCH, seed=SEED,
