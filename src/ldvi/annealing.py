@@ -54,15 +54,6 @@ class MeanFieldGaussian:
             "q.raw_scale": np.broadcast_to(inverse_softplus(sigma), (dim,)).copy(),
         }
 
-    @classmethod
-    def lifted(cls, tape: Tape, params: dict[str, np.ndarray],
-               trainable: bool = True) -> "MeanFieldGaussian":
-        """Lift the "q.mu" and "q.raw_scale" entries of `params`."""
-        mu = tape.lift(params["q.mu"], trainable=trainable, name="q.mu")
-        raw = tape.lift(params["q.raw_scale"], trainable=trainable,
-                        name="q.raw_scale")
-        return cls(tape, mu, raw)
-
     def sample(self, eps: np.ndarray) -> Var:
         """Reparameterized draw mu + sigma * eps for standard-Normal noise."""
         t = self.tape
@@ -100,12 +91,6 @@ class AnnealingSchedule:
     def init_params(num_steps: int) -> np.ndarray:
         """Equal weights, giving the uniform schedule beta_k = k / K."""
         return np.zeros(num_steps, dtype=np.float64)
-
-    @classmethod
-    def lifted(cls, tape: Tape, weights: np.ndarray,
-               trainable: bool = True) -> "AnnealingSchedule":
-        return cls(tape, tape.lift(weights, trainable=trainable,
-                                   name="schedule.weights"))
 
     def beta(self, k: int) -> Var:
         if not 1 <= k <= self.num_steps:

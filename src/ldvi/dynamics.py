@@ -9,7 +9,8 @@ that also carries the drift delta grad log pi_k(z). Both maps are
 deterministic and volume preserving, so the per-step contribution to the
 augmented lower bound is log m_B(rho | rho', z) - log m_F(rho' | rho).
 
-Both kernels are one `MomentumKernel`: N(mean, var I) with
+Every momentum density of the bound is one `MomentumKernel`: N(mean, var I)
+with
 
     mean = shrink rho (+ drift going forward, - drift in reverse)
            + coef s(k, z, rho),
@@ -18,11 +19,14 @@ where s is the learned score. The exact Ornstein-Uhlenbeck refresh has
 shrink eta and variance 1 - eta^2, the Euler-Maruyama refresh shrink
 1 - gamma delta and variance 2 gamma delta. A reverse kernel shares its
 forward kernel's shrink and variance nodes, and LDVI's adds var s. MCD's
-has no shrink, variance 1 and coef 2, whatever the refresh.
+has no shrink, variance 1 and coef 2, whatever the refresh. The endpoint
+momentum augmentation is a kernel too: N(0, I), or for MCD its reverse
+kernel N(2 s(k, z), I), which draws the initial momentum and scores both
+endpoints.
 
 All kernel parameters (step size delta, friction gamma, momentum retention
-eta) are scalar tape Vars, so gradients flow through every density. A
-kernel is built once per chain, so its shrink, variance and noise scale
+eta) are scalar tape Vars, so gradients flow through every density. The
+kernels are built once per lift, so their shrink, variance and noise scale
 sqrt(var) are tape nodes shared by every transition.
 """
 
@@ -66,8 +70,11 @@ class MomentumKernel:
     mean = shrink rho, plus the drift (added by a forward kernel, subtracted
     by a reverse one), plus coef s(k, z, rho) when the kernel has a score.
     Build a forward kernel with `exact_ou` or `euler_maruyama`, and its
-    reverse with `reverse`, or MCD's with `mcd_reverse`. Only forward
-    kernels are sampled, so only they build the noise scale sqrt(var).
+    reverse with `reverse`, or MCD's with `mcd_reverse`; `unit` is N(0, I).
+    `var` is a scalar Var, or 1.0 for a unit-variance kernel. A forward
+    kernel builds the noise scale sqrt(var) once; a unit-variance kernel
+    needs none, and a reverse kernel with a learned variance is never
+    sampled.
     """
 
     def __init__(self, tape: Tape, shrink: Var | None, var: Var | float,
@@ -79,7 +86,8 @@ class MomentumKernel:
         self.forward = forward
         self.coef = coef
         self.score_fn = score_fn
-        self.scale = tape.sqrt(var) if forward else None
+        self.scale = (tape.sqrt(var) if forward and isinstance(var, Var)
+                      else None)
 
     @classmethod
     def exact_ou(cls, tape: Tape, eta: Var) -> "MomentumKernel":
@@ -125,14 +133,21 @@ class MomentumKernel:
         """MCD's reverse kernel N(2 s(k, z), I).
 
         The position-only score s approximates the score of the intermediate
-        marginal, so 2 s recenters the reverse refresh.
+        marginal, so 2 s recenters the reverse refresh. It is also MCD's
+        endpoint momentum augmentation.
         """
         return cls(tape, None, 1.0, forward=False, coef=2.0,
                    score_fn=score_fn)
 
-    def mean(self, rho: Var, z: Var | None = None, k: int | None = None,
-             drift: Var | None = None) -> Var:
-        """Mean of the kernel at momentum rho, position z and transition k."""
+    @classmethod
+    def unit(cls, tape: Tape) -> "MomentumKernel":
+        """N(0, I), the endpoint momentum augmentation of every method but
+        MCD. Its mean is None and its sample is the noise itself."""
+        return cls(tape, None, 1.0, forward=True)
+
+    def mean(self, rho: Var | None, z: Var | None = None, k: int | None = None,
+             drift: Var | None = None) -> Var | None:
+        """Mean at momentum rho, position z and transition k; None if 0."""
         t = self.tape
         mean = None if self.shrink is None else t.mul(self.shrink, rho)
         if drift is not None:
@@ -142,10 +157,17 @@ class MomentumKernel:
             mean = correction if mean is None else t.add(mean, correction)
         return mean
 
-    def sample(self, mean: Var, eps: np.ndarray) -> Var:
-        """mean + sqrt(var) eps, for standard-Normal noise eps."""
+    def sample(self, mean: Var | None, eps: np.ndarray) -> Var:
+        """mean + sqrt(var) eps for standard-Normal eps; a None mean is 0."""
         t = self.tape
-        return t.add(mean, t.mul(self.scale, t.constant(eps)))
+        noise = t.constant(eps)
+        if isinstance(self.var, Var):
+            if self.scale is None:
+                raise ValueError("a reverse kernel with a learned variance "
+                                 "is never sampled")
+            noise = t.mul(self.scale, noise)
+        return noise if mean is None else t.add(mean, noise)
 
-    def log_pdf(self, x: Var, mean: Var) -> Var:
-        return self.tape.gaussian_logpdf(x, mean, self.var)
+    def log_pdf(self, x: Var, mean: Var | None) -> Var:
+        return self.tape.gaussian_logpdf(x, 0.0 if mean is None else mean,
+                                         self.var)

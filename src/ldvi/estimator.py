@@ -18,12 +18,16 @@ the momentum refresh (forward kernel) and the reverse kernel. Everything
 else (which parameters exist, whether a score network exists and what it
 sees, the endpoint momentum augmentation) is derived from those three. The
 `METHODS` registry instantiates the seven named methods.
+
+`lift_model` assembles a method once per tape: it lifts every parameter
+under its own name, and builds q, the schedule and three momentum kernels
+(the refresh, the reverse kernel and the endpoint augmentation). The chain
+in `estimate_elbo` then only runs those parts and reads no kernel choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -200,9 +204,9 @@ def init_params(config: MethodConfig, dim: int, num_steps: int,
         return params
     params["schedule.weights"] = AnnealingSchedule.init_params(num_steps)
     params["raw_delta"] = np.asarray(inverse_softplus(delta))
-    if config.forward == "em":
+    if "gamma" in config.trainable:
         params["raw_gamma"] = np.asarray(inverse_softplus(gamma))
-    if config.forward == "ou":
+    if "eta" in config.trainable:
         if not 0.0 < eta < 1.0:
             raise ValueError("initial eta must lie in (0, 1)")
         params["raw_eta"] = np.asarray(np.log(eta / (1.0 - eta)))
@@ -214,7 +218,9 @@ def init_params(config: MethodConfig, dim: int, num_steps: int,
 
 @dataclass
 class LiftedModel:
-    """Parameters lifted onto one tape, ready to drive the estimator."""
+    """A method assembled on one tape: q, the schedule and three momentum
+    kernels, the refresh, its reverse and the endpoint augmentation, which
+    draws and scores the endpoint momenta. A plain method has q only."""
 
     tape: Tape
     config: MethodConfig
@@ -222,40 +228,44 @@ class LiftedModel:
     schedule: AnnealingSchedule | None
     delta: Var | None
     gamma: Var | None
-    eta: Var | None
-    score_fn: Callable[[int, Var, Var], Var] | None
+    refresh: MomentumKernel | None
+    reverse: MomentumKernel | None
+    augment: MomentumKernel | None
     num_steps: int
 
 
 def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
                dim: int, num_steps: int,
                trainable: bool = True) -> LiftedModel:
-    """Lift a flat parameter dict; every group of the method gets adjoints
-    unless trainable=False (pure evaluation).
+    """Lift every entry of a flat parameter dict under its own name, in the
+    dict's order, and assemble the method from them. Every parameter gets
+    adjoints unless trainable=False (pure evaluation).
     """
-    q = MeanFieldGaussian.lifted(tape, params, trainable=trainable)
+    lifted = {name: tape.lift(value, trainable=trainable, name=name)
+              for name, value in params.items()}
+    q = MeanFieldGaussian(tape, lifted["q.mu"], lifted["q.raw_scale"])
     if config.scheme == "plain":
         return LiftedModel(tape, config, q, None, None, None, None, None,
-                           num_steps)
-    schedule = AnnealingSchedule.lifted(tape, params["schedule.weights"],
-                                        trainable=trainable)
-    delta = tape.softplus(tape.lift(params["raw_delta"], trainable=trainable,
-                                    name="raw_delta"))
-    gamma = eta = score_fn = None
+                           None, num_steps)
+    schedule = AnnealingSchedule(tape, lifted["schedule.weights"])
+    delta = tape.softplus(lifted["raw_delta"])
+    gamma = None
     if config.forward == "em":
-        gamma = tape.softplus(tape.lift(params["raw_gamma"],
-                                        trainable=trainable, name="raw_gamma"))
-    elif config.forward == "full":
-        eta = tape.constant(0.0)
+        gamma = tape.softplus(lifted["raw_gamma"])
+        refresh = MomentumKernel.euler_maruyama(tape, gamma, delta)
     else:
-        eta = tape.sigmoid(tape.lift(params["raw_eta"], trainable=trainable,
-                                     name="raw_eta"))
+        eta = (tape.constant(0.0) if config.forward == "full"
+               else tape.sigmoid(lifted["raw_eta"]))
+        refresh = MomentumKernel.exact_ou(tape, eta)
     net = config.score_net(dim)
-    if net is not None:
-        lifted = net.lift(tape, params, trainable=trainable)
-        score_fn = net.make_score_fn(tape, lifted, num_steps)
-    return LiftedModel(tape, config, q, schedule, delta, gamma, eta, score_fn,
-                       num_steps)
+    score_fn = None if net is None else net.make_score_fn(tape, lifted,
+                                                           num_steps)
+    if config.backward == "mcd":
+        reverse = augment = MomentumKernel.mcd_reverse(tape, score_fn)
+    else:
+        reverse, augment = refresh.reverse(score_fn), MomentumKernel.unit(tape)
+    return LiftedModel(tape, config, q, schedule, delta, gamma, refresh,
+                       reverse, augment, num_steps)
 
 
 # -------------------------------------------------------------------- bounds
@@ -281,37 +291,6 @@ def _check_finite(model: LiftedModel, k: int, **quantities: Var) -> None:
                 f"non-finite {name.replace('_', ' ')} at transition {where}")
 
 
-def _momentum_kernels(model: LiftedModel):
-    """The chain's forward momentum kernel and the reverse kernel paired
-    with it, each built once."""
-    t, c = model.tape, model.config
-    if c.forward == "em":
-        fwd = MomentumKernel.euler_maruyama(t, model.gamma, model.delta)
-    else:
-        fwd = MomentumKernel.exact_ou(t, model.eta)
-    if c.backward == "mcd":
-        return fwd, MomentumKernel.mcd_reverse(t, model.score_fn)
-    return fwd, fwd.reverse(model.score_fn)
-
-
-def _momentum_aug_logpdf(model: LiftedModel, k: int, z: Var, rho: Var) -> Var:
-    """Density of the momentum augmentation at an endpoint state."""
-    t = model.tape
-    if model.config.backward == "mcd":
-        mean = t.mul(2.0, model.score_fn(k, z, rho))
-        return t.gaussian_logpdf(rho, mean, 1.0)
-    return t.gaussian_logpdf(rho, 0.0, 1.0)
-
-
-def _sample_initial_momentum(model: LiftedModel, z1: Var,
-                             eps: np.ndarray) -> Var:
-    t = model.tape
-    rho = t.constant(eps)
-    if model.config.backward == "mcd":
-        rho = t.add(t.mul(2.0, model.score_fn(1, z1, rho)), rho)
-    return rho
-
-
 def estimate_elbo(model: LiftedModel, target: TargetModel,
                   noise: NoiseBundle) -> ElboEstimate:
     """Accumulate the augmented bound along one simulated chain.
@@ -329,9 +308,10 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     log m_F(rho' | rho). The two schemes differ only in the map and the
     drift: a leapfrog step with no drift, or the Euler-Maruyama position
     update z + delta rho' with the drift delta grad log pi_k(z) added to the
-    forward mean and subtracted from the reverse one. The kernels are built
-    once per chain, and each transition builds its forward mean once, for
-    both the sample and the density.
+    forward mean and subtracted from the reverse one. The kernels come built
+    with the model. The augmentation draws the initial momentum and scores
+    both endpoints, and its mean at k = 1, like each transition's forward
+    mean, is built once for both the sample and the density.
 
     Raises EstimatorError naming the transition index, the quantity
     (position, momentum, log-ratio, initial or terminal density) and the
@@ -362,15 +342,15 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
 
         return grad
 
+    aug, fwd, bwd = model.augment, model.refresh, model.reverse
     z = model.q.sample(noise.z_eps)
-    rho = _sample_initial_momentum(model, z, noise.rho_eps)
-    L = t.neg(t.add(model.q.log_pdf(z),
-                    _momentum_aug_logpdf(model, 1, z, rho)))
+    aug_mean = aug.mean(None, z, 1)
+    rho = aug.sample(aug_mean, noise.rho_eps)
+    L = t.neg(t.add(model.q.log_pdf(z), aug.log_pdf(rho, aug_mean)))
     _check_finite(model, 0, initial_density=L)
     trace: list[Var] = []
 
     em = c.scheme == "em"
-    fwd, bwd = _momentum_kernels(model)
     for k in range(1, K):
         grad = grad_at(k)
         drift = t.mul(model.delta, grad(z)) if em else None
@@ -389,7 +369,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
         z, rho = z_new, rho_new
 
     terminal = t.add(target.logp(t, z),
-                     _momentum_aug_logpdf(model, K, z, rho))
+                     aug.log_pdf(rho, aug.mean(None, z, K)))
     _check_finite(model, K, terminal_density=terminal)
     L = t.add(L, terminal)
     return ElboEstimate(L, trace)

@@ -5,7 +5,11 @@ time feature is the annealing fraction k / K, so one network is shared across
 all transitions. The output layer is zero-initialized: at initialization the
 correction vanishes and every score-based method starts exactly at its
 score-free counterpart. The position-only variant zeroes the momentum input,
-for reverse kernels that may condition on position alone.
+taking its shape from the position, for reverse kernels that may condition
+on position alone; it may be called with no momentum.
+
+`apply` reads its layers from the estimator's dict of lifted parameters,
+keyed "score.W0", "score.b0" and so on.
 """
 
 from __future__ import annotations
@@ -47,23 +51,14 @@ class ScoreNet:
             params[f"score.b{name[1]}"] = np.zeros(out)
         return params
 
-    def lift(self, tape: Tape, params: dict[str, np.ndarray],
-             trainable: bool = True) -> dict[str, Var]:
-        lifted = {}
-        for name in self._layer_shapes():
-            for key in (f"score.{name}", f"score.b{name[1]}"):
-                lifted[key] = tape.lift(params[key], trainable=trainable,
-                                        name=key)
-        return lifted
-
     def apply(self, tape: Tape, lifted: dict[str, Var], k: int, num_steps: int,
-              z: Var, rho: Var) -> Var:
+              z: Var, rho: Var | None) -> Var:
         """Evaluate the score at annealing step k of num_steps."""
         t = tape
         # batch-shaped constant feature holding the annealing fraction; the
         # constants are zero-stride views that take no memory of their own
         frac = np.broadcast_to(k / num_steps, z.shape[:-1] + (1,))
-        rho_in = np.broadcast_to(0.0, rho.shape) if self.position_only else rho
+        rho_in = np.broadcast_to(0.0, z.shape) if self.position_only else rho
         x = t.concat([frac, z, rho_in])
         h = t.tanh(t.linear(x, lifted["score.W0"], lifted["score.b0"]))
         h = t.add(h, t.tanh(t.linear(h, lifted["score.W1"], lifted["score.b1"])))
@@ -73,15 +68,16 @@ class ScoreNet:
     def make_score_fn(self, tape: Tape, lifted: dict[str, Var], num_steps: int):
         """Close over tape and parameters, yielding s(k, z, rho).
 
-        A position-only score ignores rho, so it is built once per (k, z)
-        and every later call at the same step and position reuses it.
+        A position-only score ignores rho (which may be None), so it is
+        built once per (k, z) and every later call at the same step and
+        position reuses it.
         """
         if not self.position_only:
             return lambda k, z, rho: self.apply(tape, lifted, k, num_steps,
                                                 z, rho)
         built: dict[tuple[int, int], Var] = {}
 
-        def score(k: int, z: Var, rho: Var) -> Var:
+        def score(k: int, z: Var, rho: Var | None) -> Var:
             key = (k, z.index)
             if key not in built:
                 built[key] = self.apply(tape, lifted, k, num_steps, z, rho)

@@ -118,6 +118,14 @@ class TrainPlan:
     data_dir: str | None = None
 
     def __post_init__(self):
+        # a bool, a float or a numpy integer fails mid-run or in the record
+        for name in ("num_steps", "steps", "batch", "eval_samples", "seed",
+                     "pretrain_steps", "record_every", "toy_dim",
+                     "score_hidden"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "score_hidden"
+                                               and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         for name in ("steps", "num_steps", "batch", "record_every", "toy_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -125,8 +133,9 @@ class TrainPlan:
             raise ValueError("score_hidden must be at least 1")
         if self.eval_samples < 2:
             raise ValueError("eval_samples must be at least 2")
-        if self.pretrain_steps < 0:
-            raise ValueError("pretrain_steps must not be negative")
+        for name in ("seed", "pretrain_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if np.isnan(self.divergence_floor):
             raise ValueError("divergence_floor must not be nan")
         for name in ("lr", "pretrain_lr", "grad_clip"):

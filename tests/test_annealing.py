@@ -13,7 +13,14 @@ from ldvi.targets import gaussian_toy_target
 def make_q(t, dim, mu=None, sigma=None, trainable=True):
     params = MeanFieldGaussian.init_params(dim, mu=0.0 if mu is None else mu,
                                            sigma=1.0 if sigma is None else sigma)
-    return MeanFieldGaussian.lifted(t, params, trainable=trainable)
+    mu, raw = (t.lift(params[k], trainable=trainable, name=k)
+               for k in ("q.mu", "q.raw_scale"))
+    return MeanFieldGaussian(t, mu, raw)
+
+
+def make_schedule(t, weights):
+    return AnnealingSchedule(t, t.lift(weights, trainable=True,
+                                       name="schedule.weights"))
 
 
 def bridge_logdensity(t, z, k, K, q, target, schedule):
@@ -117,7 +124,7 @@ def schedule_values(sched):
 class TestAnnealingSchedule:
     def test_uniform_at_init(self):
         t = Tape()
-        sched = AnnealingSchedule.lifted(t, AnnealingSchedule.init_params(8))
+        sched = make_schedule(t, AnnealingSchedule.init_params(8))
         np.testing.assert_allclose(schedule_values(sched),
                                    np.arange(0, 9) / 8.0, rtol=1e-12)
 
@@ -126,20 +133,20 @@ class TestAnnealingSchedule:
         for _ in range(200):
             w = rng.normal(scale=3.0, size=rng.integers(1, 12))
             t = Tape()
-            sched = AnnealingSchedule.lifted(t, w)
+            sched = make_schedule(t, w)
             vals = schedule_values(sched)
             assert np.all(np.diff(vals) > 0)
             assert vals[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_gradients_flow_to_weights(self):
         t = Tape()
-        sched = AnnealingSchedule.lifted(t, np.array([0.0, 1.0, -1.0]))
+        sched = make_schedule(t, np.array([0.0, 1.0, -1.0]))
         grads = t.backward(sched.beta(1))
         assert np.any(grads["schedule.weights"] != 0.0)
 
     def test_beta_range_checked(self):
         t = Tape()
-        sched = AnnealingSchedule.lifted(t, np.zeros(4))
+        sched = make_schedule(t, np.zeros(4))
         for k in (5, 0, -1):
             with pytest.raises(ValueError, match="range 1..4"):
                 sched.beta(k)
@@ -161,7 +168,7 @@ class TestBridge:
     def _build(self, K=4):
         t = Tape()
         q = make_q(t, 3, mu=-1.0, sigma=1.3)
-        sched = AnnealingSchedule.lifted(t, AnnealingSchedule.init_params(K))
+        sched = make_schedule(t, AnnealingSchedule.init_params(K))
         return t, q, sched
 
     def test_interior_is_convex_combination(self):

@@ -229,6 +229,51 @@ class TestEMKernels:
                              1).value
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_mcd_sample_adds_unit_noise(self):
+        rng = np.random.default_rng(12)
+        t = Tape()
+        bwd = MomentumKernel.mcd_reverse(t, lambda k, z, rho: t.mul(0.5, z))
+        z, eps = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        mean = bwd.mean(None, t.lift(z), 1)
+        np.testing.assert_array_equal(bwd.sample(mean, eps).value,
+                                      2.0 * (0.5 * z) + eps)
+
+    @pytest.mark.parametrize("score", [None, lambda k, z, rho: z],
+                             ids=["exact", "score"])
+    def test_learned_variance_reverse_is_never_sampled(self, score):
+        t = Tape()
+        bwd = EM(t, t.lift(0.5), t.lift(0.2)).reverse(score)
+        mean = bwd.mean(t.lift([0.3, -0.1]), t.lift([1.0, 2.0]), 1)
+        with pytest.raises(ValueError, match="never sampled"):
+            bwd.sample(mean, np.array([0.4, 0.7]))
+
+
+class TestUnitKernel:
+    """N(0, I), the endpoint momentum augmentation of every method but
+    MCD."""
+
+    def test_sample_is_the_noise(self):
+        rng = np.random.default_rng(13)
+        t = Tape()
+        unit = MomentumKernel.unit(t)
+        eps = rng.normal(size=(4, 3))
+        mean = unit.mean(None, t.lift(rng.normal(size=(4, 3))), 1)
+        assert mean is None
+        np.testing.assert_array_equal(unit.sample(mean, eps).value, eps)
+
+    def test_log_pdf_matches_scipy(self):
+        rng = np.random.default_rng(14)
+        t = Tape()
+        x = rng.normal(size=(5, 3)) * 2.0
+        got = MomentumKernel.unit(t).log_pdf(t.lift(x), None).value
+        np.testing.assert_allclose(got, norm.logpdf(x).sum(axis=-1),
+                                   rtol=1e-12)
+
+    def test_builds_no_node(self):
+        t = Tape()
+        MomentumKernel.unit(t)
+        assert len(t.nodes) == 0
+
 
 class TestTransitions:
     def test_forward_transition_composition(self):
@@ -257,7 +302,7 @@ class TestTransitions:
         noise = NoiseBundle.draw(9, 0, None, 2, 2)
         model = lift_model(Tape(), cfg, params, 2, 2)
         est = estimate_elbo(model, gaussian_toy_target(2, mean=0.3), noise)
-        eta = float(model.eta.value)
+        eta = float(model.refresh.shrink.value)
         rho, var = noise.rho_eps, 1 - eta ** 2
         rho_p = eta * rho + np.sqrt(var) * noise.step_eps[0]
         want = (iso_logpdf(rho, eta * rho_p, var)

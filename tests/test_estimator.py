@@ -11,8 +11,7 @@ from scipy.stats import norm
 from ldvi.annealing import inverse_softplus
 from ldvi.dynamics import MomentumKernel
 from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
-                            MethodConfig, NoiseBundle, _momentum_aug_logpdf,
-                            _sample_initial_momentum, estimate_elbo,
+                            MethodConfig, NoiseBundle, estimate_elbo,
                             evaluate_elbo_mean, get_method, init_params,
                             lift_model, method_names, plain_vi_elbo)
 from ldvi.scorenet import ScoreNet
@@ -426,7 +425,7 @@ def make_score_value(config, params, dim, K):
 
     def score_value(k, z, rho):
         t = Tape()
-        lifted = net.lift(t, params, trainable=False)
+        lifted = {key: t.lift(value) for key, value in params.items()}
         return net.apply(t, lifted, k, K, t.lift(np.asarray(z)),
                          t.lift(np.asarray(rho))).value
 
@@ -513,6 +512,18 @@ class TestGradients:
                 fd = (value_at(pp) - value_at(pm)) / (2 * h)
                 got = grads[key][idx] if val.ndim else float(grads[key])
                 assert got == pytest.approx(fd, rel=5e-4, abs=1e-7), (key, idx)
+
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_tape_params_follow_the_dict(self, name):
+        """Every entry is lifted once, under its key, in the dict's order,
+        which fixes the order of the gradient dict and of the sums over it
+        (the global gradient norm)."""
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
+        params = init_params(cfg, 2, 3)
+        for order in (list(params), list(reversed(params))):
+            t = Tape()
+            lift_model(t, cfg, {k: params[k] for k in order}, 2, 3)
+            assert [p.name for p in t.params] == order
 
     def test_every_accepted_config_runs(self):
         """Each accepted (scheme, forward, backward) gives a finite bound and
@@ -638,28 +649,66 @@ def counting_target(target):
     return dataclasses.replace(target, score=score), calls
 
 
+def leaves(model):
+    """The model's lifted parameter nodes, by name."""
+    return {p.name: p for p in model.tape.params}
+
+
+def reference_score(model):
+    """s(k, z, rho) rebuilt afresh on every call from the model's lifted
+    parameter nodes, or None for a method without a score net."""
+    net = model.config.score_net(model.q.dim)
+    if net is None:
+        return None
+    return lambda k, z, rho: net.apply(model.tape, leaves(model), k,
+                                       model.num_steps, z, rho)
+
+
+def reference_aug_mean(model, k, z):
+    """Mean of the endpoint momentum augmentation: 2 s(k, z) for MCD,
+    zero for every other method."""
+    if model.config.backward != "mcd":
+        return 0.0
+    return model.tape.mul(2.0, reference_score(model)(k, z, None))
+
+
+def reference_aug_logpdf(model, k, z, rho):
+    return model.tape.gaussian_logpdf(rho, reference_aug_mean(model, k, z),
+                                      1.0)
+
+
+def reference_head(model, noise):
+    """(z_1, rho_1, -log q(z_1) - log of the augmentation at rho_1)."""
+    t = model.tape
+    z = model.q.sample(noise.z_eps)
+    rho = t.constant(noise.rho_eps)
+    if model.config.backward == "mcd":
+        rho = t.add(reference_aug_mean(model, 1, z), rho)
+    return z, rho, t.neg(t.add(model.q.log_pdf(z),
+                               reference_aug_logpdf(model, 1, z, rho)))
+
+
 def per_call_reference(model, target, noise):
     """The bound with every bridge score computed afresh by bridge_score.
 
     Built from tape primitives: each transition rebuilds the forward mean
     for its density, and an Euler-Maruyama chain is the per-transition
-    reference below.
+    reference below. Step size and friction are the model's nodes, and the
+    momentum retention and the score are rebuilt from its lifted parameters.
     """
     t, c, K = model.tape, model.config, model.num_steps
     if c.scheme == "em":
         return per_transition_em_reference(model, target, noise)
-    delta, score_fn = model.delta, model.score_fn
+    delta, score_fn = model.delta, reference_score(model)
 
     def grad_at(k):
         return lambda zz: bridge_score(t, zz, k, K, model.q, target,
                                        model.schedule)
 
-    z = model.q.sample(noise.z_eps)
-    rho = _sample_initial_momentum(model, z, noise.rho_eps)
-    L = t.neg(t.add(model.q.log_pdf(z),
-                    _momentum_aug_logpdf(model, 1, z, rho)))
+    z, rho, L = reference_head(model, noise)
     if c.forward != "em":
-        shrink = model.eta
+        shrink = (t.constant(0.0) if c.forward == "full"
+                  else t.sigmoid(leaves(model)["raw_eta"]))
         var = t.sub(1.0, t.square(shrink))
     else:
         gd = t.mul(model.gamma, delta)
@@ -683,7 +732,7 @@ def per_call_reference(model, target, noise):
         L = t.add(L, t.sub(bwd, fwd))
         z, rho = z_new, rho_new
     return t.add(L, t.add(target.logp(t, z),
-                          _momentum_aug_logpdf(model, K, z, rho)))
+                          reference_aug_logpdf(model, K, z, rho)))
 
 
 class TestScoreReuse:
@@ -758,16 +807,13 @@ def per_transition_em_reference(model, target, noise):
     """
     t, K = model.tape, model.num_steps
     delta, gamma = model.delta, model.gamma
-    score_fn = model.score_fn
+    score_fn = reference_score(model)
 
     def constants():
         return (t.sub(1.0, t.mul(gamma, delta)),
                 t.mul(2.0, t.mul(gamma, delta)))
 
-    z = model.q.sample(noise.z_eps)
-    rho = _sample_initial_momentum(model, z, noise.rho_eps)
-    L = t.neg(t.add(model.q.log_pdf(z),
-                    _momentum_aug_logpdf(model, 1, z, rho)))
+    z, rho, L = reference_head(model, noise)
     for k in range(1, K):
         grad = bridge_score(t, z, k, K, model.q, target, model.schedule)
         shrink, var = constants()
@@ -784,7 +830,7 @@ def per_transition_em_reference(model, target, noise):
         L = t.add(L, t.sub(t.gaussian_logpdf(rho, bwd_mean, var), fwd))
         z, rho = z_new, rho_new
     return t.add(L, t.add(target.logp(t, z),
-                          _momentum_aug_logpdf(model, K, z, rho)))
+                          reference_aug_logpdf(model, K, z, rho)))
 
 
 class TestEMChain:

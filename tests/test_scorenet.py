@@ -7,9 +7,13 @@ from ldvi.scorenet import ScoreNet
 from ldvi.tape import Tape
 
 
+def lift_all(t, params):
+    return {k: t.lift(v, trainable=True, name=k) for k, v in params.items()}
+
+
 def apply_net(net, params, k, K, z, rho):
     t = Tape()
-    lifted = net.lift(t, params)
+    lifted = lift_all(t, params)
     return net.apply(t, lifted, k, K, t.lift(z), t.lift(rho)).value
 
 
@@ -69,11 +73,20 @@ class TestScoreNet:
         np.testing.assert_array_equal(apply_net(pos, params, 1, 4, z, r1),
                                       apply_net(pos, params, 1, 4, z, r2))
 
+    def test_position_only_needs_no_momentum(self):
+        net = ScoreNet(dim=2, hidden=8, position_only=True)
+        params = perturbed(net.init_params(seed=7))
+        z = np.array([[0.4, -0.2], [1.0, 0.5], [-0.3, 0.8]])
+        t = Tape()
+        out = net.apply(t, lift_all(t, params), 1, 4, t.lift(z), None).value
+        np.testing.assert_array_equal(
+            out, apply_net(net, params, 1, 4, z, np.ones_like(z)))
+
     def test_gradients_reach_every_parameter(self):
         net = ScoreNet(dim=2, hidden=6)
         params = perturbed(net.init_params(seed=8))
         t = Tape()
-        lifted = net.lift(t, params)
+        lifted = lift_all(t, params)
         rng = np.random.default_rng(9)
         out = net.apply(t, lifted, 2, 4, t.lift(rng.normal(size=(3, 2))),
                         t.lift(rng.normal(size=(3, 2))))
@@ -89,12 +102,12 @@ class TestScoreNet:
 
         def loss_at(ps):
             t = Tape()
-            lifted = net.lift(t, ps)
+            lifted = lift_all(t, ps)
             out = net.apply(t, lifted, 1, 4, t.lift(z), t.lift(rho))
             return float(t.sum(t.square(out)).value)
 
         t = Tape()
-        lifted = net.lift(t, params)
+        lifted = lift_all(t, params)
         out = net.apply(t, lifted, 1, 4, t.lift(z), t.lift(rho))
         grads = t.backward(t.sum(t.square(out)))
 
@@ -113,7 +126,7 @@ class TestScoreNet:
         net = ScoreNet(dim=2, hidden=4)
         params = perturbed(net.init_params(seed=12))
         t = Tape()
-        fn = net.make_score_fn(t, net.lift(t, params), num_steps=8)
+        fn = net.make_score_fn(t, lift_all(t, params), num_steps=8)
         rng = np.random.default_rng(13)
         z, rho = rng.normal(size=2), rng.normal(size=2)
         np.testing.assert_allclose(fn(3, t.lift(z), t.lift(rho)).value,

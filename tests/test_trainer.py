@@ -131,10 +131,17 @@ class TestTrain:
         ("grad_clip", 0.0), ("grad_clip", float("nan")), ("lr", 0.0),
         ("lr", -1e-2), ("pretrain_lr", float("nan")), ("pretrain_steps", -1),
         ("divergence_floor", float("nan")), ("toy_dim", 0),
-        ("score_hidden", 0), ("score_hidden", -3)])
+        ("score_hidden", 0), ("score_hidden", -3),
+        ("steps", 2.5), ("batch", 2.5), ("eval_samples", 10.5),
+        ("pretrain_steps", 1.5), ("steps", np.int64(2)), ("steps", True),
+        ("num_steps", np.int32(3)), ("seed", 1.0), ("seed", False),
+        ("seed", -1),
+        ("record_every", 5.0), ("toy_dim", np.int64(2)),
+        ("score_hidden", 4.0)])
     def test_plan_rejects_bad_value(self, field, value):
-        """Each value failed mid-run, trained nothing or descended the
-        bound before."""
+        """Each value failed mid-run, trained nothing, descended the bound
+        or wrote a record that is not JSON before. A count must be a plain
+        int: not a float, a bool or a numpy integer."""
         with pytest.raises(ValueError, match=field):
             toy_plan(**{field: value})
 
