@@ -57,7 +57,7 @@ class MeanFieldGaussian:
     def sample(self, eps: np.ndarray) -> Var:
         """Reparameterized draw mu + sigma * eps for standard-Normal noise."""
         t = self.tape
-        return t.add(self.mu, t.mul(self.sigma, t.constant(eps)))
+        return t.add(self.mu, t.mul(self.sigma, eps))
 
     def log_pdf(self, z: Var) -> Var:
         t = self.tape

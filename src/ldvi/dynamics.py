@@ -160,7 +160,7 @@ class MomentumKernel:
     def sample(self, mean: Var | None, eps: np.ndarray) -> Var:
         """mean + sqrt(var) eps for standard-Normal eps; a None mean is 0."""
         t = self.tape
-        noise = t.constant(eps)
+        noise = t.lift(eps)
         if isinstance(self.var, Var):
             if self.scale is None:
                 raise ValueError("a reverse kernel with a learned variance "

@@ -239,8 +239,16 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
                trainable: bool = True) -> LiftedModel:
     """Lift every entry of a flat parameter dict under its own name, in the
     dict's order, and assemble the method from them. Every parameter gets
-    adjoints unless trainable=False (pure evaluation).
+    adjoints unless trainable=False (pure evaluation) lifts them as
+    constants. q and the schedule must be shaped for `dim` and `num_steps`.
     """
+    shapes = {"q.mu": (dim,)}
+    if config.scheme != "plain":
+        shapes["schedule.weights"] = (num_steps,)
+    for key, shape in shapes.items():
+        if np.shape(params[key]) != shape:
+            raise ValueError(f"{key}: expected shape {shape}, "
+                             f"got {np.shape(params[key])}")
     lifted = {name: tape.lift(value, trainable=trainable, name=name)
               for name, value in params.items()}
     q = MeanFieldGaussian(tape, lifted["q.mu"], lifted["q.raw_scale"])
@@ -254,7 +262,7 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
         gamma = tape.softplus(lifted["raw_gamma"])
         refresh = MomentumKernel.euler_maruyama(tape, gamma, delta)
     else:
-        eta = (tape.constant(0.0) if config.forward == "full"
+        eta = (tape.lift(0.0) if config.forward == "full"
                else tape.sigmoid(lifted["raw_eta"]))
         refresh = MomentumKernel.exact_ou(tape, eta)
     net = config.score_net(dim)
@@ -326,6 +334,8 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     if noise.step_eps.shape[0] < K - 1:
         raise ValueError("noise bundle holds too few transition draws")
 
+    # Keyed by Var.index, which only operation results carry (a constant's
+    # is None); every position is q.sample's add or an integrator output.
     scores: dict[int, tuple[Var, Var]] = {}   # position index -> pair
 
     def grad_at(k: int):
@@ -388,11 +398,11 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     """Mean and standard error of n independent estimates (no gradients).
 
     The chains run `batch` at a time, each chunk on a fresh tape lifted with
-    trainable=False. No node then descends from a trainable leaf, so the
-    tape records none of them in full: every slot holds the shared
-    placeholder, with no value, parents or VJP, and each intermediate array
-    is freed as soon as the chain moves past it. A chunk's tape is freed by
-    reference counting when the next chunk replaces it.
+    trainable=False. Every parameter is then a constant, so the tape records
+    no operation in full: every slot holds the shared placeholder, with no
+    value, parents or VJP, and each intermediate array is freed as soon as
+    the chain moves past it. A chunk's tape is freed by reference counting
+    when the next chunk replaces it.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")

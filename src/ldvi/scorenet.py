@@ -75,6 +75,8 @@ class ScoreNet:
         if not self.position_only:
             return lambda k, z, rho: self.apply(tape, lifted, k, num_steps,
                                                 z, rho)
+        # Keyed by z.index: every position is an operation result, and only
+        # those carry an index (a constant's is None).
         built: dict[tuple[int, int], Var] = {}
 
         def score(k: int, z: Var, rho: Var | None) -> Var:

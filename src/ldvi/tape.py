@@ -15,29 +15,33 @@ and `softplus` serve both the tape operations of those names and fused nodes.
 The sigmoid has no select between its two branches: it divides exp(min(x, 0))
 by 1 + exp(-|x|), which gives the same float as either branch.
 
+A tape node is an operation or a trainable parameter (a leaf lifted with
+`trainable=True`, listed in `Tape.params`), so `len(tape.nodes)` counts
+operations and parameters. Every other value is a constant: a `Var` with no
+tape, no index and no slot, which `lift` makes of any value that is not
+trainable, including a number or array passed to an operation.
+
 The tape records only what backward can use. A node needs a gradient when it
-is a trainable leaf or when some parent needs one (`Var.needs_grad`); only
-such a node keeps its parents and its VJP on the tape. Any other node, such
-as a constant or an operation on constants only, still takes its index slot,
-so indices stay unique and `len(tape.nodes)` counts every operation, but the
-slot holds one shared placeholder with no value, parents or VJP. Its value
-lives only in the `Var` handed to the caller, so numpy frees it as soon as
-the caller drops that `Var`. Backward skips placeholders and sends no adjoint
-into a parent that needs none. A tape lifted with no trainable leaf (pure
+is a parameter or some parent needs one (`Var.needs_grad`); only such a node
+keeps its parents and VJP. Any other operation still takes its index slot,
+so indices stay unique, but the slot holds one shared placeholder with no
+value, parents or VJP; the value lives only in the caller's `Var`, so numpy
+frees it once the caller drops it. Backward skips placeholders and sends no
+adjoint into a parent that needs none. A tape with no parameter (pure
 evaluation) therefore holds no node value at all.
 
 A `Var` holds a weak reference to its tape (one `weakref.ref` per tape,
 shared by its nodes), so tape -> nodes -> tape is no reference cycle, and
 reference counting frees a tape with every array it holds as soon as the
 last strong reference to the tape goes. `Var.tape` raises `RuntimeError`
-once the tape has been freed.
+once the tape has been freed, and on a constant, which has none.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,11 +56,6 @@ class DomainError(ValueError):
         super().__init__(f"{opcode}: {detail}")
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -68,7 +67,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Var:
-    """Handle to a node on a tape.
+    """Handle to a node on a tape, or a constant (no tape and index None).
 
     `needs_grad` is true when the node is trainable or descends from a
     trainable node; only such nodes are recorded in full (see `Tape.push`).
@@ -89,6 +88,8 @@ class Var:
 
     @property
     def tape(self) -> "Tape":
+        if self._tape is None:
+            raise RuntimeError("a constant Var belongs to no tape")
         tape = self._tape()
         if tape is None:
             raise RuntimeError(f"the tape of Var #{self.index} has been freed; "
@@ -123,50 +124,47 @@ class Tape:
     # ------------------------------------------------------------------ leaves
 
     def lift(self, value, trainable: bool = False, name: str | None = None) -> Var:
-        """Bring a constant or trainable value onto the tape."""
-        arr = _as_array(value)
-        if not np.all(np.isfinite(arr)):
+        """A finite value as a constant (no slot), or, when trainable, as a
+        parameter: a node listed in `params`, whose adjoint `backward` returns
+        under `name`, which it must have."""
+        arr = np.asarray(value, dtype=np.float64)
+        if not (math.isfinite(value) if isinstance(value, (int, float))
+                else np.all(np.isfinite(arr))):
             raise DomainError("lift", f"non-finite input {arr!r}")
-        var = self.push(arr, (), None, trainable=trainable, name=name)
-        if trainable:
-            self.params.append(var)
+        if not trainable:
+            return Var(None, None, arr)
+        if name is None:
+            raise ValueError("a trainable lift needs a name")
+        var = Var(self._ref, len(self.nodes), arr, name=name, needs_grad=True)
+        self.nodes.append(var)
+        self.params.append(var)
         return var
 
-    def constant(self, value) -> Var:
-        return self.lift(value, trainable=False)
-
-    def push(self, value, parents, vjp, trainable=False, name=None) -> Var:
-        """Record a node: its value, its parent Vars and its VJP.
+    def push(self, value, parents, vjp) -> Var:
+        """Record an operation: its value, its parent Vars and its VJP.
 
         `vjp(adj)` maps the adjoint of `value` to one adjoint per parent, in
-        the order of `parents`; a leaf has no parents and `vjp=None`. Tape
-        methods and fused nodes defined outside this module (such as the
-        logistic-regression target's) are all recorded through here.
+        the order of `parents`; it may give None for a parent that needs no
+        gradient. Tape methods and fused nodes defined outside this module
+        (such as the logistic-regression target's) are all recorded here.
 
-        A node that is not trainable and has no parent needing a gradient is
-        not recorded: its slot gets the shared placeholder, and the returned
-        Var carries the value but neither the parents nor the VJP.
+        An operation none of whose parents needs a gradient is not recorded:
+        its slot gets the shared placeholder, and the returned Var carries
+        the value but neither the parents nor the VJP.
         """
         index = len(self.nodes)
-        if not trainable:
-            for parent in parents:
-                if parent.needs_grad:
-                    break
-            else:
-                self.nodes.append(_UNTRACKED)
-                return Var(self._ref, index, value, name=name)
-        var = Var(self._ref, index, value, parents, vjp, name, True)
+        for parent in parents:
+            if parent.needs_grad:
+                break
+        else:
+            self.nodes.append(_UNTRACKED)
+            return Var(self._ref, index, value)
+        var = Var(self._ref, index, value, parents, vjp, needs_grad=True)
         self.nodes.append(var)
         return var
 
     def _coerce(self, x) -> Var:
-        if isinstance(x, Var):
-            return x
-        if isinstance(x, (int, float)):
-            if not math.isfinite(x):
-                raise DomainError("lift", f"non-finite input {x!r}")
-            return self.push(np.asarray(x, dtype=np.float64), (), None)
-        return self.constant(x)
+        return x if isinstance(x, Var) else self.lift(x)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -284,7 +282,7 @@ class Tape:
     def affine(self, x, matrix) -> Var:
         """Constant linear map: x @ matrix.T, with `matrix` fixed."""
         x = self._coerce(x)
-        matrix = _as_array(matrix)
+        matrix = np.asarray(matrix, dtype=np.float64)
         value = x.value @ matrix.T
 
         def vjp(adj):
@@ -351,10 +349,11 @@ class Tape:
 
         `var` is a shared positive variance: a python float or a scalar Var.
         Returns sum_d [-0.5 log(2 pi var) - (x_d - mean_d)^2 / (2 var)] as one
-        node whose VJP gives the adjoints of `x`, `mean` and `var`. Operands
-        that are not Vars are constants and push no node of their own.
+        node whose VJP gives the adjoints of `x`, `mean` and `var`, each only
+        when that operand needs one.
         """
-        xv, mv, vv = (_operand_value(a) for a in (x, mean, var))
+        x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
+        xv, mv, vv = x.value, mean.value, var.value
         if np.any(vv <= 0.0):
             raise DomainError("gaussian_logpdf",
                               f"non-positive variance {vv!r}")
@@ -363,31 +362,27 @@ class Tape:
         quad = (diff * diff).sum(axis=-1)
         two_var = 2.0 * vv
         value = -((0.5 * d) * np.log((2.0 * np.pi) * vv) + quad / two_var)
-        parents = tuple(a for a in (x, mean, var) if isinstance(a, Var))
 
         def vjp(adj):
             # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - d / (2 var)
             r = (adj / vv)[..., None] * diff
-            grads = []
-            if isinstance(x, Var):
-                grads.append(_unbroadcast(-r, xv.shape))
-            if isinstance(mean, Var):
-                grads.append(_unbroadcast(r, mv.shape))
-            if isinstance(var, Var):
-                grads.append(_unbroadcast(
-                    adj * (quad / (two_var * vv) - (0.5 * d) / vv), vv.shape))
-            return grads
+            return (
+                _unbroadcast(-r, xv.shape) if x.needs_grad else None,
+                _unbroadcast(r, mv.shape) if mean.needs_grad else None,
+                _unbroadcast(adj * (quad / (two_var * vv) - (0.5 * d) / vv),
+                             vv.shape) if var.needs_grad else None)
 
-        return self.push(value, parents, vjp)
+        return self.push(value, (x, mean, var), vjp)
 
     # ---------------------------------------------------------------- backward
 
     def backward(self, loss: Var) -> dict[str, np.ndarray]:
-        """Reverse sweep from a scalar loss; returns adjoints per parameter slot.
-
-        Parameter slots are keyed by their lift name (or ``param{i}`` when
-        unnamed). The sweep leaves the tape unchanged, so it may be repeated.
+        """Reverse sweep from a scalar loss; returns adjoints per parameter,
+        keyed by its lift name. The sweep leaves the tape unchanged, so it
+        may be repeated.
         """
+        if loss.index is None:
+            raise ValueError("loss is a constant; it depends on no parameter")
         if loss.tape is not self:
             raise ValueError("loss lives on a different tape")
         if loss.value.ndim != 0:
@@ -410,27 +405,13 @@ class Tape:
                 else:
                     grads[parent.index] = grads[parent.index] + g
 
-        out: dict[str, np.ndarray] = {}
-        for i, p in enumerate(self.params):
-            key = p.name if p.name is not None else f"param{i}"
-            g = grads[p.index]
-            out[key] = np.zeros(p.shape) if g is None else np.asarray(g)
-        return out
+        return {p.name: np.zeros(p.shape) if grads[p.index] is None
+                else np.asarray(grads[p.index]) for p in self.params}
 
 
-# Holds the slot of every node that is not recorded (see `Tape.push`). It has
-# no index, value or shape; its repr is "Var(untracked)".
-_UNTRACKED = Var(lambda: None, None, None)
-
-
-def _operand_value(a) -> np.ndarray:
-    """Value of a Var, or a finite constant lifted without a tape node."""
-    if isinstance(a, Var):
-        return a.value
-    arr = _as_array(a)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("lift", f"non-finite input {arr!r}")
-    return arr
+# Holds the slot of every operation that is not recorded (see `Tape.push`).
+# It has no tape, index, value or shape; its repr is "Var(untracked)".
+_UNTRACKED = Var(None, None, None)
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None,

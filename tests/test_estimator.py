@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
                             lift_model, method_names, plain_vi_elbo)
 from ldvi.scorenet import ScoreNet
 from ldvi.tape import DomainError, Tape
-from ldvi.targets import (TargetModel, brownian_motion_target,
-                          gaussian_toy_target)
+from ldvi.targets import (Dataset, TargetModel, brownian_motion_target,
+                          default_data_dir, gaussian_toy_target, get_target,
+                          load_binary_classification_csv,
+                          logistic_regression_target)
 
 def softplus(x):
     return np.logaddexp(0.0, x)
@@ -452,6 +455,20 @@ class TestBruteForceOracle:
         assert abs(float(est.value.value) - ref) < 1e-8
 
 
+def sonar_head(rows=20):
+    """Logistic regression on the first `rows` rows of the sonar data."""
+    data = load_binary_classification_csv(default_data_dir() / "sonar.csv",
+                                          "M")
+    return logistic_regression_target(
+        Dataset(data.features[:rows], data.labels[:rows]), "sonar-head")
+
+
+FD_TARGETS = {
+    "toy": lambda: gaussian_toy_target(2, mean=0.4, cov_diag=0.8),
+    "brownian": brownian_motion_target,
+    "sonar20": sonar_head,
+}
+
 # parameter key -> group; every other key belongs to the score net
 GROUP_OF = {"q.mu": "q", "q.raw_scale": "q", "schedule.weights": "beta",
             "raw_delta": "delta", "raw_gamma": "gamma", "raw_eta": "eta"}
@@ -477,11 +494,15 @@ class TestGradients:
                 else:
                     assert key not in grads, (name, key)
 
-    def test_finite_differences_full_method(self):
-        """Pathwise gradient of the mean bound vs central differences."""
-        cfg = dataclasses.replace(get_method("ldvi"), score_hidden=4)
-        dim, K = 2, 3
-        target = gaussian_toy_target(dim, mean=0.4, cov_diag=0.8)
+    @pytest.mark.parametrize("target_name", list(FD_TARGETS))
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_finite_differences_full_method(self, name, target_name):
+        """Pathwise gradient of the mean bound vs central differences, through
+        the fused VJPs of the target's score and likelihood and of every
+        momentum density."""
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
+        target = FD_TARGETS[target_name]()
+        dim, K = target.dim, 3
         rng = np.random.default_rng(31)
         params = random_params(cfg, dim, K, rng, score_scale=0.2)
         noise = NoiseBundle.draw(4, 0, 3, dim, K)
@@ -595,6 +616,30 @@ class TestErrors:
             estimate_elbo(model, target, noise)
 
 
+class TestParamShapes:
+    """lift_model rejects parameters shaped for another dimension or K."""
+
+    @pytest.mark.parametrize("name", ["plainvi", "ula"])
+    def test_wrong_dimension(self, name):
+        cfg = get_method(name)
+        params = init_params(cfg, 1, 8)
+        with pytest.raises(ValueError, match=re.escape(
+                "q.mu: expected shape (32,), got (1,)")):
+            evaluate_elbo_mean(cfg, params, get_target("brownian"), 8, 64, 0,
+                               batch=32)
+
+    @pytest.mark.parametrize("K", [4, 12])
+    def test_wrong_num_steps(self, K):
+        cfg = get_method("ula")
+        params = init_params(cfg, 32, 8)
+        with pytest.raises(ValueError, match=re.escape(
+                f"schedule.weights: expected shape ({K},), got (8,)")):
+            evaluate_elbo_mean(cfg, params, get_target("brownian"), K, 64, 0,
+                               batch=32)
+        with pytest.raises(ValueError, match="schedule.weights"):
+            lift_model(Tape(), cfg, params, 32, K)
+
+
 class TestBatching:
     def test_batched_matches_per_chain(self):
         rng = np.random.default_rng(40)
@@ -681,7 +726,7 @@ def reference_head(model, noise):
     """(z_1, rho_1, -log q(z_1) - log of the augmentation at rho_1)."""
     t = model.tape
     z = model.q.sample(noise.z_eps)
-    rho = t.constant(noise.rho_eps)
+    rho = t.lift(noise.rho_eps)
     if model.config.backward == "mcd":
         rho = t.add(reference_aug_mean(model, 1, z), rho)
     return z, rho, t.neg(t.add(model.q.log_pdf(z),
@@ -707,7 +752,7 @@ def per_call_reference(model, target, noise):
 
     z, rho, L = reference_head(model, noise)
     if c.forward != "em":
-        shrink = (t.constant(0.0) if c.forward == "full"
+        shrink = (t.lift(0.0) if c.forward == "full"
                   else t.sigmoid(leaves(model)["raw_eta"]))
         var = t.sub(1.0, t.square(shrink))
     else:
@@ -716,7 +761,7 @@ def per_call_reference(model, target, noise):
     for k in range(1, K):
         grad = grad_at(k)
         rho_p = t.add(t.mul(shrink, rho),
-                      t.mul(t.sqrt(var), t.constant(noise.step_eps[k - 1])))
+                      t.mul(t.sqrt(var), t.lift(noise.step_eps[k - 1])))
         half = t.mul(0.5, delta)
         rho_half = t.add(rho_p, t.mul(half, grad(z)))
         z_new = t.add(z, t.mul(delta, rho_half))
@@ -819,7 +864,7 @@ def per_transition_em_reference(model, target, noise):
         shrink, var = constants()
         mean = t.add(t.mul(shrink, rho), t.mul(delta, grad))
         rho_new = t.add(mean, t.mul(t.sqrt(var),
-                                    t.constant(noise.step_eps[k - 1])))
+                                    t.lift(noise.step_eps[k - 1])))
         z_new = t.add(z, t.mul(delta, rho_new))
         shrink, var = constants()
         fwd = t.gaussian_logpdf(

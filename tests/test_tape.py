@@ -54,6 +54,10 @@ class TestLift:
         with pytest.raises(DomainError):
             t.lift([1.0, np.nan])
 
+    def test_trainable_lift_needs_a_name(self):
+        with pytest.raises(ValueError, match="name"):
+            Tape().lift(1.0, trainable=True)
+
 
 class TestApply:
     def test_exp_at_zero(self):
@@ -291,9 +295,14 @@ class TestGaussianLogpdf:
 class TestBackward:
     def test_vector_loss_rejected(self):
         t = Tape()
-        v = t.lift([1.0, 2.0])
+        v = t.exp(t.lift([1.0, 2.0], trainable=True, name="v"))
         with pytest.raises(DomainError):
             t.backward(v)
+
+    def test_constant_loss_rejected(self):
+        t = Tape()
+        with pytest.raises(ValueError, match="constant"):
+            t.backward(t.lift(2.0))
 
     def test_fanout_accumulation(self):
         # y = x*x + 3x uses x three times; closed form dy/dx = 2x + 3
@@ -447,25 +456,39 @@ class TestTracking:
         b = t.exp(t.mul(a, 3.0))
         assert not b.needs_grad
         np.testing.assert_array_equal(b.value, np.exp([3.0, 6.0]))
-        assert len({v.index for v in (a, b)}) == 2
-        assert len(t.nodes) == 4        # a, the lifted 3.0, the mul, b
+        assert a.index is None and b.index == 1
+        assert len(t.nodes) == 2        # the mul and b; constants take none
         slot = t.nodes[b.index]
-        assert slot is not b and slot is t.nodes[a.index]
+        assert slot is not b and slot is t.nodes[0]
         assert slot.value is None and slot.parents == () and slot.vjp is None
         assert b.parents == () and b.vjp is None
-        assert repr(t.nodes) == "[" + ", ".join(["Var(untracked)"] * 4) + "]"
+        assert repr(t.nodes) == "[Var(untracked), Var(untracked)]"
+
+    def test_constant_operand_takes_no_slot(self):
+        t = Tape()
+        x = t.lift([1.0, -2.0], trainable=True, name="x")
+        before = len(t.nodes)
+        y = t.mul(x, 2.0)
+        assert len(t.nodes) == before + 1 and t.nodes[-1] is y
+        assert y.parents[1].index is None and not y.parents[1].needs_grad
+
+    def test_constant_has_no_tape(self):
+        t = Tape()
+        c = t.lift(1.0)
+        with pytest.raises(RuntimeError, match="constant"):
+            c.tape
 
     def test_op_with_trainable_ancestor_is_recorded(self):
         t = Tape()
         x = t.lift(1.5, trainable=True, name="x")
-        c = t.constant(2.0)
+        c = t.lift(2.0)
         y = t.mul(t.exp(x), c)
         assert y.needs_grad and t.nodes[y.index] is y
         assert y.vjp is not None and y.parents[1] is c
         assert t.backward(y)["x"] == pytest.approx(2.0 * np.exp(1.5))
 
     def test_var_outliving_its_tape_raises(self):
-        v = Tape().lift(1.0)
+        v = Tape().lift(1.0, trainable=True, name="v")
         assert v.value == 1.0
         with pytest.raises(RuntimeError, match="freed"):
             v.tape
