@@ -12,10 +12,11 @@ interior step, and uses log q and log p themselves at the chain's endpoints.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
-from ldvi.tape import Tape, Var
+from ldvi.tape import Tape, Var, _unbroadcast
 
 __all__ = ["MeanFieldGaussian", "AnnealingSchedule", "inverse_softplus"]
 
@@ -65,9 +66,25 @@ class MeanFieldGaussian:
         per_dim = t.add(t.log(self.sigma), t.mul(0.5, t.square(diff)))
         return t.neg(t.add(t.sum(per_dim), 0.5 * self.dim * LOG_2PI))
 
+    @cached_property
+    def var(self) -> Var:
+        """sigma^2, built on first use and shared by every `score` call."""
+        return self.tape.square(self.sigma)
+
     def score(self, z: Var) -> Var:
-        t = self.tape
-        return t.div(t.sub(self.mu, z), t.square(self.sigma))
+        """(mu - z) / sigma^2 as one node: the value of
+        `div(sub(mu, z), var)`."""
+        mu, var = self.mu, self.var
+        value = (mu.value - z.value) / var.value
+
+        def vjp(adj):
+            r = adj / var.value
+            return (_unbroadcast(r, mu.shape) if mu.needs_grad else None,
+                    _unbroadcast(-r, z.shape) if z.needs_grad else None,
+                    _unbroadcast(-adj * value / var.value, var.shape)
+                    if var.needs_grad else None)
+
+        return self.tape.push(value, (mu, z, var), vjp)
 
 
 class AnnealingSchedule:

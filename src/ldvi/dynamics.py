@@ -15,19 +15,22 @@ with
     mean = shrink rho (+ drift going forward, - drift in reverse)
            + coef s(k, z, rho),
 
-where s is the learned score. The exact Ornstein-Uhlenbeck refresh has
-shrink eta and variance 1 - eta^2, the Euler-Maruyama refresh shrink
-1 - gamma delta and variance 2 gamma delta. A reverse kernel shares its
-forward kernel's shrink and variance nodes, and LDVI's adds var s. MCD's
-has no shrink, variance 1 and coef 2, whatever the refresh. The endpoint
-momentum augmentation is a kernel too: N(0, I), or for MCD its reverse
-kernel N(2 s(k, z), I), which draws the initial momentum and scores both
-endpoints.
+where s is the learned score. The full refresh (ULA, MCD) is the unit
+kernel N(0, I): no shrink and no mean, so rho' is the noise itself. The
+exact Ornstein-Uhlenbeck refresh has shrink eta and variance 1 - eta^2,
+the Euler-Maruyama refresh shrink 1 - gamma delta and variance
+2 gamma delta. A reverse kernel shares its forward kernel's shrink and
+variance nodes, and LDVI's adds var s. MCD's has no shrink, variance 1 and
+coef 2, whatever the refresh. The endpoint momentum augmentation is a
+kernel too: N(0, I), or for MCD its reverse kernel N(2 s(k, z), I), which
+draws the initial momentum and scores both endpoints.
 
 All kernel parameters (step size delta, friction gamma, momentum retention
 eta) are scalar tape Vars, so gradients flow through every density. The
 kernels are built once per lift, so their shrink, variance and noise scale
-sqrt(var) are tape nodes shared by every transition.
+sqrt(var) are tape nodes shared by every transition. Each multiply-add of
+the chain (a leapfrog update, a forward mean shrink rho + drift, a draw
+scale eps + mean, a score correction) is one `Tape.muladd` node.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ def leapfrog(t: Tape, z: Var, rho: Var, delta: Var,
              grad_fn: Callable[[Var], Var]) -> tuple[Var, Var]:
     """One leapfrog step of H(z, rho) = -log pi(z) + |rho|^2 / 2."""
     half = t.mul(0.5, delta)
-    rho_half = t.add(rho, t.mul(half, grad_fn(z)))
-    z_new = t.add(z, t.mul(delta, rho_half))
-    rho_new = t.add(rho_half, t.mul(half, grad_fn(z_new)))
+    rho_half = t.muladd(half, grad_fn(z), rho)
+    z_new = t.muladd(delta, rho_half, z)
+    rho_new = t.muladd(half, grad_fn(z_new), rho_half)
     return z_new, rho_new
 
 
@@ -69,8 +72,9 @@ class MomentumKernel:
 
     mean = shrink rho, plus the drift (added by a forward kernel, subtracted
     by a reverse one), plus coef s(k, z, rho) when the kernel has a score.
-    Build a forward kernel with `exact_ou` or `euler_maruyama`, and its
-    reverse with `reverse`, or MCD's with `mcd_reverse`; `unit` is N(0, I).
+    Build a forward kernel with `unit` (N(0, I), the full refresh),
+    `exact_ou` or `euler_maruyama`, and its reverse with `reverse`, or
+    MCD's with `mcd_reverse`.
     `var` is a scalar Var, or 1.0 for a unit-variance kernel. A forward
     kernel builds the noise scale sqrt(var) once; a unit-variance kernel
     needs none, and a reverse kernel with a learned variance is never
@@ -93,9 +97,10 @@ class MomentumKernel:
     def exact_ou(cls, tape: Tape, eta: Var) -> "MomentumKernel":
         """Exact Ornstein-Uhlenbeck refresh N(eta rho, (1 - eta^2) I).
 
-        eta = exp(-gamma delta) is the momentum retention over one step;
-        eta = 0 is a complete refresh, eta -> 1 degenerates (zero variance)
-        and is rejected.
+        eta = exp(-gamma delta) is the momentum retention over one step,
+        learned by UHA. eta -> 1 degenerates (zero variance) and is
+        rejected. The full refresh of ULA and MCD is not this kernel at
+        eta = 0 but `unit`, which draws the noise itself.
         """
         _check_scalar("exact_ou", eta)
         if not 0.0 <= float(eta.value) < 1.0:
@@ -141,32 +146,39 @@ class MomentumKernel:
 
     @classmethod
     def unit(cls, tape: Tape) -> "MomentumKernel":
-        """N(0, I), the endpoint momentum augmentation of every method but
-        MCD. Its mean is None and its sample is the noise itself."""
+        """N(0, I): the full refresh of ULA and MCD, and the endpoint
+        momentum augmentation of every method but MCD. Its mean is None and
+        its sample is the noise itself."""
         return cls(tape, None, 1.0, forward=True)
 
     def mean(self, rho: Var | None, z: Var | None = None, k: int | None = None,
              drift: Var | None = None) -> Var | None:
         """Mean at momentum rho, position z and transition k; None if 0."""
         t = self.tape
-        mean = None if self.shrink is None else t.mul(self.shrink, rho)
-        if drift is not None:
-            mean = t.add(mean, drift) if self.forward else t.sub(mean, drift)
+        if self.shrink is None:
+            mean = None
+        elif drift is not None and self.forward:
+            mean = t.muladd(self.shrink, rho, drift)
+        else:
+            mean = t.mul(self.shrink, rho)
+            if drift is not None:
+                mean = t.sub(mean, drift)
         if self.score_fn is not None:
-            correction = t.mul(self.coef, self.score_fn(k, z, rho))
-            mean = correction if mean is None else t.add(mean, correction)
+            s = self.score_fn(k, z, rho)
+            mean = (t.mul(self.coef, s) if mean is None
+                    else t.muladd(self.coef, s, mean))
         return mean
 
     def sample(self, mean: Var | None, eps: np.ndarray) -> Var:
         """mean + sqrt(var) eps for standard-Normal eps; a None mean is 0."""
         t = self.tape
-        noise = t.lift(eps)
-        if isinstance(self.var, Var):
-            if self.scale is None:
-                raise ValueError("a reverse kernel with a learned variance "
-                                 "is never sampled")
-            noise = t.mul(self.scale, noise)
-        return noise if mean is None else t.add(mean, noise)
+        if not isinstance(self.var, Var):
+            return t.lift(eps) if mean is None else t.add(mean, eps)
+        if self.scale is None:
+            raise ValueError("a reverse kernel with a learned variance "
+                             "is never sampled")
+        return (t.mul(self.scale, eps) if mean is None
+                else t.muladd(self.scale, eps, mean))
 
     def log_pdf(self, x: Var, mean: Var | None) -> Var:
         return self.tape.gaussian_logpdf(x, 0.0 if mean is None else mean,

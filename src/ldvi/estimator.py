@@ -27,6 +27,7 @@ in `estimate_elbo` then only runs those parts and reads no kernel choice.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,11 @@ class MethodConfig:
     scheme: "plain" (no chain), "leapfrog" (momentum refresh, then one
         leapfrog step) or "em" (Euler-Maruyama refresh carrying the drift,
         then the position update z + delta rho').
-    forward: the momentum refresh. Under "leapfrog" it is "full" (exact OU
-        with eta = 0, a complete refresh), "ou" (exact OU with a learned
-        momentum retention eta) or "em" (Euler-Maruyama with a learned
-        friction gamma). It is always "em" under "em", "none" under "plain".
+    forward: the momentum refresh. Under "leapfrog" it is "full" (a
+        complete refresh: the unit kernel N(0, I), which draws the noise
+        itself), "ou" (exact OU with a learned momentum retention eta) or
+        "em" (Euler-Maruyama with a learned friction gamma). It is always
+        "em" under "em", "none" under "plain".
     backward: the reverse kernel. "exact" is the refresh's own reversal,
         "score" that reversal plus var s(k, z, rho') from a score network,
         and "mcd" (leapfrog only) is N(2 s(k, z), I) with a position-only
@@ -261,10 +263,11 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
     if config.forward == "em":
         gamma = tape.softplus(lifted["raw_gamma"])
         refresh = MomentumKernel.euler_maruyama(tape, gamma, delta)
+    elif config.forward == "ou":
+        refresh = MomentumKernel.exact_ou(tape,
+                                          tape.sigmoid(lifted["raw_eta"]))
     else:
-        eta = (tape.lift(0.0) if config.forward == "full"
-               else tape.sigmoid(lifted["raw_eta"]))
-        refresh = MomentumKernel.exact_ou(tape, eta)
+        refresh = MomentumKernel.unit(tape)
     net = config.score_net(dim)
     score_fn = None if net is None else net.make_score_fn(tape, lifted,
                                                            num_steps)
@@ -341,14 +344,13 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     def grad_at(k: int):
         """Score of the interior bridge pi_k, for 1 <= k < K."""
         beta = model.schedule.beta(k)
-        keep = t.sub(1.0, beta)
 
         def grad(zz: Var) -> Var:
             pair = scores.get(zz.index)
             if pair is None:
                 pair = scores[zz.index] = (model.q.score(zz),
                                            target.score(t, zz))
-            return t.add(t.mul(keep, pair[0]), t.mul(beta, pair[1]))
+            return t.lerp(beta, pair[0], pair[1])
 
         return grad
 
@@ -367,7 +369,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
         mean = fwd.mean(rho, z, k, drift)
         rho_prime = fwd.sample(mean, noise.step_eps[k - 1])
         if em:
-            z_new, rho_new = t.add(z, t.mul(model.delta, rho_prime)), rho_prime
+            z_new, rho_new = t.muladd(model.delta, rho_prime, z), rho_prime
         else:
             z_new, rho_new = leapfrog(t, z, rho_prime, model.delta, grad)
         ratio = t.sub(bwd.log_pdf(rho, bwd.mean(rho_prime, z, k, drift)),
@@ -404,6 +406,12 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     the chain moves past it. A chunk's tape is freed by reference counting
     when the next chunk replaces it.
     """
+    for name, value in (("n_samples", n_samples), ("batch", batch)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") \
+                from None
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     if batch < 1:

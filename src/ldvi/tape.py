@@ -10,8 +10,10 @@ built analytically rather than by nesting backward passes). Composites such as
 `Tape.gaussian_logpdf` are single nodes with hand-written VJPs: their forward
 value repeats the numpy operations of the primal chain they replace, in the
 same order, so values match it bit for bit while the tape holds one node.
-`Tape.push` records such a node from any module; the array kernels `sigmoid`
-and `softplus` serve both the tape operations of those names and fused nodes.
+The chain's own fused nodes are `Tape.muladd` (a * x + y), `Tape.lerp`
+((1 - w) x + w y) and `MeanFieldGaussian.score`. `Tape.push` records such
+a node from any module; the array kernels `sigmoid` and `softplus` serve
+both the tape operations of those names and fused nodes.
 The sigmoid has no select between its two branches: it divides exp(min(x, 0))
 by 1 + exp(-|x|), which gives the same float as either branch.
 
@@ -35,6 +37,12 @@ shared by its nodes), so tape -> nodes -> tape is no reference cycle, and
 reference counting frees a tape with every array it holds as soon as the
 last strong reference to the tape goes. `Var.tape` raises `RuntimeError`
 once the tape has been freed, and on a constant, which has none.
+
+No VJP writes into an array in place, neither an adjoint it is given nor
+one it returns. So `backward` stores a parent's first adjoint as it comes,
+even when it aliases the child's adjoint or another parent's, and adds
+later ones into a new array; it copies each parameter's adjoint once when
+it returns, so the caller gets writable arrays that share no memory.
 """
 
 from __future__ import annotations
@@ -58,6 +66,8 @@ class DomainError(ValueError):
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -173,7 +183,8 @@ class Tape:
         value = a.value + b.value
 
         def vjp(adj):
-            return _unbroadcast(adj, a.shape), _unbroadcast(adj, b.shape)
+            return (_unbroadcast(adj, a.shape) if a.needs_grad else None,
+                    _unbroadcast(adj, b.shape) if b.needs_grad else None)
 
         return self.push(value, (a, b), vjp)
 
@@ -182,7 +193,8 @@ class Tape:
         value = a.value - b.value
 
         def vjp(adj):
-            return _unbroadcast(adj, a.shape), _unbroadcast(-adj, b.shape)
+            return (_unbroadcast(adj, a.shape) if a.needs_grad else None,
+                    _unbroadcast(-adj, b.shape) if b.needs_grad else None)
 
         return self.push(value, (a, b), vjp)
 
@@ -191,10 +203,43 @@ class Tape:
         value = a.value * b.value
 
         def vjp(adj):
-            return (_unbroadcast(adj * b.value, a.shape),
-                    _unbroadcast(adj * a.value, b.shape))
+            return (_unbroadcast(adj * b.value, a.shape) if a.needs_grad
+                    else None,
+                    _unbroadcast(adj * a.value, b.shape) if b.needs_grad
+                    else None)
 
         return self.push(value, (a, b), vjp)
+
+    def muladd(self, a, x, y) -> Var:
+        """a * x + y as one node: the value of `add(mul(a, x), y)`."""
+        a, x, y = self._coerce(a), self._coerce(x), self._coerce(y)
+        value = a.value * x.value + y.value
+
+        def vjp(adj):
+            return (_unbroadcast(adj * x.value, a.shape) if a.needs_grad
+                    else None,
+                    _unbroadcast(adj * a.value, x.shape) if x.needs_grad
+                    else None,
+                    _unbroadcast(adj, y.shape) if y.needs_grad else None)
+
+        return self.push(value, (a, x, y), vjp)
+
+    def lerp(self, w, x, y) -> Var:
+        """(1 - w) x + w y as one node: the value of
+        `add(mul(sub(1.0, w), x), mul(w, y))`."""
+        w, x, y = self._coerce(w), self._coerce(x), self._coerce(y)
+        keep = 1.0 - w.value
+        value = keep * x.value + w.value * y.value
+
+        def vjp(adj):
+            return (_unbroadcast(adj * (y.value - x.value), w.shape)
+                    if w.needs_grad else None,
+                    _unbroadcast(adj * keep, x.shape) if x.needs_grad
+                    else None,
+                    _unbroadcast(adj * w.value, y.shape) if y.needs_grad
+                    else None)
+
+        return self.push(value, (w, x, y), vjp)
 
     def div(self, a, b) -> Var:
         a, b = self._coerce(a), self._coerce(b)
@@ -400,13 +445,16 @@ class Tape:
             for parent, g in zip(node.parents, node.vjp(adj)):
                 if not parent.needs_grad:
                     continue
+                # no VJP writes in place (see the module docstring), so a
+                # first adjoint is stored uncopied
                 if grads[parent.index] is None:
-                    grads[parent.index] = np.asarray(g, dtype=np.float64).copy()
+                    grads[parent.index] = g
                 else:
                     grads[parent.index] = grads[parent.index] + g
 
         return {p.name: np.zeros(p.shape) if grads[p.index] is None
-                else np.asarray(grads[p.index]) for p in self.params}
+                else np.array(grads[p.index], dtype=np.float64)
+                for p in self.params}
 
 
 # Holds the slot of every operation that is not recorded (see `Tape.push`).

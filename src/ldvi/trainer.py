@@ -79,10 +79,24 @@ def adam_step(state: AdamState, params: dict, grads: dict,
 
 
 def global_grad_norm(grads: dict) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.square(g)))
-    return float(np.sqrt(total))
+    """2-norm of all gradient entries together.
+
+    The squares of entries near 1.3e154 or more overflow, so when the plain
+    sum does, the norm is recomputed from the entries scaled by the largest
+    absolute one; it is then inf only if the norm itself is.
+    """
+    with np.errstate(over="ignore"):
+        total = 0.0
+        for g in grads.values():
+            total += float(np.sum(np.square(g)))
+    if not math.isinf(total):
+        return float(np.sqrt(total))
+    peak = max(float(np.max(np.abs(g))) for g in grads.values() if np.size(g))
+    if math.isinf(peak):
+        return peak
+    scaled = sum(float(np.sum(np.square(np.asarray(g) / peak)))
+                 for g in grads.values())
+    return peak * math.sqrt(scaled)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, bool]:

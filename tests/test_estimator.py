@@ -16,7 +16,7 @@ from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
                             evaluate_elbo_mean, get_method, init_params,
                             lift_model, method_names, plain_vi_elbo)
 from ldvi.scorenet import ScoreNet
-from ldvi.tape import DomainError, Tape
+from ldvi.tape import DomainError, Tape, Var
 from ldvi.targets import (Dataset, TargetModel, brownian_motion_target,
                           default_data_dir, gaussian_toy_target, get_target,
                           load_binary_classification_csv,
@@ -186,6 +186,21 @@ class TestPerfectBase:
         with pytest.raises(ValueError, match="batch"):
             evaluate_elbo_mean(cfg, params, target, 4, n_samples=4, seed=0,
                                batch=0)
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("n_samples", dict(n_samples=10.5)),
+        ("n_samples", dict(n_samples="8")),
+        ("batch", dict(n_samples=8, batch=2.5)),
+        ("batch", dict(n_samples=8, batch=None))])
+    def test_evaluate_elbo_mean_rejects_non_integers(self, name, kwargs):
+        target = gaussian_toy_target(2)
+        cfg = get_method("ula")
+        params = init_params(cfg, 2, 4)
+        with pytest.raises(ValueError, match=name):
+            evaluate_elbo_mean(cfg, params, target, 4, seed=0, **kwargs)
+        # numpy integers are integers
+        evaluate_elbo_mean(cfg, params, target, 4, n_samples=np.int64(4),
+                           seed=0, batch=np.int32(2))
 
 
 class TestUnbiasedness:
@@ -841,6 +856,57 @@ class TestScoreReuse:
             np.testing.assert_allclose(grads[key], want, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(want)),
                                        err_msg=key)
+
+
+# len(tape.nodes) of one K=8 sonar estimate on a training tape
+SONAR_NODE_CEILINGS = {"plainvi": 18, "ula": 124, "mcd": 222, "uha": 150,
+                       "ldvi": 236, "uha_em": 135, "ldvi_em": 220}
+
+
+class TestTapeSize:
+    """What one estimate records: a ceiling on its nodes per method, and no
+    multiplication by a constant 0 or 1 in the full refresh."""
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_sonar_node_ceiling(self, name):
+        target, K = get_target("sonar"), 8
+        cfg = get_method(name)
+        t = Tape()
+        model = lift_model(t, cfg, init_params(cfg, target.dim, K),
+                           target.dim, K)
+        estimate_elbo(model, target, NoiseBundle.draw(0, 0, 2, target.dim, K))
+        assert len(t.nodes) <= SONAR_NODE_CEILINGS[name]
+
+    @pytest.mark.parametrize("name", ["ula", "mcd"])
+    def test_full_refresh_multiplies_by_no_constant_zero_or_one(
+            self, name, monkeypatch):
+        operands = []
+        for op in ("mul", "muladd"):
+            def spy(self, *args, _op=getattr(Tape, op)):
+                operands.extend(args)
+                return _op(self, *args)
+            monkeypatch.setattr(Tape, op, spy)
+        K = 8
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
+        run_estimate(cfg, init_params(cfg, 3, K), gaussian_toy_target(3), K,
+                     NoiseBundle.draw(0, 0, 4, 3, K))
+        assert operands
+        for a in operands:
+            if isinstance(a, Var) and a.needs_grad:
+                continue
+            value = a.value if isinstance(a, Var) else np.asarray(a)
+            assert not (np.ndim(value) == 0 and float(value) in (0.0, 1.0))
+
+    def test_full_refresh_draws_the_noise_itself(self):
+        K = 4
+        cfg = get_method("ula")
+        t = Tape()
+        model = lift_model(t, cfg, init_params(cfg, 3, K), 3, K)
+        eps = np.random.default_rng(2).normal(size=(4, 3))
+        rho = t.lift(np.ones((4, 3)), trainable=True, name="rho")
+        refresh = model.refresh
+        assert refresh.mean(rho, None, 1) is None
+        np.testing.assert_array_equal(refresh.sample(None, eps).value, eps)
 
 
 def per_transition_em_reference(model, target, noise):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ldvi import estimator, trainer
+from ldvi.annealing import MeanFieldGaussian
 from ldvi.estimator import (NoiseBundle, estimate_elbo, get_method,
                             init_params, lift_model, method_names)
 from ldvi.tape import Tape, DomainError, sigmoid, softplus
@@ -155,6 +156,127 @@ class TestFiniteDifferenceSweep:
             ref_x = fd_grad(lambda z: f(s, z), x)
             assert abs(grads["s"] - ref_s) / abs(ref_s) < 1e-6
             np.testing.assert_allclose(grads["x"], ref_x, rtol=1e-6, atol=1e-9)
+
+
+# fused node -> (its numpy formula, its primitive tape chain)
+FUSED = {
+    "muladd": (lambda a, x, y: a * x + y,
+               lambda t, a, x, y: t.add(t.mul(a, x), y)),
+    "lerp": (lambda w, x, y: (1.0 - w) * x + w * y,
+             lambda t, w, x, y: t.add(t.mul(t.sub(1.0, w), x), t.mul(w, y))),
+}
+# operand shapes (a or w, x, y): a scalar and a vector broadcast against
+# (B, D), and an addend broadcast along the batch
+FUSED_SHAPES = [((), (4, 3), (4, 3)), ((3,), (4, 3), (4, 3)),
+                ((4, 3), (4, 3), (3,))]
+
+
+def _fused_operands(rng, shapes):
+    return [rng.uniform(0.2, 0.8, size=s) if i == 0 else rng.normal(size=s)
+            for i, s in enumerate(shapes)]
+
+
+class TestFusedNodes:
+    """muladd, lerp and q.score: one node each, the primitive chain's value
+    bit for bit, gradients that match central differences, and no adjoint
+    for an operand that needs none."""
+
+    @pytest.mark.parametrize("shapes", FUSED_SHAPES)
+    @pytest.mark.parametrize("op", sorted(FUSED))
+    def test_matches_finite_differences(self, op, shapes):
+        rng = np.random.default_rng(13)
+        formula, _ = FUSED[op]
+        vals = _fused_operands(rng, shapes)
+        weights = rng.normal(size=(4, 3))
+        t = Tape()
+        args = [t.lift(v, trainable=True, name=f"p{i}")
+                for i, v in enumerate(vals)]
+        before = len(t.nodes)
+        out = getattr(t, op)(*args)
+        assert len(t.nodes) == before + 1
+        grads = t.backward(t.mean_all(t.mul(out, weights)))
+        for i, v in enumerate(vals):
+            def f(z, i=i):
+                vs = list(vals)
+                vs[i] = z.reshape(v.shape)
+                return np.mean(formula(*vs) * weights)
+            ref = fd_grad(f, np.ravel(v)).reshape(np.shape(v))
+            assert grads[f"p{i}"].shape == np.shape(v)
+            np.testing.assert_allclose(grads[f"p{i}"], ref,
+                                       rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("shapes", FUSED_SHAPES)
+    @pytest.mark.parametrize("op", sorted(FUSED))
+    def test_value_matches_primal_chain_bit_for_bit(self, op, shapes):
+        rng = np.random.default_rng(17)
+        vals = _fused_operands(rng, shapes)
+        t = Tape()
+        args = [t.lift(v, trainable=True, name=f"p{i}")
+                for i, v in enumerate(vals)]
+        np.testing.assert_array_equal(getattr(t, op)(*args).value,
+                                      FUSED[op][1](t, *args).value)
+
+    @pytest.mark.parametrize("op", sorted(FUSED))
+    @pytest.mark.parametrize("constant", [0, 1, 2])
+    def test_operand_needing_no_gradient_gets_no_adjoint(self, op, constant):
+        rng = np.random.default_rng(19)
+        vals = _fused_operands(rng, FUSED_SHAPES[0])
+        t = Tape()
+        args = [t.lift(v) if i == constant
+                else t.lift(v, trainable=True, name=f"p{i}")
+                for i, v in enumerate(vals)]
+        out = getattr(t, op)(*args)
+        adjoints = out.vjp(np.ones(out.shape))
+        for i, g in enumerate(adjoints):
+            assert (g is None) == (i == constant)
+        grads = t.backward(t.mean_all(out))
+        assert set(grads) == {f"p{i}" for i in range(3) if i != constant}
+
+    def _q(self, t, rng, trainable=True):
+        mu = t.lift(rng.normal(size=3), trainable=trainable, name="mu")
+        raw = t.lift(rng.normal(size=3), trainable=trainable, name="raw")
+        return MeanFieldGaussian(t, mu, raw)
+
+    def test_q_score_matches_finite_differences(self):
+        rng = np.random.default_rng(23)
+        z0, weights = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        t = Tape()
+        q = self._q(t, rng)
+        mu0, raw0 = q.mu.value.copy(), q.raw_scale.value.copy()
+        z = t.lift(z0, trainable=True, name="z")
+        grads = t.backward(t.mean_all(t.mul(q.score(z), weights)))
+
+        def f(mu, raw, zz):
+            return np.mean((mu - zz) / softplus(raw) ** 2 * weights)
+
+        refs = {"mu": fd_grad(lambda v: f(v, raw0, z0), mu0),
+                "raw": fd_grad(lambda v: f(mu0, v, z0), raw0),
+                "z": fd_grad(lambda v: f(mu0, raw0, v.reshape(4, 3)),
+                             z0.ravel()).reshape(4, 3)}
+        for name, ref in refs.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-6, atol=1e-9)
+
+    def test_q_score_is_one_node_and_matches_chain_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        t = Tape()
+        q = self._q(t, rng)
+        z = t.exp(t.lift(rng.normal(size=(4, 3)), trainable=True, name="z"))
+        before = len(t.nodes)
+        first = q.score(z)
+        assert len(t.nodes) == before + 2     # sigma^2 once, then the score
+        second = q.score(t.neg(z))
+        assert len(t.nodes) == before + 4     # the neg and the score
+        chain = t.div(t.sub(q.mu, z), t.square(q.sigma))
+        np.testing.assert_array_equal(first.value, chain.value)
+        assert second.parents[2] is first.parents[2]
+
+    def test_q_score_gives_no_adjoint_to_a_constant_position(self):
+        rng = np.random.default_rng(31)
+        t = Tape()
+        q = self._q(t, rng)
+        out = q.score(t.lift(rng.normal(size=(4, 3))))
+        mu_adj, z_adj, var_adj = out.vjp(np.ones(out.shape))
+        assert z_adj is None and mu_adj is not None and var_adj is not None
 
 
 def _numpy_op(op, x):
@@ -321,6 +443,28 @@ class TestBackward:
         np.testing.assert_array_equal(first["x"], second["x"])
         np.testing.assert_allclose(first["x"], np.exp([1.0, -2.0]) * [2.0, -1.0],
                                    rtol=1e-15)
+
+    @pytest.mark.parametrize("op", ["add", "muladd"])
+    def test_gradients_are_writable_and_unaliased(self, op):
+        # add(p1, p2) hands both parents the child's own adjoint, and
+        # muladd(a, p, p) sends p two; backward must still return arrays
+        # the caller owns
+        t = Tape()
+        p1 = t.lift([1.0, -2.0], trainable=True, name="p1")
+        p2 = t.lift([0.5, 3.0], trainable=True, name="p2")
+        out = t.add(p1, p2) if op == "add" else t.muladd(2.0, p1, p1)
+        loss = t.sum(out)
+        grads = t.backward(loss)
+        again = t.backward(loss)
+        arrays = list(grads.values()) + list(again.values())
+        for i, g in enumerate(arrays):
+            assert g.flags.writeable
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(g, other)
+        want = [1.0, 1.0] if op == "add" else [3.0, 3.0]
+        np.testing.assert_array_equal(grads["p1"], want)
+        grads["p1"] += 100.0
+        np.testing.assert_array_equal(t.backward(loss)["p1"], want)
 
     def test_loss_from_another_tape_rejected(self):
         t, other = Tape(), Tape()

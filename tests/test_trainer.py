@@ -72,6 +72,29 @@ class TestClipping:
         assert not was
         assert same is grads
 
+    def test_large_finite_gradient_is_scaled_not_zeroed(self):
+        # 1e200 squared overflows; the norm must still be 1e200, not inf
+        grads = {"a": np.array([1e200, 1.0]), "b": np.array([3.0])}
+        assert global_grad_norm(grads) == pytest.approx(1e200)
+        clipped, was = clip_gradients(grads, 100.0)
+        assert was
+        assert clipped["a"][0] == pytest.approx(100.0)
+        assert clipped["a"][1] == pytest.approx(1e-198)
+        assert clipped["b"][0] == pytest.approx(3e-198)
+        assert global_grad_norm(clipped) == pytest.approx(100.0)
+
+    def test_infinite_norm_stays_infinite(self):
+        assert global_grad_norm({"a": np.array([1.7e308, 1.7e308])}) == np.inf
+        assert global_grad_norm({"a": np.array([np.inf, 1.0])}) == np.inf
+
+    def test_ordinary_norm_keeps_its_bytes(self):
+        rng = np.random.default_rng(0)
+        grads = {"a": rng.normal(size=5), "b": rng.normal(size=(2, 3))}
+        total = 0.0
+        for g in grads.values():
+            total += float(np.sum(np.square(g)))
+        assert global_grad_norm(grads) == float(np.sqrt(total))
+
 
 def toy_plan(**kw):
     defaults = dict(method="plainvi", target="toy", num_steps=1, lr=1e-2,
