@@ -26,7 +26,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 def inverse_softplus(y: float | np.ndarray) -> np.ndarray:
     """Raw value u with softplus(u) = y, for positive y."""
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0):
+    if (y <= 0).any():
         raise ValueError("inverse_softplus requires positive input")
     return y + np.log(-np.expm1(-y))
 

@@ -30,7 +30,8 @@ eta) are scalar tape Vars, so gradients flow through every density. The
 kernels are built once per lift, so their shrink, variance and noise scale
 sqrt(var) are tape nodes shared by every transition. Each multiply-add of
 the chain (a leapfrog update, a forward mean shrink rho + drift, a draw
-scale eps + mean, a score correction) is one `Tape.muladd` node.
+scale eps + mean, a score correction) is one `Tape.muladd` node, and a
+reverse mean shrink rho - drift is one `Tape.mulsub` node.
 """
 
 from __future__ import annotations
@@ -157,12 +158,12 @@ class MomentumKernel:
         t = self.tape
         if self.shrink is None:
             mean = None
-        elif drift is not None and self.forward:
+        elif drift is None:
+            mean = t.mul(self.shrink, rho)
+        elif self.forward:
             mean = t.muladd(self.shrink, rho, drift)
         else:
-            mean = t.mul(self.shrink, rho)
-            if drift is not None:
-                mean = t.sub(mean, drift)
+            mean = t.mulsub(self.shrink, rho, drift)
         if self.score_fn is not None:
             s = self.score_fn(k, z, rho)
             mean = (t.mul(self.coef, s) if mean is None

@@ -294,7 +294,7 @@ def _check_finite(model: LiftedModel, k: int, **quantities: Var) -> None:
     step size delta and, when the method has one, the friction gamma.
     """
     for name, v in quantities.items():
-        if not np.all(np.isfinite(v.value)):
+        if not np.isfinite(v.value).all():
             where = f"k={k}, delta={float(model.delta.value)!r}"
             if model.gamma is not None:
                 where += f", gamma={float(model.gamma.value)!r}"
@@ -308,11 +308,13 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
 
     Transition k needs the bridge score grad log pi_k = (1 - beta_k) grad log q
     + beta_k grad log pbar at each position it visits, and a leapfrog step ends
-    where the next one begins. So the chain keeps one (base score, target
-    score) pair per position, computed on first use, and each transition mixes
-    it with its own beta_k. For K >= 2 a leapfrog chain thus calls
-    `target.score` K times, once per position, and an Euler-Maruyama chain,
-    which scores only where each transition starts, K - 1 times.
+    where the next one begins. So the chain keeps the (base score, target
+    score) pair of the last position it scored, the only pair it ever reuses,
+    and each transition mixes it with its own beta_k. For K >= 2 a leapfrog
+    chain thus calls `target.score` K times, once per position, and an
+    Euler-Maruyama chain, which scores only where each transition starts,
+    K - 1 times. Without a tape that records values (trainable=False), the
+    live chain state therefore does not grow with K.
 
     Every transition draws rho' from the forward momentum kernel, moves
     (z, rho') by the scheme's map and adds log m_B(rho | rho', z) -
@@ -337,20 +339,21 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     if noise.step_eps.shape[0] < K - 1:
         raise ValueError("noise bundle holds too few transition draws")
 
-    # Keyed by Var.index, which only operation results carry (a constant's
-    # is None); every position is q.sample's add or an integrator output.
-    scores: dict[int, tuple[Var, Var]] = {}   # position index -> pair
+    # The last position scored, by Var.index (every position is q.sample's
+    # add or an integrator output, and only operation results carry an
+    # index), and its (base score, target score) pair.
+    last_index, last_pair = None, None
 
     def grad_at(k: int):
         """Score of the interior bridge pi_k, for 1 <= k < K."""
         beta = model.schedule.beta(k)
 
         def grad(zz: Var) -> Var:
-            pair = scores.get(zz.index)
-            if pair is None:
-                pair = scores[zz.index] = (model.q.score(zz),
-                                           target.score(t, zz))
-            return t.lerp(beta, pair[0], pair[1])
+            nonlocal last_index, last_pair
+            if zz.index != last_index:
+                last_index, last_pair = zz.index, (model.q.score(zz),
+                                                   target.score(t, zz))
+            return t.lerp(beta, *last_pair)
 
         return grad
 
@@ -403,8 +406,10 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     trainable=False. Every parameter is then a constant, so the tape records
     no operation in full: every slot holds the shared placeholder, with no
     value, parents or VJP, and each intermediate array is freed as soon as
-    the chain moves past it. A chunk's tape is freed by reference counting
-    when the next chunk replaces it.
+    the chain moves past it. The chain itself keeps only the score pair of
+    its last position (and MCD's score net its last output), so a chunk's
+    peak memory does not grow with num_steps. A chunk's tape is freed by
+    reference counting when the next chunk replaces it.
     """
     for name, value in (("n_samples", n_samples), ("batch", batch)):
         try:

@@ -10,10 +10,11 @@ built analytically rather than by nesting backward passes). Composites such as
 `Tape.gaussian_logpdf` are single nodes with hand-written VJPs: their forward
 value repeats the numpy operations of the primal chain they replace, in the
 same order, so values match it bit for bit while the tape holds one node.
-The chain's own fused nodes are `Tape.muladd` (a * x + y), `Tape.lerp`
-((1 - w) x + w y) and `MeanFieldGaussian.score`. `Tape.push` records such
-a node from any module; the array kernels `sigmoid` and `softplus` serve
-both the tape operations of those names and fused nodes.
+The chain's own fused nodes are `Tape.muladd` (a * x + y), `Tape.mulsub`
+(a * x - y), `Tape.lerp` ((1 - w) x + w y) and `MeanFieldGaussian.score`.
+`Tape.push` records such a node from any module; the array kernels
+`sigmoid` and `softplus` serve both the tape operations of those names and
+fused nodes.
 The sigmoid has no select between its two branches: it divides exp(min(x, 0))
 by 1 + exp(-|x|), which gives the same float as either branch.
 
@@ -139,7 +140,7 @@ class Tape:
         under `name`, which it must have."""
         arr = np.asarray(value, dtype=np.float64)
         if not (math.isfinite(value) if isinstance(value, (int, float))
-                else np.all(np.isfinite(arr))):
+                else np.isfinite(arr).all()):
             raise DomainError("lift", f"non-finite input {arr!r}")
         if not trainable:
             return Var(None, None, arr)
@@ -224,6 +225,20 @@ class Tape:
 
         return self.push(value, (a, x, y), vjp)
 
+    def mulsub(self, a, x, y) -> Var:
+        """a * x - y as one node: the value of `sub(mul(a, x), y)`."""
+        a, x, y = self._coerce(a), self._coerce(x), self._coerce(y)
+        value = a.value * x.value - y.value
+
+        def vjp(adj):
+            return (_unbroadcast(adj * x.value, a.shape) if a.needs_grad
+                    else None,
+                    _unbroadcast(adj * a.value, x.shape) if x.needs_grad
+                    else None,
+                    _unbroadcast(-adj, y.shape) if y.needs_grad else None)
+
+        return self.push(value, (a, x, y), vjp)
+
     def lerp(self, w, x, y) -> Var:
         """(1 - w) x + w y as one node: the value of
         `add(mul(sub(1.0, w), x), mul(w, y))`."""
@@ -243,7 +258,7 @@ class Tape:
 
     def div(self, a, b) -> Var:
         a, b = self._coerce(a), self._coerce(b)
-        if np.any(b.value == 0.0):
+        if (b.value == 0.0).any():
             raise DomainError("div", "division by zero")
         value = a.value / b.value
 
@@ -266,7 +281,7 @@ class Tape:
 
     def log(self, a) -> Var:
         a = self._coerce(a)
-        if np.any(a.value <= 0.0):
+        if (a.value <= 0.0).any():
             raise DomainError("log", f"non-positive input (min {a.value.min()})")
         return self.push(np.log(a.value), (a,), lambda adj: (adj / a.value,))
 
@@ -292,7 +307,7 @@ class Tape:
 
     def sqrt(self, a) -> Var:
         a = self._coerce(a)
-        if np.any(a.value <= 0.0):
+        if (a.value <= 0.0).any():
             raise DomainError("sqrt", f"non-positive input (min {a.value.min()})")
         value = np.sqrt(a.value)
         return self.push(value, (a,), lambda adj: (adj / (2.0 * value),))
@@ -399,7 +414,7 @@ class Tape:
         """
         x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
         xv, mv, vv = x.value, mean.value, var.value
-        if np.any(vv <= 0.0):
+        if (vv <= 0.0).any():
             raise DomainError("gaussian_logpdf",
                               f"non-positive variance {vv!r}")
         d = xv.shape[-1]

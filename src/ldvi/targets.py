@@ -443,7 +443,7 @@ def gaussian_toy_target(dim: int, mean: np.ndarray | float = 0.0,
     """Diagonal-Gaussian toy with known log Z, for bound and fidelity checks."""
     mu = np.broadcast_to(np.asarray(mean, dtype=np.float64), (dim,)).copy()
     var = np.broadcast_to(np.asarray(cov_diag, dtype=np.float64), (dim,)).copy()
-    if np.any(var <= 0):
+    if (var <= 0).any():
         raise ValueError("cov_diag must be positive")
     log_z = 0.5 * float(np.sum(np.log(2 * np.pi * var)))
 

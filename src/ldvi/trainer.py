@@ -224,7 +224,7 @@ def _optimize(config, params, target, num_steps, steps, lr, batch, seed,
         if step % record_every == 0 or step == steps - 1:
             curve.append((step, elbo))
         grads = tape.backward(value)
-        if not all(np.all(np.isfinite(g)) for g in grads.values()):
+        if not all(np.isfinite(g).all() for g in grads.values()):
             skipped += 1
             continue
         grads, was_clipped = clip_gradients(grads, grad_clip)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -858,9 +859,51 @@ class TestScoreReuse:
                                        err_msg=key)
 
 
+    @staticmethod
+    def _tracking(fn, alive):
+        """Wrap fn so that each call, as it returns, appends to `alive` how
+        many of the earlier calls' output arrays are still alive."""
+        refs = []
+
+        def tracked(*args):
+            out = fn(*args)
+            alive.append(sum(r() is not None for r in refs))
+            refs.append(weakref.ref(out.value))
+            return out
+
+        return tracked
+
+    @pytest.mark.parametrize("name,per_chain", [("uha", 0), ("uha_em", -1)])
+    def test_evaluation_keeps_one_target_score(self, name, per_chain):
+        """Only the last position's score pair outlives its transition, so
+        an evaluation chain's memory does not grow with K."""
+        target, K = brownian_motion_target(), 16
+        alive = []
+        target = dataclasses.replace(
+            target, score=self._tracking(target.score, alive))
+        cfg = get_method(name)
+        model = lift_model(Tape(), cfg, init_params(cfg, target.dim, K),
+                           target.dim, K, trainable=False)
+        estimate_elbo(model, target, NoiseBundle.draw(0, 0, 8, target.dim, K))
+        assert len(alive) == K + per_chain
+        assert max(alive) <= 1
+
+    def test_evaluation_keeps_one_mcd_score_net_output(self, monkeypatch):
+        alive = []
+        monkeypatch.setattr(ScoreNet, "apply",
+                            self._tracking(ScoreNet.apply, alive))
+        target, K = brownian_motion_target(), 16
+        cfg = dataclasses.replace(get_method("mcd"), score_hidden=8)
+        model = lift_model(Tape(), cfg, init_params(cfg, target.dim, K),
+                           target.dim, K, trainable=False)
+        estimate_elbo(model, target, NoiseBundle.draw(0, 0, 8, target.dim, K))
+        assert len(alive) == K
+        assert max(alive) <= 1
+
+
 # len(tape.nodes) of one K=8 sonar estimate on a training tape
 SONAR_NODE_CEILINGS = {"plainvi": 18, "ula": 124, "mcd": 222, "uha": 150,
-                       "ldvi": 236, "uha_em": 135, "ldvi_em": 220}
+                       "ldvi": 236, "uha_em": 128, "ldvi_em": 213}
 
 
 class TestTapeSize:

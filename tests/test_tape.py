@@ -162,6 +162,8 @@ class TestFiniteDifferenceSweep:
 FUSED = {
     "muladd": (lambda a, x, y: a * x + y,
                lambda t, a, x, y: t.add(t.mul(a, x), y)),
+    "mulsub": (lambda a, x, y: a * x - y,
+               lambda t, a, x, y: t.sub(t.mul(a, x), y)),
     "lerp": (lambda w, x, y: (1.0 - w) * x + w * y,
              lambda t, w, x, y: t.add(t.mul(t.sub(1.0, w), x), t.mul(w, y))),
 }
@@ -177,7 +179,7 @@ def _fused_operands(rng, shapes):
 
 
 class TestFusedNodes:
-    """muladd, lerp and q.score: one node each, the primitive chain's value
+    """muladd, mulsub, lerp and q.score: one node each, the primitive chain's value
     bit for bit, gradients that match central differences, and no adjoint
     for an operand that needs none."""
 
