@@ -42,8 +42,8 @@ from ldvi.targets import TargetModel
 __all__ = [
     "MethodConfig", "METHODS", "get_method", "method_names",
     "NoiseBundle", "ElboEstimate", "LiftedModel",
-    "init_params", "lift_model", "estimate_elbo", "plain_vi_elbo",
-    "evaluate_elbo_mean", "EstimatorError",
+    "init_params", "lift_model", "estimate_elbo", "evaluate_elbo_mean",
+    "EstimatorError",
 ]
 
 
@@ -286,7 +286,6 @@ class ElboEstimate:
     """One pathwise bound estimate; value may carry a leading chain axis."""
 
     value: Var
-    trace: list[Var]
 
 
 def _check_finite(model: LiftedModel, k: int, **quantities: Var) -> None:
@@ -324,16 +323,18 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     forward mean and subtracted from the reverse one. The kernels come built
     with the model. The augmentation draws the initial momentum and scores
     both endpoints, and its mean at k = 1, like each transition's forward
-    mean, is built once for both the sample and the density.
+    mean, is built once for both the sample and the density. MCD's
+    augmentation is its reverse kernel, so that mean is also the first
+    reverse mean, and MCD's score net runs once per position.
 
     Raises EstimatorError naming the transition index, the quantity
     (position, momentum, log-ratio, initial or terminal density) and the
     current delta (and gamma) if any quantity turns non-finite.
     """
     t, c, K = model.tape, model.config, model.num_steps
-    if c.scheme == "plain":
-        value = plain_vi_elbo(t, model.q, target, noise.z_eps)
-        return ElboEstimate(value, [value])
+    if c.scheme == "plain":  # E_q[log pbar - log q], reparameterized
+        z = model.q.sample(noise.z_eps)
+        return ElboEstimate(t.sub(target.logp(t, z), model.q.log_pdf(z)))
     if K < 1:
         raise ValueError("num_steps must be at least 1")
     if noise.step_eps.shape[0] < K - 1:
@@ -363,7 +364,6 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     rho = aug.sample(aug_mean, noise.rho_eps)
     L = t.neg(t.add(model.q.log_pdf(z), aug.log_pdf(rho, aug_mean)))
     _check_finite(model, 0, initial_density=L)
-    trace: list[Var] = []
 
     em = c.scheme == "em"
     for k in range(1, K):
@@ -375,26 +375,21 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
             z_new, rho_new = t.muladd(model.delta, rho_prime, z), rho_prime
         else:
             z_new, rho_new = leapfrog(t, z, rho_prime, model.delta, grad)
-        ratio = t.sub(bwd.log_pdf(rho, bwd.mean(rho_prime, z, k, drift)),
-                      fwd.log_pdf(rho_prime, mean))
+        # MCD's reverse kernel is its augmentation, whose k = 1 mean the
+        # chain already holds
+        back = (aug_mean if k == 1 and bwd is aug
+                else bwd.mean(rho_prime, z, k, drift))
+        ratio = t.sub(bwd.log_pdf(rho, back), fwd.log_pdf(rho_prime, mean))
         _check_finite(model, k, position=z_new, momentum=rho_new,
                       log_ratio=ratio)
         L = t.add(L, ratio)
-        trace.append(ratio)
         z, rho = z_new, rho_new
 
     terminal = t.add(target.logp(t, z),
                      aug.log_pdf(rho, aug.mean(None, z, K)))
     _check_finite(model, K, terminal_density=terminal)
     L = t.add(L, terminal)
-    return ElboEstimate(L, trace)
-
-
-def plain_vi_elbo(tape: Tape, q: MeanFieldGaussian, target: TargetModel,
-                  eps: np.ndarray) -> Var:
-    """Reparameterized single-sample estimate of E_q[log pbar - log q]."""
-    z = q.sample(eps)
-    return tape.sub(target.logp(tape, z), q.log_pdf(z))
+    return ElboEstimate(L)
 
 
 def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
@@ -407,7 +402,7 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     no operation in full: every slot holds the shared placeholder, with no
     value, parents or VJP, and each intermediate array is freed as soon as
     the chain moves past it. The chain itself keeps only the score pair of
-    its last position (and MCD's score net its last output), so a chunk's
+    its last position (and MCD its k = 1 augmentation mean), so a chunk's
     peak memory does not grow with num_steps. A chunk's tape is freed by
     reference counting when the next chunk replaces it.
     """

@@ -66,26 +66,6 @@ class ScoreNet:
         return t.linear(h, lifted["score.W3"], lifted["score.b3"])
 
     def make_score_fn(self, tape: Tape, lifted: dict[str, Var], num_steps: int):
-        """Close over tape and parameters, yielding s(k, z, rho).
-
-        A position-only score ignores rho (which may be None), so a call at
-        the same step and position as the one before reuses its output.
-        Only the last output is kept: MCD asks for the k = 1 score twice in
-        a row, for the endpoint augmentation and the first reverse kernel,
-        and every other (k, z) once.
-        """
-        if not self.position_only:
-            return lambda k, z, rho: self.apply(tape, lifted, k, num_steps,
-                                                z, rho)
-        # Keyed by z.index: every position is an operation result, and only
-        # those carry an index (a constant's is None).
-        last_key, last = None, None
-
-        def score(k: int, z: Var, rho: Var | None) -> Var:
-            nonlocal last_key, last
-            if (k, z.index) != last_key:
-                last_key = (k, z.index)
-                last = self.apply(tape, lifted, k, num_steps, z, rho)
-            return last
-
-        return score
+        """Close over tape and parameters, yielding s(k, z, rho); a
+        position-only score ignores rho, which may be None."""
+        return lambda k, z, rho: self.apply(tape, lifted, k, num_steps, z, rho)

@@ -48,8 +48,9 @@ class Dataset:
     source: str = ""
 
     def __post_init__(self):
-        if np.isnan(self.features).any() or np.isnan(self.labels).any():
-            raise ValueError("dataset contains missing values")
+        if not (np.isfinite(self.features).all()
+                and np.isfinite(self.labels).all()):
+            raise ValueError("dataset contains missing or infinite values")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class TargetModel:
     logp: Callable[[Tape, Var], Var]
     score: Callable[[Tape, Var], Var]
     log_z: float | None = None
-    description: str = ""
     meta: dict = field(default_factory=dict)
 
 
@@ -92,11 +92,14 @@ def load_binary_classification_csv(path, positive_label: str) -> Dataset:
             if not record or record[0].lstrip().startswith("#"):
                 continue
             try:
-                rows.append([float(v) for v in record[:-1]])
+                row = [float(v) for v in record[:-1]]
             except ValueError:
                 if not rows:  # header row
                     continue
                 raise ValueError(f"{path.name}:{lineno}: unparseable feature field")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path.name}:{lineno}: non-finite feature field")
+            rows.append(row)
             labels.append(record[-1].strip())
     if not rows:
         raise ValueError(f"{path.name}: no data rows")
@@ -202,7 +205,6 @@ def logistic_regression_target(data: Dataset, name: str,
 
     return TargetModel(
         name=name, dim=d, logp=logp, score=score,
-        description=f"logistic regression, {n} rows, weight prior N(0, {pv})",
         meta={"n_rows": n, "prior_variance": pv, "source": data.source})
 
 
@@ -212,7 +214,7 @@ def logistic_regression_target(data: Dataset, name: str,
 BROWNIAN_OBSERVED_MASK = np.array([1.0] * 10 + [0.0] * 10 + [1.0] * 10)
 
 
-def brownian_motion_target(observations: np.ndarray | None = None) -> TargetModel:
+def brownian_motion_target() -> TargetModel:
     """Gaussian random walk with lognormal scales, middle block unobserved.
 
     Latent v = (u_inn, u_obs, x_1..x_30) with u = log(alpha) and LogNormal
@@ -225,7 +227,6 @@ def brownian_motion_target(observations: np.ndarray | None = None) -> TargetMode
     masks, `exp`, the row sums and `concat` in order; its VJP is the
     Hessian-vector product of logp.
     """
-    y = BROWNIAN_OBSERVATIONS if observations is None else np.asarray(observations)
     mask = BROWNIAN_OBSERVED_MASK
     n = 30
     n_obs = int(mask.sum())
@@ -233,7 +234,7 @@ def brownian_motion_target(observations: np.ndarray | None = None) -> TargetMode
     shift[np.arange(1, n), np.arange(0, n - 1)] = 1.0
     unshift = np.zeros((n, n))  # (unshift @ w)_i = w_{i+1}, last row zero
     unshift[np.arange(0, n - 1), np.arange(1, n)] = 1.0
-    ymask = y * mask
+    ymask = BROWNIAN_OBSERVATIONS * mask
     ones = np.ones((1, n))  # row sums as `affine`, as in `_rowsum`
 
     def pieces(t: Tape, v: Var):
@@ -287,7 +288,6 @@ def brownian_motion_target(observations: np.ndarray | None = None) -> TargetMode
 
     return TargetModel(
         name="brownian", dim=2 + n, logp=logp, score=score,
-        description="Brownian motion, lognormal scales, ten middle observations missing",
         meta={"observed": mask.astype(int).tolist()})
 
 
@@ -299,20 +299,19 @@ LORENZ_OBSERVED_MASK = np.array(
     [0.0] + [1.0] * 9 + [0.0] * 9 + [1.0] * 11)
 
 
-def lorenz_target(observations: np.ndarray | None = None) -> TargetModel:
+def lorenz_target() -> TargetModel:
     """Discretized Lorenz convection dynamics with partial x observations.
 
     Latent v = (x_1..x_30, y_1..y_30, z_1..z_30), standard-Normal priors at
     i=1, transition scale alpha_inn = 0.1, observation scale 1 on masked x_i.
     """
-    o = LORENZ_OBSERVATIONS if observations is None else np.asarray(observations)
     mask = LORENZ_OBSERVED_MASK
     n = 30
     m = n - 1
     var_inn = 0.1 ** 2
     prec = 1.0 / var_inn
     n_obs = int(mask.sum())
-    omask = o * mask
+    omask = LORENZ_OBSERVATIONS * mask
 
     def split(t: Tape, v: Var):
         return t.narrow(v, 0, n), t.narrow(v, n, 2 * n), t.narrow(v, 2 * n, 3 * n)
@@ -366,7 +365,6 @@ def lorenz_target(observations: np.ndarray | None = None) -> TargetModel:
 
     return TargetModel(
         name="lorenz", dim=3 * n, logp=logp, score=score,
-        description="discretized Lorenz convection system, partially observed x",
         meta={"observed": mask.astype(int).tolist(), "alpha_inn": 0.1})
 
 
@@ -432,7 +430,6 @@ def seeds_target() -> TargetModel:
 
     return TargetModel(
         name="seeds", dim=26, logp=logp, score=score,
-        description="random-effects regression, seeds germination data",
         meta={"plates": n_plate})
 
 
@@ -455,7 +452,6 @@ def gaussian_toy_target(dim: int, mean: np.ndarray | float = 0.0,
 
     return TargetModel(
         name=f"toy{dim}", dim=dim, logp=logp, score=score, log_z=log_z,
-        description=f"unnormalized diagonal Gaussian, log Z = {log_z:.6f}",
         meta={"mean": mu.tolist(), "cov_diag": var.tolist()})
 
 

@@ -1,4 +1,4 @@
-"""Adam training of the augmented bound, grid orchestration, persistence.
+"""Adam training of the augmented bound, grid orchestration, run records.
 
 The desk-scale protocol: pretrain the base distribution with plain VI
 (2,000 steps at lr 1e-2), then maximize the method's augmented bound with
@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import pathlib
 import time
 from dataclasses import dataclass, field
 
@@ -28,8 +27,7 @@ from ldvi.targets import TargetModel, get_target
 
 __all__ = [
     "AdamState", "adam_step", "TrainPlan", "RunRecord", "TrainingDiverged",
-    "train", "run_grid", "select_best", "save_checkpoint", "load_checkpoint",
-    "global_grad_norm", "clip_gradients",
+    "train", "run_grid", "select_best", "global_grad_norm", "clip_gradients",
 ]
 
 SCHEMA_VERSION = 1
@@ -155,6 +153,9 @@ class TrainPlan:
         for name in ("lr", "pretrain_lr", "grad_clip"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("lr", "pretrain_lr"):  # grad_clip=inf does not clip
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -271,7 +272,7 @@ def train(plan: TrainPlan, target: TargetModel | None = None) -> RunRecord:
                   "score_hidden": config.score_hidden,
                   "adam": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
                            "eps": ADAM_EPS}})
-    record.params = params  # in-memory only; persisted via save_checkpoint
+    record.params = params  # in memory only; not part of the record's JSON
     return record
 
 
@@ -300,50 +301,3 @@ def select_best(records) -> dict:
         if key not in best or rec.final_elbo > best[key].final_elbo:
             best[key] = rec
     return best
-
-
-# ---------------------------------------------------------------- checkpoints
-
-def save_checkpoint(params: dict, path) -> None:
-    """Flat little-endian float64 array with a JSON shape header."""
-    path = pathlib.Path(path)
-    header = {key: list(np.asarray(params[key]).shape)
-              for key in sorted(params)}
-    flat = np.concatenate(
-        [np.asarray(params[key], dtype=np.float64).ravel()
-         for key in sorted(params)]) if params else np.zeros(0)
-    with open(path, "wb") as fh:
-        head = json.dumps(header, sort_keys=True).encode()
-        fh.write(len(head).to_bytes(8, "little"))
-        fh.write(head)
-        fh.write(flat.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> dict:
-    """Read a `save_checkpoint` file; a malformed one raises ValueError."""
-    path = pathlib.Path(path)
-    with open(path, "rb") as fh:
-        head_len = int.from_bytes(fh.read(8), "little")
-        head = fh.read(head_len)
-        payload = fh.read()
-    try:
-        header = json.loads(head)
-    except ValueError:  # JSONDecodeError, or UnicodeDecodeError
-        header = None
-    if not (isinstance(header, dict)
-            and all(isinstance(shape, list)
-                    and all(type(s) is int and s >= 0 for s in shape)
-                    for shape in header.values())):
-        raise ValueError(f"{path}: checkpoint header {head[:80]!r} is cut "
-                         "short or is not a JSON object of shape lists")
-    sizes = {key: math.prod(header[key]) for key in header}
-    if 8 * sum(sizes.values()) != len(payload):
-        raise ValueError(
-            f"{path}: checkpoint payload size does not match header")
-    flat = np.frombuffer(payload, dtype="<f8")
-    params, offset = {}, 0
-    for key in sorted(header):
-        size = sizes[key]
-        params[key] = flat[offset:offset + size].reshape(header[key]).copy()
-        offset += size
-    return params

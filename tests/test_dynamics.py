@@ -5,10 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from ldvi.dynamics import MomentumKernel, leapfrog
-from ldvi.estimator import (NoiseBundle, estimate_elbo, get_method,
-                            init_params, lift_model)
 from ldvi.tape import DomainError, Tape
-from ldvi.targets import gaussian_toy_target
 
 OU, EM = MomentumKernel.exact_ou, MomentumKernel.euler_maruyama
 
@@ -292,22 +289,6 @@ class TestTransitions:
                           standard_grad(t2))
         np.testing.assert_allclose(zn.value, zr.value, rtol=1e-14)
         np.testing.assert_allclose(rn.value, rr.value, rtol=1e-14)
-
-    def test_log_ratio_step_is_kernel_difference(self):
-        # the estimator's trace entry for a transition is log m_B - log m_F
-        # with the exact-OU pair: m_F(rho'|rho) and m_B(rho|rho') alike
-        # N(eta ., (1 - eta^2) I)
-        cfg = get_method("uha")
-        params = init_params(cfg, 2, 2, eta=0.3)
-        noise = NoiseBundle.draw(9, 0, None, 2, 2)
-        model = lift_model(Tape(), cfg, params, 2, 2)
-        est = estimate_elbo(model, gaussian_toy_target(2, mean=0.3), noise)
-        eta = float(model.refresh.shrink.value)
-        rho, var = noise.rho_eps, 1 - eta ** 2
-        rho_p = eta * rho + np.sqrt(var) * noise.step_eps[0]
-        want = (iso_logpdf(rho, eta * rho_p, var)
-                - iso_logpdf(rho_p, eta * rho, var))
-        assert float(est.trace[0].value) == pytest.approx(want, rel=1e-12)
 
     def test_em_transition_matches_numpy(self):
         rng = np.random.default_rng(10)

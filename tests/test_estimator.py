@@ -12,10 +12,10 @@ from scipy.stats import norm
 
 from ldvi.annealing import inverse_softplus
 from ldvi.dynamics import MomentumKernel
-from ldvi.estimator import (ElboEstimate, EstimatorError, METHODS,
-                            MethodConfig, NoiseBundle, estimate_elbo,
-                            evaluate_elbo_mean, get_method, init_params,
-                            lift_model, method_names, plain_vi_elbo)
+from ldvi.estimator import (EstimatorError, METHODS, MethodConfig,
+                            NoiseBundle, estimate_elbo, evaluate_elbo_mean,
+                            get_method, init_params, lift_model,
+                            method_names)
 from ldvi.scorenet import ScoreNet
 from ldvi.tape import DomainError, Tape, Var
 from ldvi.targets import (Dataset, TargetModel, brownian_motion_target,
@@ -673,25 +673,16 @@ class TestBatching:
                 assert float(single.value.value) == pytest.approx(
                     batched.value.value[i], rel=1e-12), name
 
-    def test_trace_length(self):
-        target = gaussian_toy_target(2)
-        cfg = get_method("ula")
-        params = init_params(cfg, 2, 5)
-        est = run_estimate(cfg, params, target, 5,
-                           NoiseBundle.draw(0, 0, 2, 2, 5))
-        assert isinstance(est, ElboEstimate)
-        assert len(est.trace) == 4
-
 
 class TestPlainViElbo:
     def test_definition(self):
         target = gaussian_toy_target(3, mean=0.6, cov_diag=1.4)
         rng = np.random.default_rng(50)
         params = random_params(get_method("plainvi"), 3, 1, rng)
-        t = Tape()
-        model = lift_model(t, get_method("plainvi"), params, 3, 1)
-        eps = rng.normal(size=3)
-        got = plain_vi_elbo(t, model.q, target, eps)
+        noise = NoiseBundle.draw(50, 0, None, 3, 1)
+        got = run_estimate(get_method("plainvi"), params, target, 1,
+                           noise).value
+        eps = noise.z_eps
         mu = params["q.mu"]
         sigma = softplus(params["q.raw_scale"])
         z = mu + sigma * eps
@@ -902,7 +893,7 @@ class TestScoreReuse:
 
 
 # len(tape.nodes) of one K=8 sonar estimate on a training tape
-SONAR_NODE_CEILINGS = {"plainvi": 18, "ula": 124, "mcd": 222, "uha": 150,
+SONAR_NODE_CEILINGS = {"plainvi": 18, "ula": 124, "mcd": 221, "uha": 150,
                        "ldvi": 236, "uha_em": 128, "ldvi_em": 213}
 
 

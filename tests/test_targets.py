@@ -127,6 +127,16 @@ class TestLoader:
         with pytest.raises(ValueError, match="d.csv:2"):
             load_binary_classification_csv(p, "a")
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_reported_with_line_number(self, tmp_path,
+                                                        field):
+        """A non-finite field made its column's mean and sd NaN, and the
+        column was silently zeroed."""
+        p = self._write(tmp_path / "d.csv",
+                        f"1.0,2.0,a\n3.0,4.0,b\n{field},5.0,a\n6.0,7.0,b\n")
+        with pytest.raises(ValueError, match="d.csv:3: non-finite"):
+            load_binary_classification_csv(p, "a")
+
     def test_unknown_positive_label(self, tmp_path):
         p = self._write(tmp_path / "d.csv", "1.0,a\n2.0,b\n")
         with pytest.raises(ValueError, match="positive_label"):
@@ -140,6 +150,9 @@ class TestLoader:
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             Dataset(features=np.array([[1.0, np.nan]]), labels=np.array([1.0]))
+        # an infinite feature made every logit, and so the bound, nan
+        with pytest.raises(ValueError, match="infinite"):
+            Dataset(features=np.array([[1.0, np.inf]]), labels=np.array([1.0]))
 
     def test_data_dir_override(self, tmp_path, monkeypatch):
         """`data_dir` picks the files; the environment does not."""
