@@ -7,11 +7,12 @@ The augmented lower bound is accumulated along a simulated chain of K states:
         + log pbar(z_K, rho_K)
 
 Transition k refreshes the momentum with the forward kernel and then moves
-(z, rho) by one integrator step of the bridge density pi_k. All randomness is
-pre-drawn into a `NoiseBundle`, so the estimate is a deterministic,
-differentiable function of the parameters (pathwise gradients), and two
-configurations that reduce to the same computation produce identical values on
-shared noise.
+(z, rho) by one integrator step of the bridge density pi_k. The chain draws
+its standard-Normal noise from a numpy Generator as it needs it, z first, then
+the initial momentum, then one draw per transition, so given the generator's
+state the estimate is a deterministic, differentiable function of the
+parameters (pathwise gradients), and two configurations that reduce to the
+same computation produce identical values from equal generators.
 
 A `MethodConfig` names a method by three choices: the integration scheme,
 the momentum refresh (forward kernel) and the reverse kernel. Everything
@@ -41,7 +42,7 @@ from ldvi.targets import TargetModel
 
 __all__ = [
     "MethodConfig", "METHODS", "get_method", "method_names",
-    "NoiseBundle", "ElboEstimate", "LiftedModel",
+    "ElboEstimate", "LiftedModel",
     "init_params", "lift_model", "estimate_elbo", "evaluate_elbo_mean",
     "EstimatorError",
 ]
@@ -164,36 +165,6 @@ def get_method(name: str) -> MethodConfig:
     return METHODS[key]
 
 
-# -------------------------------------------------------------------- noise
-
-@dataclass(frozen=True)
-class NoiseBundle:
-    """All standard-Normal draws for one estimate, pre-drawn outside the tape.
-
-    z_eps: (..., D) noise for the base-distribution sample.
-    rho_eps: (..., D) noise for the initial momentum.
-    step_eps: (K-1, ..., D) per-transition momentum noise.
-
-    Leading axes (if any) index independent chains evaluated in one batch.
-    """
-
-    z_eps: np.ndarray
-    rho_eps: np.ndarray
-    step_eps: np.ndarray
-
-    @classmethod
-    def draw(cls, seed: int, step: int, batch: int | None, dim: int,
-             num_steps: int) -> "NoiseBundle":
-        """Deterministic bundle keyed by (seed, step); fixed draw order."""
-        rng = np.random.default_rng([seed, step])
-        lead = () if batch is None else (batch,)
-        return cls(
-            z_eps=rng.normal(size=lead + (dim,)),
-            rho_eps=rng.normal(size=lead + (dim,)),
-            step_eps=rng.normal(size=(max(num_steps - 1, 0),) + lead + (dim,)),
-        )
-
-
 # ------------------------------------------------------------------ parameters
 
 def init_params(config: MethodConfig, dim: int, num_steps: int,
@@ -283,7 +254,7 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
 
 @dataclass
 class ElboEstimate:
-    """One pathwise bound estimate; value may carry a leading chain axis."""
+    """Pathwise bound estimates, one per chain: value is shaped (batch,)."""
 
     value: Var
 
@@ -302,8 +273,14 @@ def _check_finite(model: LiftedModel, k: int, **quantities: Var) -> None:
 
 
 def estimate_elbo(model: LiftedModel, target: TargetModel,
-                  noise: NoiseBundle) -> ElboEstimate:
-    """Accumulate the augmented bound along one simulated chain.
+                  rng: np.random.Generator, batch: int) -> ElboEstimate:
+    """Accumulate the augmented bound along `batch` independent chains.
+
+    The noise comes from `rng.normal(size=(batch, D))`, one call per draw in
+    a fixed order: z, the initial momentum, then each transition's momentum
+    as the chain reaches it (plain VI draws z only). No draw outlives its
+    transition, so the live chain state does not grow with K, and the value
+    is shaped (batch,).
 
     Transition k needs the bridge score grad log pi_k = (1 - beta_k) grad log q
     + beta_k grad log pbar at each position it visits, and a leapfrog step ends
@@ -312,8 +289,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     and each transition mixes it with its own beta_k. For K >= 2 a leapfrog
     chain thus calls `target.score` K times, once per position, and an
     Euler-Maruyama chain, which scores only where each transition starts,
-    K - 1 times. Without a tape that records values (trainable=False), the
-    live chain state therefore does not grow with K.
+    K - 1 times.
 
     Every transition draws rho' from the forward momentum kernel, moves
     (z, rho') by the scheme's map and adds log m_B(rho | rho', z) -
@@ -332,13 +308,12 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     current delta (and gamma) if any quantity turns non-finite.
     """
     t, c, K = model.tape, model.config, model.num_steps
+    shape = (batch, target.dim)
     if c.scheme == "plain":  # E_q[log pbar - log q], reparameterized
-        z = model.q.sample(noise.z_eps)
+        z = model.q.sample(rng.normal(size=shape))
         return ElboEstimate(t.sub(target.logp(t, z), model.q.log_pdf(z)))
     if K < 1:
         raise ValueError("num_steps must be at least 1")
-    if noise.step_eps.shape[0] < K - 1:
-        raise ValueError("noise bundle holds too few transition draws")
 
     # The last position scored, by Var.index (every position is q.sample's
     # add or an integrator output, and only operation results carry an
@@ -359,9 +334,9 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
         return grad
 
     aug, fwd, bwd = model.augment, model.refresh, model.reverse
-    z = model.q.sample(noise.z_eps)
+    z = model.q.sample(rng.normal(size=shape))
     aug_mean = aug.mean(None, z, 1)
-    rho = aug.sample(aug_mean, noise.rho_eps)
+    rho = aug.sample(aug_mean, rng.normal(size=shape))
     L = t.neg(t.add(model.q.log_pdf(z), aug.log_pdf(rho, aug_mean)))
     _check_finite(model, 0, initial_density=L)
 
@@ -370,7 +345,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
         grad = grad_at(k)
         drift = t.mul(model.delta, grad(z)) if em else None
         mean = fwd.mean(rho, z, k, drift)
-        rho_prime = fwd.sample(mean, noise.step_eps[k - 1])
+        rho_prime = fwd.sample(mean, rng.normal(size=shape))
         if em:
             z_new, rho_new = t.muladd(model.delta, rho_prime, z), rho_prime
         else:
@@ -402,9 +377,11 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     no operation in full: every slot holds the shared placeholder, with no
     value, parents or VJP, and each intermediate array is freed as soon as
     the chain moves past it. The chain itself keeps only the score pair of
-    its last position (and MCD its k = 1 augmentation mean), so a chunk's
-    peak memory does not grow with num_steps. A chunk's tape is freed by
-    reference counting when the next chunk replaces it.
+    its last position (and MCD its k = 1 augmentation mean), and draws each
+    transition's noise when it reaches it, so a chunk's peak memory does not
+    grow with num_steps. A chunk's tape is freed by reference counting when
+    the next chunk replaces it. Chunk i draws its noise from
+    `default_rng([seed, i])`.
     """
     for name, value in (("n_samples", n_samples), ("batch", batch)):
         try:
@@ -421,12 +398,12 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     chunk = 0
     while done < n_samples:
         b = min(batch, n_samples - done)
-        noise = NoiseBundle.draw(seed, chunk, b, target.dim, num_steps)
         tape = Tape()
         model = lift_model(tape, config, params, target.dim, num_steps,
                            trainable=False)
-        est = estimate_elbo(model, target, noise)
-        values.append(np.atleast_1d(np.asarray(est.value.value)))
+        est = estimate_elbo(model, target,
+                            np.random.default_rng([seed, chunk]), b)
+        values.append(est.value.value)
         done += b
         chunk += 1
     vals = np.concatenate(values)

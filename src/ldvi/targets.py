@@ -83,18 +83,20 @@ def load_binary_classification_csv(path, positive_label: str) -> Dataset:
     Feature columns are standardized (constant columns become all zeros), an
     intercept column of ones is appended, and labels are mapped to {0, 1}
     with `positive_label` -> 1. Lines starting with '#' are skipped; a
-    leading header row of non-numeric fields is tolerated.
+    first non-comment record may be a header of non-numeric fields.
     """
     path = pathlib.Path(path)
     rows, labels = [], []
+    first = True  # only the first non-comment record may be a header
     with open(path, newline="") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or record[0].lstrip().startswith("#"):
                 continue
+            header_ok, first = first, False
             try:
                 row = [float(v) for v in record[:-1]]
             except ValueError:
-                if not rows:  # header row
+                if header_ok:
                     continue
                 raise ValueError(f"{path.name}:{lineno}: unparseable feature field")
             if not all(map(math.isfinite, row)):

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ldvi.estimator import (MethodConfig, NoiseBundle, estimate_elbo,
-                            evaluate_elbo_mean, get_method, init_params,
-                            lift_model)
+from ldvi.estimator import (MethodConfig, estimate_elbo, evaluate_elbo_mean,
+                            get_method, init_params, lift_model)
 from ldvi.tape import Tape
 from ldvi.targets import TargetModel, get_target
 
@@ -148,8 +147,10 @@ class TrainPlan:
         for name in ("seed", "pretrain_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
-        if np.isnan(self.divergence_floor):
-            raise ValueError("divergence_floor must not be nan")
+        # -inf is no floor; nan never trips and +inf fails every step 0
+        if not self.divergence_floor < math.inf:
+            raise ValueError(f"divergence_floor must be -inf or finite, got "
+                             f"{self.divergence_floor!r}")
         for name in ("lr", "pretrain_lr", "grad_clip"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -213,10 +214,10 @@ def _optimize(config, params, target, num_steps, steps, lr, batch, seed,
     state = AdamState()
     curve, skipped, clipped = [], 0, 0
     for step in range(steps):
-        noise = NoiseBundle.draw(seed, step, batch, target.dim, num_steps)
         tape = Tape()
         model = lift_model(tape, config, params, target.dim, num_steps)
-        value = tape.mean_all(estimate_elbo(model, target, noise).value)
+        value = tape.mean_all(estimate_elbo(
+            model, target, np.random.default_rng([seed, step]), batch).value)
         elbo = float(value.value)
         if elbo < divergence_floor:
             raise TrainingDiverged(

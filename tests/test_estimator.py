@@ -1,8 +1,10 @@
 """Unit tests for the augmented-ELBO estimator and method configurations."""
 
 import dataclasses
+import gc
 import itertools
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,9 +15,8 @@ from scipy.stats import norm
 from ldvi.annealing import inverse_softplus
 from ldvi.dynamics import MomentumKernel
 from ldvi.estimator import (EstimatorError, METHODS, MethodConfig,
-                            NoiseBundle, estimate_elbo, evaluate_elbo_mean,
-                            get_method, init_params, lift_model,
-                            method_names)
+                            estimate_elbo, evaluate_elbo_mean, get_method,
+                            init_params, lift_model, method_names)
 from ldvi.scorenet import ScoreNet
 from ldvi.tape import DomainError, Tape, Var
 from ldvi.targets import (Dataset, TargetModel, brownian_motion_target,
@@ -27,10 +28,57 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def run_estimate(config, params, target, K, noise):
+def run_estimate(config, params, target, K, rng, batch):
     t = Tape()
     model = lift_model(t, config, params, target.dim, K)
-    return estimate_elbo(model, target, noise)
+    return estimate_elbo(model, target, rng, batch)
+
+
+def chain_rng(seed):
+    """The generator of an estimate keyed by (seed, step 0), as training
+    keys step 0 of a run with this seed."""
+    return np.random.default_rng([seed, 0])
+
+
+class Noise:
+    """The arrays an estimate draws from chain_rng(seed), in the chain's
+    order: z, the initial momentum, then one per transition."""
+
+    def __init__(self, draws):
+        self.draws = draws
+        self.z_eps, self.rho_eps, *self.step_eps = draws
+
+    @classmethod
+    def draw(cls, seed, batch, dim, K):
+        rng = chain_rng(seed)
+        return cls([rng.normal(size=(batch, dim)) for _ in range(K + 1)])
+
+    def chain(self, i):
+        """Chain i's draws, each shaped (dim,)."""
+        return Noise([d[i] for d in self.draws])
+
+
+class ReplayRng:
+    """A Generator stand-in whose normal() hands out the given arrays in
+    turn, reshaped to the size asked for."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def normal(self, size):
+        return next(self._draws).reshape(size)
+
+
+class RecordingRng:
+    """A Generator stand-in that records the size of every normal() draw."""
+
+    def __init__(self):
+        self.sizes = []
+        self._rng = np.random.default_rng(0)
+
+    def normal(self, size):
+        self.sizes.append(size)
+        return self._rng.normal(size=size)
 
 
 def bridge_score(t, z, k, K, q, target, schedule):
@@ -97,22 +145,19 @@ class TestRegistry:
                                                 "score"}
 
 
-class TestNoiseBundle:
-    def test_shapes_and_determinism(self):
-        a = NoiseBundle.draw(7, 3, 5, 2, 4)
-        b = NoiseBundle.draw(7, 3, 5, 2, 4)
-        assert a.z_eps.shape == (5, 2)
-        assert a.rho_eps.shape == (5, 2)
-        assert a.step_eps.shape == (3, 5, 2)
-        np.testing.assert_array_equal(a.z_eps, b.z_eps)
-        np.testing.assert_array_equal(a.step_eps, b.step_eps)
-        c = NoiseBundle.draw(7, 4, 5, 2, 4)
-        assert np.any(c.z_eps != a.z_eps)
+class TestDrawOrder:
+    """The chain's draws fix every bound and record byte: z, the initial
+    momentum, then one per transition, each (batch, dim). Plain VI draws z
+    only."""
 
-    def test_unbatched(self):
-        a = NoiseBundle.draw(0, 0, None, 3, 1)
-        assert a.z_eps.shape == (3,)
-        assert a.step_eps.shape == (0, 3)
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_one_draw_per_use(self, name, K):
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
+        rng = RecordingRng()
+        model = lift_model(Tape(), cfg, init_params(cfg, 3, K), 3, K)
+        estimate_elbo(model, gaussian_toy_target(3), rng, 5)
+        assert rng.sizes == [(5, 3)] * (1 if name == "plainvi" else K + 1)
 
 
 class TestInitParams:
@@ -157,8 +202,7 @@ class TestPerfectBase:
         target = gaussian_toy_target(3, mean=1.0, cov_diag=1.5)
         cfg = dataclasses.replace(get_method(name), score_hidden=4)
         params = self.matched_params(cfg, 3, 1)
-        noise = NoiseBundle.draw(0, 0, 8, 3, 1)
-        est = run_estimate(cfg, params, target, 1, noise)
+        est = run_estimate(cfg, params, target, 1, chain_rng(0), 8)
         np.testing.assert_allclose(est.value.value,
                                    np.full(8, target.log_z), rtol=1e-12)
 
@@ -168,8 +212,7 @@ class TestPerfectBase:
         cfg = get_method("plainvi")
         params = init_params(cfg, 4, 1, mu=-0.5, sigma=np.sqrt(2.0))
         model = lift_model(t, cfg, params, 4, 1)
-        est = estimate_elbo(model, target,
-                            NoiseBundle.draw(1, 0, 16, 4, 1))
+        est = estimate_elbo(model, target, chain_rng(1), 16)
         np.testing.assert_allclose(est.value.value,
                                    np.full(16, target.log_z), rtol=1e-12)
 
@@ -227,8 +270,7 @@ class TestUnbiasedness:
                   * rng.normal(size=v.shape)
                   for k, v in init_params(cfg, 2, K).items()}
         model = lift_model(Tape(), cfg, params, 2, K, trainable=False)
-        L = estimate_elbo(model, target,
-                          NoiseBundle.draw(case, 0, n, 2, K)).value.value
+        L = estimate_elbo(model, target, chain_rng(case), n).value.value
         w = np.exp(L - L.max())
         log_z_hat = L.max() + np.log(w.mean())
         se = w.std() / (np.sqrt(n) * w.mean())
@@ -249,9 +291,10 @@ class TestRecoveryIdentities:
             target = gaussian_toy_target(dim, mean=rng.normal(),
                                          cov_diag=rng.uniform(0.5, 2.0))
             params = random_params(get_method("ula"), dim, K, rng)
-            noise = NoiseBundle.draw(int(rng.integers(1000)), 0, 3, dim, K)
-            a = run_estimate(get_method("ula"), params, target, K, noise)
-            b = run_estimate(reduced, params, target, K, noise)
+            seed = int(rng.integers(1000))
+            a = run_estimate(get_method("ula"), params, target, K,
+                             chain_rng(seed), 3)
+            b = run_estimate(reduced, params, target, K, chain_rng(seed), 3)
             np.testing.assert_allclose(a.value.value, b.value.value,
                                        rtol=0, atol=1e-8)
 
@@ -265,9 +308,10 @@ class TestRecoveryIdentities:
             target = gaussian_toy_target(dim, mean=rng.normal(),
                                          cov_diag=rng.uniform(0.5, 2.0))
             params = random_params(get_method("uha"), dim, K, rng)
-            noise = NoiseBundle.draw(int(rng.integers(1000)), 0, 3, dim, K)
-            a = run_estimate(get_method("uha"), params, target, K, noise)
-            b = run_estimate(reduced, params, target, K, noise)
+            seed = int(rng.integers(1000))
+            a = run_estimate(get_method("uha"), params, target, K,
+                             chain_rng(seed), 3)
+            b = run_estimate(reduced, params, target, K, chain_rng(seed), 3)
             np.testing.assert_allclose(a.value.value, b.value.value,
                                        rtol=0, atol=1e-8)
 
@@ -275,20 +319,20 @@ class TestRecoveryIdentities:
         """At initialization the score correction vanishes exactly."""
         rng = np.random.default_rng(12)
         target = gaussian_toy_target(3, mean=0.4, cov_diag=1.2)
-        noise = NoiseBundle.draw(3, 0, 4, 3, 5)
 
         ldvi = dataclasses.replace(get_method("ldvi"), score_hidden=8)
         params = init_params(ldvi, 3, 5, seed=9)
         params["q.mu"] = rng.normal(size=3)
         scoreless = dataclasses.replace(ldvi, backward="exact")
-        a = run_estimate(ldvi, params, target, 5, noise)
-        b = run_estimate(scoreless, params, target, 5, noise)
+        a = run_estimate(ldvi, params, target, 5, chain_rng(3), 4)
+        b = run_estimate(scoreless, params, target, 5, chain_rng(3), 4)
         np.testing.assert_array_equal(a.value.value, b.value.value)
 
         ldvi_em = dataclasses.replace(get_method("ldvi_em"), score_hidden=8)
         params = init_params(ldvi_em, 3, 5, seed=9)
-        c = run_estimate(ldvi_em, params, target, 5, noise)
-        d = run_estimate(get_method("uha_em"), params, target, 5, noise)
+        c = run_estimate(ldvi_em, params, target, 5, chain_rng(3), 4)
+        d = run_estimate(get_method("uha_em"), params, target, 5,
+                         chain_rng(3), 4)
         np.testing.assert_array_equal(c.value.value, d.value.value)
 
     def test_full_refresh_position_update_is_overdamped(self):
@@ -299,20 +343,20 @@ class TestRecoveryIdentities:
         target = gaussian_toy_target(dim, mean=0.7, cov_diag=0.9)
         cfg = get_method("ula")
         params = init_params(cfg, dim, K, delta=delta)
-        noise = NoiseBundle.draw(21, 0, None, dim, K)
+        noise = Noise.draw(21, 1, dim, K).chain(0)
 
         t = Tape()
         model = lift_model(t, cfg, params, dim, K)
         z1 = model.q.sample(noise.z_eps).value
         # replay the chain to extract z_2 from the terminal log p term
-        est = estimate_elbo(model, target, noise)
+        est = estimate_elbo(model, target, chain_rng(21), 1)
         # overdamped prediction at the midpoint bridge pi_1 (beta = 1/2)
         eps_step = 0.5 * delta * delta
         grad = 0.5 * (-z1) + 0.5 * ((0.7 - z1) / 0.9)
         z2 = z1 + eps_step * grad + np.sqrt(2 * eps_step) * noise.step_eps[0]
         lp_rho = norm.logpdf(est_terminal_rho(params, target, noise, delta)).sum()
         want_terminal = toy_logp(target, z2) + lp_rho
-        got_terminal = (est.value.value
+        got_terminal = (est.value.value[0]
                         - head_terms(params, target, noise))
         assert got_terminal == pytest.approx(want_terminal, rel=1e-10)
 
@@ -464,11 +508,12 @@ class TestBruteForceOracle:
         target = gaussian_toy_target(dim, mean=rng.normal(size=dim),
                                      cov_diag=rng.uniform(0.5, 2.0, size=dim))
         params = random_params(cfg, dim, K, rng, score_scale=0.2)
-        noise = NoiseBundle.draw(int(rng.integers(1000)), 0, None, dim, K)
-        est = run_estimate(cfg, params, target, K, noise)
-        ref = scipy_replay(cfg, params, target, K, noise,
+        seed = int(rng.integers(1000))
+        est = run_estimate(cfg, params, target, K, chain_rng(seed), 1)
+        ref = scipy_replay(cfg, params, target, K,
+                           Noise.draw(seed, 1, dim, K).chain(0),
                            make_score_value(cfg, params, dim, K))
-        assert abs(float(est.value.value) - ref) < 1e-8
+        assert abs(float(est.value.value[0]) - ref) < 1e-8
 
 
 def sonar_head(rows=20):
@@ -499,8 +544,7 @@ class TestGradients:
             params = random_params(cfg, 2, 3, rng, score_scale=0.2)
             t = Tape()
             model = lift_model(t, cfg, params, 2, 3)
-            est = estimate_elbo(model, target,
-                                NoiseBundle.draw(2, 0, 4, 2, 3))
+            est = estimate_elbo(model, target, chain_rng(2), 4)
             grads = t.backward(t.mean_all(est.value))
             for key in params:
                 group = GROUP_OF.get(key, "score")
@@ -521,18 +565,17 @@ class TestGradients:
         dim, K = target.dim, 3
         rng = np.random.default_rng(31)
         params = random_params(cfg, dim, K, rng, score_scale=0.2)
-        noise = NoiseBundle.draw(4, 0, 3, dim, K)
 
         def value_at(ps):
             t = Tape()
             model = lift_model(t, cfg, ps, dim, K)
-            return float(np.mean(estimate_elbo(model, target,
-                                               noise).value.value))
+            return float(np.mean(estimate_elbo(model, target, chain_rng(4),
+                                               3).value.value))
 
         t = Tape()
         model = lift_model(t, cfg, params, dim, K)
         grads = t.backward(t.mean_all(estimate_elbo(model, target,
-                                                    noise).value))
+                                                    chain_rng(4), 3).value))
         h = 1e-6
         rng2 = np.random.default_rng(32)
         for key, val in params.items():
@@ -581,7 +624,7 @@ class TestGradients:
             params = random_params(cfg, 2, 3, rng, score_scale=0.2)
             t = Tape()
             est = estimate_elbo(lift_model(t, cfg, params, 2, 3), target,
-                                NoiseBundle.draw(i, 0, 4, 2, 3))
+                                chain_rng(i), 4)
             assert np.all(np.isfinite(est.value.value)), cfg
             grads = t.backward(t.mean_all(est.value))
             assert grads.keys() == params.keys(), cfg
@@ -600,11 +643,10 @@ class TestErrors:
             score=lambda t, z: t.mul(1e200, z))
         cfg = get_method("ula")
         params = init_params(cfg, 1, 3)
-        noise = NoiseBundle.draw(0, 0, None, 1, 3)
         t = Tape()
         model = lift_model(t, cfg, params, 1, 3)
         with pytest.raises(EstimatorError, match="k=1"):
-            estimate_elbo(model, bad, noise)
+            estimate_elbo(model, bad, chain_rng(0), 1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_names_the_quantity(self):
@@ -615,21 +657,10 @@ class TestErrors:
             score=lambda t, z: t.neg(z))
         cfg = get_method("ula")
         params = init_params(cfg, 1, 3)
-        noise = NoiseBundle.draw(0, 0, None, 1, 3)
         model = lift_model(Tape(), cfg, params, 1, 3)
         with pytest.raises(EstimatorError,
                            match="non-finite terminal density at transition k=3"):
-            estimate_elbo(model, bad, noise)
-
-    def test_too_few_transition_draws(self):
-        target = gaussian_toy_target(1)
-        cfg = get_method("ula")
-        params = init_params(cfg, 1, 4)
-        noise = NoiseBundle.draw(0, 0, None, 1, 2)
-        t = Tape()
-        model = lift_model(t, cfg, params, 1, 4)
-        with pytest.raises(ValueError):
-            estimate_elbo(model, target, noise)
+            estimate_elbo(model, bad, chain_rng(0), 1)
 
 
 class TestParamShapes:
@@ -663,15 +694,37 @@ class TestBatching:
         for name in ("ula", "uha", "ldvi", "ldvi_em", "mcd"):
             cfg = dataclasses.replace(get_method(name), score_hidden=4)
             params = random_params(cfg, 2, 3, rng, score_scale=0.2)
-            noise = NoiseBundle.draw(6, 0, 5, 2, 3)
-            batched = run_estimate(cfg, params, target, 3, noise)
+            noise = Noise.draw(6, 5, 2, 3)
+            batched = run_estimate(cfg, params, target, 3, chain_rng(6), 5)
             assert batched.value.value.shape == (5,)
             for i in range(5):
-                sub = NoiseBundle(noise.z_eps[i], noise.rho_eps[i],
-                                  noise.step_eps[:, i])
-                single = run_estimate(cfg, params, target, 3, sub)
-                assert float(single.value.value) == pytest.approx(
+                single = run_estimate(cfg, params, target, 3,
+                                      ReplayRng(noise.chain(i).draws), 1)
+                assert float(single.value.value[0]) == pytest.approx(
                     batched.value.value[i], rel=1e-12), name
+
+
+class TestEvaluationMemory:
+    def test_peak_flat_in_num_steps(self):
+        """Each transition draws its noise as the chain reaches it, so one
+        256-chain evaluation at K=256 peaks within 2x of K=8 (the draws
+        pre-drawn as one (K-1, 256, D) array made that about 12x)."""
+        target, cfg = brownian_motion_target(), get_method("uha_em")
+        peaks = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for K in (8, 8, 256):  # the first run warms one-time caches
+                params = init_params(cfg, target.dim, K)
+                tracemalloc.start()
+                try:
+                    evaluate_elbo_mean(cfg, params, target, K, 256, seed=0)
+                    peaks[K] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        finally:
+            gc.enable()
+        assert peaks[256] <= 2 * peaks[8], peaks
 
 
 class TestPlainViElbo:
@@ -679,15 +732,14 @@ class TestPlainViElbo:
         target = gaussian_toy_target(3, mean=0.6, cov_diag=1.4)
         rng = np.random.default_rng(50)
         params = random_params(get_method("plainvi"), 3, 1, rng)
-        noise = NoiseBundle.draw(50, 0, None, 3, 1)
         got = run_estimate(get_method("plainvi"), params, target, 1,
-                           noise).value
-        eps = noise.z_eps
+                           chain_rng(50), 1).value
+        eps = Noise.draw(50, 1, 3, 1).chain(0).z_eps
         mu = params["q.mu"]
         sigma = softplus(params["q.raw_scale"])
         z = mu + sigma * eps
         want = toy_logp(target, z) - norm.logpdf(z, mu, sigma).sum()
-        assert float(got.value) == pytest.approx(want, rel=1e-12)
+        assert float(got.value[0]) == pytest.approx(want, rel=1e-12)
 
 
 def counting_target(target):
@@ -798,7 +850,7 @@ class TestScoreReuse:
         target, calls = counting_target(gaussian_toy_target(3, mean=0.2))
         cfg = dataclasses.replace(get_method(name), score_hidden=4)
         params = init_params(cfg, 3, K)
-        run_estimate(cfg, params, target, K, NoiseBundle.draw(0, 0, 4, 3, K))
+        run_estimate(cfg, params, target, K, chain_rng(0), 4)
         assert len(calls) == K + per_chain
         assert len({z.index for z in calls}) == len(calls)
 
@@ -819,7 +871,7 @@ class TestScoreReuse:
         K = 8
         cfg = dataclasses.replace(get_method(name), score_hidden=4)
         run_estimate(cfg, init_params(cfg, 3, K), gaussian_toy_target(3), K,
-                     NoiseBundle.draw(0, 0, 2, 3, K))
+                     chain_rng(0), 2)
         assert len(calls) == K + calls_per_chain
         assert len(set(calls)) == len(calls)
 
@@ -832,14 +884,15 @@ class TestScoreReuse:
         target = gaussian_toy_target(dim, mean=rng.normal(size=dim),
                                      cov_diag=rng.uniform(0.5, 2.0, size=dim))
         params = random_params(cfg, dim, K, rng, score_scale=0.2)
-        noise = NoiseBundle.draw(int(rng.integers(1000)), 0, 4, dim, K)
+        seed = int(rng.integers(1000))
 
         t = Tape()
-        est = estimate_elbo(lift_model(t, cfg, params, dim, K), target, noise)
+        est = estimate_elbo(lift_model(t, cfg, params, dim, K), target,
+                            chain_rng(seed), 4)
         grads = t.backward(t.mean_all(est.value))
         r = Tape()
         ref = per_call_reference(lift_model(r, cfg, params, dim, K), target,
-                                 noise)
+                                 Noise.draw(seed, 4, dim, K))
         ref_grads = r.backward(r.mean_all(ref))
 
         np.testing.assert_array_equal(est.value.value, ref.value)
@@ -875,7 +928,7 @@ class TestScoreReuse:
         cfg = get_method(name)
         model = lift_model(Tape(), cfg, init_params(cfg, target.dim, K),
                            target.dim, K, trainable=False)
-        estimate_elbo(model, target, NoiseBundle.draw(0, 0, 8, target.dim, K))
+        estimate_elbo(model, target, chain_rng(0), 8)
         assert len(alive) == K + per_chain
         assert max(alive) <= 1
 
@@ -887,7 +940,7 @@ class TestScoreReuse:
         cfg = dataclasses.replace(get_method("mcd"), score_hidden=8)
         model = lift_model(Tape(), cfg, init_params(cfg, target.dim, K),
                            target.dim, K, trainable=False)
-        estimate_elbo(model, target, NoiseBundle.draw(0, 0, 8, target.dim, K))
+        estimate_elbo(model, target, chain_rng(0), 8)
         assert len(alive) == K
         assert max(alive) <= 1
 
@@ -908,7 +961,7 @@ class TestTapeSize:
         t = Tape()
         model = lift_model(t, cfg, init_params(cfg, target.dim, K),
                            target.dim, K)
-        estimate_elbo(model, target, NoiseBundle.draw(0, 0, 2, target.dim, K))
+        estimate_elbo(model, target, chain_rng(0), 2)
         assert len(t.nodes) <= SONAR_NODE_CEILINGS[name]
 
     @pytest.mark.parametrize("name", ["ula", "mcd"])
@@ -923,7 +976,7 @@ class TestTapeSize:
         K = 8
         cfg = dataclasses.replace(get_method(name), score_hidden=4)
         run_estimate(cfg, init_params(cfg, 3, K), gaussian_toy_target(3), K,
-                     NoiseBundle.draw(0, 0, 4, 3, K))
+                     chain_rng(0), 4)
         assert operands
         for a in operands:
             if isinstance(a, Var) and a.needs_grad:
@@ -990,14 +1043,16 @@ class TestEMChain:
         dim, K = target.dim, 5
         cfg = dataclasses.replace(get_method(name), score_hidden=6)
         params = random_params(cfg, dim, K, rng, score_scale=0.2)
-        noise = NoiseBundle.draw(int(rng.integers(1000)), 0, 3, dim, K)
+        seed = int(rng.integers(1000))
 
         t = Tape()
-        est = estimate_elbo(lift_model(t, cfg, params, dim, K), target, noise)
+        est = estimate_elbo(lift_model(t, cfg, params, dim, K), target,
+                            chain_rng(seed), 3)
         grads = t.backward(t.mean_all(est.value))
         r = Tape()
         ref = per_transition_em_reference(
-            lift_model(r, cfg, params, dim, K), target, noise)
+            lift_model(r, cfg, params, dim, K), target,
+            Noise.draw(seed, 3, dim, K))
         ref_grads = r.backward(r.mean_all(ref))
 
         np.testing.assert_array_equal(est.value.value, ref.value)
@@ -1021,8 +1076,7 @@ class TestEMChain:
                             counting_euler_maruyama)
         cfg = dataclasses.replace(get_method(name), score_hidden=4)
         target = gaussian_toy_target(3, mean=0.2)
-        run_estimate(cfg, init_params(cfg, 3, K), target, K,
-                     NoiseBundle.draw(0, 0, 2, 3, K))
+        run_estimate(cfg, init_params(cfg, 3, K), target, K, chain_rng(0), 2)
         assert len(built) == 1
 
     @pytest.mark.parametrize("raw", ["raw_gamma", "raw_delta"])
@@ -1033,7 +1087,7 @@ class TestEMChain:
         params[raw] = np.asarray(-800.0)  # softplus underflows to 0.0
         with pytest.raises(DomainError, match="gamma \\* delta"):
             run_estimate(cfg, params, gaussian_toy_target(2), 3,
-                         NoiseBundle.draw(0, 0, None, 2, 3))
+                         chain_rng(0), 1)
 
 
 class TestErrorContext:
@@ -1048,7 +1102,7 @@ class TestErrorContext:
         params = init_params(cfg, 1, 3, delta=0.07, gamma=1.5)
         model = lift_model(Tape(), cfg, params, 1, 3)
         with pytest.raises(EstimatorError) as info:
-            estimate_elbo(model, bad, NoiseBundle.draw(0, 0, None, 1, 3))
+            estimate_elbo(model, bad, chain_rng(0), 1)
         message = str(info.value)
         delta = float(model.delta.value)
         assert message.endswith(

@@ -42,7 +42,7 @@ def test_estimate_value_belongs_to_the_lifting_tape():
     model = estimator.lift_model(t, cfg, estimator.init_params(cfg, 2, 3),
                                  2, 3)
     result = estimator.estimate_elbo(model, gaussian_toy_target(2),
-                                     estimator.NoiseBundle.draw(0, 0, 2, 2, 3))
+                                     np.random.default_rng([0, 0]), 2)
     assert result.value.tape is t
     assert len(result.value.tape.nodes) > 0
 

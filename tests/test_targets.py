@@ -127,6 +127,15 @@ class TestLoader:
         with pytest.raises(ValueError, match="d.csv:2"):
             load_binary_classification_csv(p, "a")
 
+    def test_bad_first_row_after_header_reported(self, tmp_path):
+        """Every record was taken for a header until a row was read, so a
+        bad field in the first data row was dropped without a word."""
+        p = self._write(tmp_path / "hdr.csv",
+                        "f1,f2,label\n1.0,oops,a\n3.0,4.0,b\n5.0,6.0,a\n")
+        with pytest.raises(ValueError,
+                           match="hdr.csv:2: unparseable feature field"):
+            load_binary_classification_csv(p, "a")
+
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
     def test_non_finite_field_reported_with_line_number(self, tmp_path,
                                                         field):

@@ -159,7 +159,7 @@ class TestTrain:
         ("seed", -1),
         ("record_every", 5.0), ("toy_dim", np.int64(2)),
         ("score_hidden", 4.0), ("lr", float("inf")),
-        ("pretrain_lr", float("inf"))])
+        ("pretrain_lr", float("inf")), ("divergence_floor", float("inf"))])
     def test_plan_rejects_bad_value(self, field, value):
         """Each value failed mid-run, trained nothing, descended the bound
         or wrote a record that is not JSON before. A count must be a plain
@@ -170,6 +170,11 @@ class TestTrain:
     def test_plan_accepts_infinite_grad_clip(self):
         """grad_clip=inf turns clipping off."""
         assert toy_plan(grad_clip=float("inf")).grad_clip == float("inf")
+
+    def test_plan_accepts_no_divergence_floor(self):
+        """divergence_floor=-inf turns the floor off."""
+        plan = toy_plan(divergence_floor=float("-inf"))
+        assert plan.divergence_floor == float("-inf")
 
     def test_transform_safety_after_training(self):
         """delta, gamma, sigma stay positive and beta stays increasing."""

@@ -24,8 +24,8 @@ import sys
 
 import numpy as np
 
-from ldvi.estimator import (NoiseBundle, estimate_elbo, evaluate_elbo_mean,
-                            get_method, init_params, lift_model, method_names)
+from ldvi.estimator import (estimate_elbo, evaluate_elbo_mean, get_method,
+                            init_params, lift_model, method_names)
 from ldvi.tape import Tape
 from ldvi.targets import TARGET_NAMES, get_target
 from ldvi.trainer import TrainPlan, train
@@ -46,7 +46,7 @@ def fingerprint() -> dict:
             t = Tape()
             model = lift_model(t, cfg, params, target.dim, K)
             est = estimate_elbo(model, target,
-                                NoiseBundle.draw(SEED, 0, BATCH, target.dim, K))
+                                np.random.default_rng([SEED, 0]), BATCH)
             grads = t.backward(t.mean_all(est.value))
             out[f"{method}/{target_name}"] = {
                 "bounds": [repr(float(v)) for v in est.value.value],
