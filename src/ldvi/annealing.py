@@ -7,11 +7,13 @@ are trainable: beta_k is the normalized cumulative sum of softplus-transformed
 weights, which keeps the schedule strictly monotone for any real weights. The
 estimator mixes the bridge score from q's and the target's scores at each
 interior step, and uses log q and log p themselves at the chain's endpoints.
+q's draw is one `Tape.muladd` node, and its log-density one
+`Tape.gaussian_logpdf` node with the diagonal variance sigma^2 it shares
+with its score.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -19,8 +21,6 @@ import numpy as np
 from ldvi.tape import Tape, Var, _unbroadcast
 
 __all__ = ["MeanFieldGaussian", "AnnealingSchedule", "inverse_softplus"]
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 def inverse_softplus(y: float | np.ndarray) -> np.ndarray:
@@ -45,7 +45,6 @@ class MeanFieldGaussian:
         self.mu = mu
         self.raw_scale = raw_scale
         self.sigma = tape.softplus(raw_scale)
-        self.dim = mu.value.shape[-1]
 
     @staticmethod
     def init_params(dim: int, mu: float | np.ndarray = 0.0,
@@ -57,18 +56,15 @@ class MeanFieldGaussian:
 
     def sample(self, eps: np.ndarray) -> Var:
         """Reparameterized draw mu + sigma * eps for standard-Normal noise."""
-        t = self.tape
-        return t.add(self.mu, t.mul(self.sigma, eps))
+        return self.tape.muladd(self.sigma, eps, self.mu)
 
     def log_pdf(self, z: Var) -> Var:
-        t = self.tape
-        diff = t.div(t.sub(z, self.mu), self.sigma)
-        per_dim = t.add(t.log(self.sigma), t.mul(0.5, t.square(diff)))
-        return t.neg(t.add(t.sum(per_dim), 0.5 * self.dim * LOG_2PI))
+        """log q(z) as one diagonal-variance `Tape.gaussian_logpdf` node."""
+        return self.tape.gaussian_logpdf(z, self.mu, self.var)
 
     @cached_property
     def var(self) -> Var:
-        """sigma^2, built on first use and shared by every `score` call."""
+        """sigma^2, built on first use and shared by `log_pdf` and `score`."""
         return self.tape.square(self.sigma)
 
     def score(self, z: Var) -> Var:

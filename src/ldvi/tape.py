@@ -10,6 +10,9 @@ built analytically rather than by nesting backward passes). Composites such as
 `Tape.gaussian_logpdf` are single nodes with hand-written VJPs: their forward
 value repeats the numpy operations of the primal chain they replace, in the
 same order, so values match it bit for bit while the tape holds one node.
+`Tape.gaussian_logpdf` takes a shared scalar or a (D,) diagonal variance, and
+is every Gaussian density: q's, the momentum kernels' and the logistic prior.
+There is no `log` operation: every logarithm sits inside a fused node.
 The chain's own fused nodes are `Tape.muladd` (a * x + y), `Tape.mulsub`
 (a * x - y), `Tape.lerp` ((1 - w) x + w y) and `MeanFieldGaussian.score`.
 `Tape.push` records such a node from any module; the array kernels
@@ -279,12 +282,6 @@ class Tape:
         value = np.exp(a.value)
         return self.push(value, (a,), lambda adj: (adj * value,))
 
-    def log(self, a) -> Var:
-        a = self._coerce(a)
-        if (a.value <= 0.0).any():
-            raise DomainError("log", f"non-positive input (min {a.value.min()})")
-        return self.push(np.log(a.value), (a,), lambda adj: (adj / a.value,))
-
     def tanh(self, a) -> Var:
         a = self._coerce(a)
         value = np.tanh(a.value)
@@ -407,29 +404,35 @@ class Tape:
     def gaussian_logpdf(self, x, mean, var) -> Var:
         """Diagonal-Gaussian log-density, summed over the vector axis.
 
-        `var` is a shared positive variance: a python float or a scalar Var.
-        Returns sum_d [-0.5 log(2 pi var) - (x_d - mean_d)^2 / (2 var)] as one
-        node whose VJP gives the adjoints of `x`, `mean` and `var`, each only
-        when that operand needs one.
+        `var` is positive: one variance shared by every component (a python
+        float or a scalar Var), or a (D,) diagonal with one per component.
+        Returns sum_d [-0.5 log(2 pi var_d) - (x_d - mean_d)^2 / (2 var_d)]
+        as one node whose VJP gives the adjoints of `x`, `mean` and `var`,
+        each only when that operand needs one.
         """
         x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
         xv, mv, vv = x.value, mean.value, var.value
-        if (vv <= 0.0).any():
-            raise DomainError("gaussian_logpdf",
-                              f"non-positive variance {vv!r}")
         d = xv.shape[-1]
+        if vv.shape not in ((), (d,)) or (vv <= 0.0).any():
+            raise DomainError("gaussian_logpdf", "variance must be positive "
+                              f"and of shape () or ({d},), got {vv!r}")
         diff = xv - mv
-        quad = (diff * diff).sum(axis=-1)
+        quad, half_d = diff * diff, 0.5
+        if not vv.ndim:
+            quad, half_d = quad.sum(axis=-1), 0.5 * d
         two_var = 2.0 * vv
-        value = -((0.5 * d) * np.log((2.0 * np.pi) * vv) + quad / two_var)
+        value = -(half_d * np.log((2.0 * np.pi) * vv) + quad / two_var)
+        if vv.ndim:
+            value = value.sum(axis=-1)
 
         def vjp(adj):
-            # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - d / (2 var)
-            r = (adj / vv)[..., None] * diff
+            # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - half_d / var
+            r = (adj[..., None] / vv) * diff
+            adj_var = adj[..., None] if vv.ndim else adj
             return (
                 _unbroadcast(-r, xv.shape) if x.needs_grad else None,
                 _unbroadcast(r, mv.shape) if mean.needs_grad else None,
-                _unbroadcast(adj * (quad / (two_var * vv) - (0.5 * d) / vv),
+                _unbroadcast(adj_var * (quad / (two_var * vv) - half_d / vv),
                              vv.shape) if var.needs_grad else None)
 
         return self.push(value, (x, mean, var), vjp)

@@ -109,6 +109,15 @@ class TestMeanFieldGaussian:
                                              1.44 * np.eye(3))
             assert lp[i] == pytest.approx(ref, rel=1e-12)
 
+    def test_sample_and_log_pdf_are_one_node_each(self):
+        t = Tape()
+        q = make_q(t, 3)
+        q.var    # sigma^2, shared with the score
+        before = len(t.nodes)
+        q.log_pdf(q.sample(np.ones((4, 3))))
+        assert [node.vjp.__qualname__.split(".")[1]
+                for node in t.nodes[before:]] == ["muladd", "gaussian_logpdf"]
+
     def test_shape_mismatch(self):
         t = Tape()
         with pytest.raises(ValueError):

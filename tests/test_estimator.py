@@ -761,7 +761,7 @@ def leaves(model):
 def reference_score(model):
     """s(k, z, rho) rebuilt afresh on every call from the model's lifted
     parameter nodes, or None for a method without a score net."""
-    net = model.config.score_net(model.q.dim)
+    net = model.config.score_net(model.q.mu.shape[-1])
     if net is None:
         return None
     return lambda k, z, rho: net.apply(model.tape, leaves(model), k,
@@ -946,8 +946,8 @@ class TestScoreReuse:
 
 
 # len(tape.nodes) of one K=8 sonar estimate on a training tape
-SONAR_NODE_CEILINGS = {"plainvi": 18, "ula": 124, "mcd": 221, "uha": 150,
-                       "ldvi": 236, "uha_em": 128, "ldvi_em": 213}
+SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 115, "mcd": 212, "uha": 141,
+                       "ldvi": 227, "uha_em": 119, "ldvi_em": 204}
 
 
 class TestTapeSize:

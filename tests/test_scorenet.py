@@ -70,8 +70,22 @@ class TestScoreNet:
         assert np.max(np.abs(apply_net(full, params, 1, 4, z, r1)
                              - apply_net(full, params, 1, 4, z, r2))) > 1e-6
         pos = ScoreNet(dim=2, hidden=8, position_only=True)
-        np.testing.assert_array_equal(apply_net(pos, params, 1, 4, z, r1),
-                                      apply_net(pos, params, 1, 4, z, r2))
+        pos_params = perturbed(pos.init_params(seed=7))
+        np.testing.assert_array_equal(apply_net(pos, pos_params, 1, 4, z, r1),
+                                      apply_net(pos, pos_params, 1, 4, z, r2))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_position_only_first_layer_is_the_full_ones_first_columns(
+            self, dim):
+        full = ScoreNet(dim=dim, hidden=8).init_params(seed=3)
+        pos = ScoreNet(dim=dim, hidden=8, position_only=True)
+        params = pos.init_params(seed=3)
+        assert pos.input_dim == 1 + dim
+        assert params["score.W0"].shape == (8, 1 + dim)
+        np.testing.assert_array_equal(params["score.W0"],
+                                      full["score.W0"][:, :1 + dim])
+        for key in full.keys() - {"score.W0"}:
+            np.testing.assert_array_equal(params[key], full[key])
 
     def test_position_only_needs_no_momentum(self):
         net = ScoreNet(dim=2, hidden=8, position_only=True)

@@ -11,7 +11,8 @@ the two norms show how far unequal ones drift. It also records the SHA-256 of
 toy, brownian, sonar and ionosphere, so equal digests mean byte-identical
 records, and the `repr` of an `evaluate_elbo_mean` of every method on
 ionosphere at the default batch of 256 over 600 samples, whose last chunk
-is a ragged 88. Compare two checkouts with
+is a ragged 88. It pins BLAS to one thread, as perfbench/run.py does, so the
+output does not depend on the thread settings of the environment. Compare two checkouts with
 
     PYTHONPATH=src python3 tools/bound_fingerprint.py > after.json
     PYTHONPATH=/path/to/other/checkout/src python3 tools/bound_fingerprint.py > before.json
@@ -20,9 +21,15 @@ is a ragged 88. Compare two checkouts with
 
 import hashlib
 import json
+import os
 import sys
 
-import numpy as np
+# a multi-threaded matmul may sum in another order; the variables take effect
+# only before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 from ldvi.estimator import (estimate_elbo, evaluate_elbo_mean, get_method,
                             init_params, lift_model, method_names)
