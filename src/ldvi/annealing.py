@@ -87,8 +87,8 @@ class AnnealingSchedule:
     """Strictly increasing bridge schedule from trainable real weights.
 
     ``beta(k)`` for k in 1..K is cumsum(softplus(w))_k / sum(softplus(w)),
-    a scalar Var differentiable in the weights. beta_0 = 0 is implicit: the
-    chain starts from q itself, so no caller asks for it.
+    a length-1 Var differentiable in the weights. beta_0 = 0 is implicit:
+    the chain starts from q itself, so no caller asks for it.
     """
 
     def __init__(self, tape: Tape, weights: Var):
@@ -108,4 +108,4 @@ class AnnealingSchedule:
     def beta(self, k: int) -> Var:
         if not 1 <= k <= self.num_steps:
             raise ValueError(f"k={k} outside schedule range 1..{self.num_steps}")
-        return self.tape.index(self._betas, k - 1)
+        return self.tape.narrow(self._betas, k - 1, k)

@@ -20,10 +20,11 @@ kernel N(0, I): no shrink and no mean, so rho' is the noise itself. The
 exact Ornstein-Uhlenbeck refresh has shrink eta and variance 1 - eta^2,
 the Euler-Maruyama refresh shrink 1 - gamma delta and variance
 2 gamma delta. A reverse kernel shares its forward kernel's shrink and
-variance nodes, and LDVI's adds var s. MCD's has no shrink, variance 1 and
-coef 2, whatever the refresh. The endpoint momentum augmentation is a
-kernel too: N(0, I), or for MCD its reverse kernel N(2 s(k, z), I), which
-draws the initial momentum and scores both endpoints.
+variance nodes, and LDVI's adds var s. MCD's, derived for the full refresh
+and paired with it only, has no shrink, variance 1 and coef 2. The
+endpoint momentum augmentation is a kernel too: N(0, I), or for MCD its
+reverse kernel N(2 s(k, z), I), which draws the initial momentum and
+scores both endpoints.
 
 All kernel parameters (step size delta, friction gamma, momentum retention
 eta) are scalar tape Vars, so gradients flow through every density. The
@@ -136,7 +137,7 @@ class MomentumKernel:
 
     @classmethod
     def mcd_reverse(cls, tape: Tape, score_fn: ScoreFn) -> "MomentumKernel":
-        """MCD's reverse kernel N(2 s(k, z), I).
+        """MCD's reverse kernel N(2 s(k, z), I), for the full refresh.
 
         The position-only score s approximates the score of the intermediate
         marginal, so 2 s recenters the reverse refresh. It is also MCD's

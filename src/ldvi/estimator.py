@@ -54,11 +54,14 @@ class EstimatorError(RuntimeError):
 
 # ------------------------------------------------------------- configurations
 
-# scheme -> (momentum refreshes, reverse kernels); every pair is allowed
+# scheme -> momentum refresh -> the reverse kernels allowed with it. MCD's
+# reverse N(2 s(k, z), I) is derived for a full refresh, so it pairs with
+# "full" only.
 _KERNELS = {
-    "plain": (("none",), ("none",)),
-    "leapfrog": (("full", "ou", "em"), ("exact", "score", "mcd")),
-    "em": (("em",), ("exact", "score")),
+    "plain": {"none": ("none",)},
+    "leapfrog": {"full": ("exact", "score", "mcd"), "ou": ("exact", "score"),
+                 "em": ("exact", "score")},
+    "em": {"em": ("exact", "score")},
 }
 
 
@@ -76,9 +79,9 @@ class MethodConfig:
         "em" under "em", "none" under "plain".
     backward: the reverse kernel. "exact" is the refresh's own reversal,
         "score" that reversal plus var s(k, z, rho') from a score network,
-        and "mcd" (leapfrog only) is N(2 s(k, z), I) with a position-only
-        score that also sets the endpoint momentum augmentation N(2 s, I).
-        "none" under "plain".
+        and "mcd" (with the "full" refresh only) is N(2 s(k, z), I) with a
+        position-only score that also sets the endpoint momentum
+        augmentation N(2 s, I). "none" under "plain".
 
     The seven named methods:
 
@@ -108,13 +111,14 @@ class MethodConfig:
     def __post_init__(self):
         if self.scheme not in _KERNELS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        forwards, backwards = _KERNELS[self.scheme]
+        forwards = _KERNELS[self.scheme]
         if self.forward not in forwards:
             raise ValueError(f"forward kernel {self.forward!r} is not one of "
-                             f"{forwards} under scheme {self.scheme!r}")
+                             f"{tuple(forwards)} under scheme {self.scheme!r}")
+        backwards = forwards[self.forward]
         if self.backward not in backwards:
             raise ValueError(f"backward kernel {self.backward!r} is not one "
-                             f"of {backwards} under scheme {self.scheme!r}")
+                             f"of {backwards} with forward {self.forward!r}")
 
     @property
     def uses_score(self) -> bool:

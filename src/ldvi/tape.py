@@ -387,18 +387,6 @@ class Tape:
 
         return self.push(value, (a,), vjp)
 
-    def index(self, a, i: int) -> Var:
-        """Select element i of the vector axis, dropping the axis."""
-        a = self._coerce(a)
-        value = a.value[..., i]
-
-        def vjp(adj):
-            g = np.zeros(a.shape)
-            g[..., i] = adj
-            return (g,)
-
-        return self.push(value, (a,), vjp)
-
     # --------------------------------------------------------------- composite
 
     def gaussian_logpdf(self, x, mean, var) -> Var:

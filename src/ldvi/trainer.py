@@ -147,6 +147,10 @@ class TrainPlan:
         for name in ("seed", "pretrain_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
+        for name in ("lr", "pretrain_lr", "grad_clip", "divergence_floor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be int or float, got {value!r}")
         # -inf is no floor; nan never trips and +inf fails every step 0
         if not self.divergence_floor < math.inf:
             raise ValueError(f"divergence_floor must be -inf or finite, got "

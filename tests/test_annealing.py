@@ -125,8 +125,9 @@ class TestMeanFieldGaussian:
 
 
 def schedule_values(sched):
-    """(beta_0, ..., beta_K), with the implicit beta_0 = 0 prepended."""
-    return np.array([0.0] + [float(sched.beta(k).value)
+    """(beta_0, ..., beta_K), with the implicit beta_0 = 0 prepended; each
+    beta_k is a length-1 Var."""
+    return np.array([0.0] + [sched.beta(k).value[0]
                              for k in range(1, sched.num_steps + 1)])
 
 
@@ -150,7 +151,7 @@ class TestAnnealingSchedule:
     def test_gradients_flow_to_weights(self):
         t = Tape()
         sched = make_schedule(t, np.array([0.0, 1.0, -1.0]))
-        grads = t.backward(sched.beta(1))
+        grads = t.backward(t.sum(sched.beta(1)))
         assert np.any(grads["schedule.weights"] != 0.0)
 
     def test_beta_range_checked(self):
@@ -200,8 +201,9 @@ class TestBridge:
         for k in range(5):
             t, q, sched = self._build(K=4)
             vz = t.lift(z, trainable=True, name="z")
-            grads = t.backward(bridge_logdensity(t, vz, k, 4, q,
-                                                 self.target, sched))
+            # log pi_k is shaped (1,) in the interior, where beta_k is
+            grads = t.backward(t.mean_all(bridge_logdensity(
+                t, vz, k, 4, q, self.target, sched)))
             t2, q2, sched2 = self._build(K=4)
             s = bridge_score(t2, t2.lift(z), k, 4, q2, self.target, sched2)
             np.testing.assert_allclose(s.value, grads["z"], rtol=1e-10,

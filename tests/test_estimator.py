@@ -103,6 +103,14 @@ def random_params(config, dim, K, rng, score_scale=0.1):
     return params
 
 
+# The leapfrog (forward, backward) pairs that MethodConfig accepts but no
+# named method uses, under generated names; CONFIGS adds them to METHODS.
+UNNAMED = {f"{fwd}+{bwd}": MethodConfig(f"{fwd}+{bwd}", "leapfrog", fwd, bwd)
+           for fwd, bwd in (("full", "score"), ("ou", "score"),
+                            ("em", "exact"))}
+CONFIGS = METHODS | UNNAMED
+
+
 class TestRegistry:
     def test_seven_named_methods(self):
         assert method_names() == ("plainvi", "ula", "mcd", "uha", "ldvi",
@@ -128,6 +136,8 @@ class TestRegistry:
         ("backward", dict(scheme="em", forward="em", backward="mcd")),
         ("backward", dict(scheme="plain", backward="exact")),
         ("forward", dict(forward="none", backward="exact")),
+        ("backward", dict(forward="ou", backward="mcd")),
+        ("backward", dict(forward="em", backward="mcd")),
     ])
     def test_invalid_kernel_choices_rejected(self, field, kernels):
         with pytest.raises(ValueError, match=field):
@@ -260,11 +270,11 @@ class TestUnbiasedness:
     """
 
     @pytest.mark.parametrize("K", [2, 4, 8])
-    @pytest.mark.parametrize("name", list(METHODS))
+    @pytest.mark.parametrize("name", list(CONFIGS))
     def test_logmeanexp_reaches_log_z(self, name, K):
-        n, case = 8000, 10 * method_names().index(name) + K
+        n, case = 8000, 10 * list(CONFIGS).index(name) + K
         target = gaussian_toy_target(2, mean=[0.5, -0.3], cov_diag=[0.8, 1.6])
-        cfg = get_method(name)
+        cfg = CONFIGS[name]
         rng = np.random.default_rng(case)
         params = {k: v + (0.05 if k.startswith("score.") else 0.2)
                   * rng.normal(size=v.shape)
@@ -555,12 +565,12 @@ class TestGradients:
                     assert key not in grads, (name, key)
 
     @pytest.mark.parametrize("target_name", list(FD_TARGETS))
-    @pytest.mark.parametrize("name", list(METHODS))
+    @pytest.mark.parametrize("name", list(CONFIGS))
     def test_finite_differences_full_method(self, name, target_name):
         """Pathwise gradient of the mean bound vs central differences, through
         the fused VJPs of the target's score and likelihood and of every
         momentum density."""
-        cfg = dataclasses.replace(get_method(name), score_hidden=4)
+        cfg = dataclasses.replace(CONFIGS[name], score_hidden=4)
         target = FD_TARGETS[target_name]()
         dim, K = target.dim, 3
         rng = np.random.default_rng(31)
@@ -618,7 +628,7 @@ class TestGradients:
                                              score_hidden=4))
             except ValueError:
                 pass
-        assert len(accepted) == 12
+        assert len(accepted) == 10
         for i, cfg in enumerate(accepted):
             rng = np.random.default_rng(60 + i)
             params = random_params(cfg, 2, 3, rng, score_scale=0.2)

@@ -1,5 +1,7 @@
 """Unit tests for the optimizer, training loop and run records."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -159,13 +161,26 @@ class TestTrain:
         ("seed", -1),
         ("record_every", 5.0), ("toy_dim", np.int64(2)),
         ("score_hidden", 4.0), ("lr", float("inf")),
-        ("pretrain_lr", float("inf")), ("divergence_floor", float("inf"))])
+        ("pretrain_lr", float("inf")), ("divergence_floor", float("inf")),
+        ("lr", True), ("lr", "0.1"), ("lr", np.float32(0.1)),
+        ("pretrain_lr", False), ("pretrain_lr", None), ("grad_clip", None),
+        ("grad_clip", True), ("divergence_floor", "-1e8"),
+        ("divergence_floor", False)])
     def test_plan_rejects_bad_value(self, field, value):
         """Each value failed mid-run, trained nothing, descended the bound
         or wrote a record that is not JSON before. A count must be a plain
-        int: not a float, a bool or a numpy integer."""
+        int: not a float, a bool or a numpy integer. A rate, the clip and
+        the floor must be an int or a float: not a bool, a string, None or
+        a numpy float32."""
         with pytest.raises(ValueError, match=field):
             toy_plan(**{field: value})
+
+    def test_plan_accepts_int_and_float64_reals(self):
+        """A numpy float64 is a float, and its record is JSON."""
+        plan = toy_plan(lr=np.float64(1e-2), grad_clip=10,
+                        divergence_floor=-100)
+        assert (plan.lr, plan.grad_clip) == (1e-2, 10)
+        assert json.loads(json.dumps(plan.to_dict()))["lr"] == 1e-2
 
     def test_plan_accepts_infinite_grad_clip(self):
         """grad_clip=inf turns clipping off."""

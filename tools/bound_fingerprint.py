@@ -1,9 +1,10 @@
 """Print a JSON fingerprint of ldvi's bound values and gradients.
 
 For every method on every benchmark target but lorenz (K=8, a batch of 4
-chains, seeded perturbed parameters) it records the `repr` of each chain's
-bound, the `repr` of the `evaluate_elbo_mean` output, and per-parameter
-gradient digests: the SHA-256 of the gradient's bytes, its largest absolute
+chains, parameters perturbed by noise keyed by the method, the target and
+the parameter's name) it records the `repr` of each chain's bound, the
+`repr` of the `evaluate_elbo_mean` output, and per-parameter gradient
+digests: the SHA-256 of the gradient's bytes, its largest absolute
 entry and its 2-norm. Two checkouts whose fingerprints have equal bounds
 compute bit-identical forward values; equal hashes mean equal gradients, and
 the two norms show how far unequal ones drift. It also records the SHA-256 of
@@ -23,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+import zlib
 
 # a multi-threaded matmul may sum in another order; the variables take effect
 # only before numpy is imported
@@ -41,15 +43,25 @@ K, BATCH, SEED = 8, 4, 7
 WIDE_SAMPLES = 600   # two full 256-chain chunks and a ragged one of 88
 
 
+def perturbed(params: dict, *names: str) -> dict:
+    """Each parameter plus 0.05 N(0, 1) noise from its own stream, keyed by
+    `names` and the parameter's name, so a change to one parameter's shape
+    or to the dict's order leaves every other parameter's noise as it was.
+    The keys are CRC-32 digests, which do not vary with PYTHONHASHSEED."""
+    key = [SEED] + [zlib.crc32(n.encode()) for n in names]
+    return {k: v + 0.05 * np.random.default_rng(
+                key + [zlib.crc32(k.encode())]).normal(size=v.shape)
+            for k, v in params.items()}
+
+
 def fingerprint() -> dict:
     out = {}
     for target_name in (n for n in TARGET_NAMES if n != "lorenz"):
         target = get_target(target_name)
         for method in method_names():
             cfg = get_method(method)
-            rng = np.random.default_rng([SEED, len(out)])
-            params = {k: v + 0.05 * rng.normal(size=v.shape)
-                      for k, v in init_params(cfg, target.dim, K).items()}
+            params = perturbed(init_params(cfg, target.dim, K), method,
+                               target_name)
             t = Tape()
             model = lift_model(t, cfg, params, target.dim, K)
             est = estimate_elbo(model, target,
