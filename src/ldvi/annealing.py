@@ -87,8 +87,9 @@ class AnnealingSchedule:
     """Strictly increasing bridge schedule from trainable real weights.
 
     ``beta(k)`` for k in 1..K is cumsum(softplus(w))_k / sum(softplus(w)),
-    a length-1 Var differentiable in the weights. beta_0 = 0 is implicit:
-    the chain starts from q itself, so no caller asks for it.
+    a length-1 Var differentiable in the weights, which `Tape.lerp` mixes
+    with as a 0-d value. beta_0 = 0 is implicit: the chain starts from q
+    itself, so no caller asks for it.
     """
 
     def __init__(self, tape: Tape, weights: Var):

@@ -7,7 +7,8 @@ map is either one leapfrog step of the bridge density pi_k, or (for the
 Euler-Maruyama variants) the position update z + delta rho' after a refresh
 that also carries the drift delta grad log pi_k(z). Both maps are
 deterministic and volume preserving, so the per-step contribution to the
-augmented lower bound is log m_B(rho | rho', z) - log m_F(rho' | rho).
+augmented lower bound is log m_B(rho | rho', z) - log m_F(rho' | rho), which
+`MomentumKernel.log_ratio` records as one `Tape.gaussian_log_ratio` node.
 
 Every momentum density of the bound is one `MomentumKernel`: N(mean, var I)
 with
@@ -185,3 +186,12 @@ class MomentumKernel:
     def log_pdf(self, x: Var, mean: Var | None) -> Var:
         return self.tape.gaussian_logpdf(x, 0.0 if mean is None else mean,
                                          self.var)
+
+    def log_ratio(self, x: Var, mean: Var | None, forward: "MomentumKernel",
+                  y: Var, forward_mean: Var | None) -> Var:
+        """log_pdf(x, mean) - forward.log_pdf(y, forward_mean) as one
+        `Tape.gaussian_log_ratio` node: a transition's log m_B - log m_F,
+        called on the reverse kernel m_B."""
+        return self.tape.gaussian_log_ratio(
+            x, 0.0 if mean is None else mean, self.var,
+            y, 0.0 if forward_mean is None else forward_mean, forward.var)

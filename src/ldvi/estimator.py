@@ -297,7 +297,9 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
 
     Every transition draws rho' from the forward momentum kernel, moves
     (z, rho') by the scheme's map and adds log m_B(rho | rho', z) -
-    log m_F(rho' | rho). The two schemes differ only in the map and the
+    log m_F(rho' | rho), one `Tape.gaussian_log_ratio` node built by the
+    reverse kernel, which `_check_finite` reads as the log-ratio. The two
+    schemes differ only in the map and the
     drift: a leapfrog step with no drift, or the Euler-Maruyama position
     update z + delta rho' with the drift delta grad log pi_k(z) added to the
     forward mean and subtracted from the reverse one. The kernels come built
@@ -358,7 +360,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
         # chain already holds
         back = (aug_mean if k == 1 and bwd is aug
                 else bwd.mean(rho_prime, z, k, drift))
-        ratio = t.sub(bwd.log_pdf(rho, back), fwd.log_pdf(rho_prime, mean))
+        ratio = bwd.log_ratio(rho, back, fwd, rho_prime, mean)
         _check_finite(model, k, position=z_new, momentum=rho_new,
                       log_ratio=ratio)
         L = t.add(L, ratio)

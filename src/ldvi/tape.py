@@ -11,10 +11,14 @@ built analytically rather than by nesting backward passes). Composites such as
 value repeats the numpy operations of the primal chain they replace, in the
 same order, so values match it bit for bit while the tape holds one node.
 `Tape.gaussian_logpdf` takes a shared scalar or a (D,) diagonal variance, and
-is every Gaussian density: q's, the momentum kernels' and the logistic prior.
+is every single Gaussian density: q's, the endpoint momentum densities and
+the logistic prior. `Tape.gaussian_log_ratio` is the difference of two such
+densities as one node, a transition's log m_B - log m_F; it shares
+`gaussian_logpdf`'s formula and takes each variance as that does.
 There is no `log` operation: every logarithm sits inside a fused node.
 The chain's own fused nodes are `Tape.muladd` (a * x + y), `Tape.mulsub`
-(a * x - y), `Tape.lerp` ((1 - w) x + w y) and `MeanFieldGaussian.score`.
+(a * x - y), `Tape.lerp` ((1 - w) x + w y), `Tape.gaussian_log_ratio` and
+`MeanFieldGaussian.score`.
 `Tape.push` records such a node from any module; the array kernels
 `sigmoid` and `softplus` serve both the tape operations of those names and
 fused nodes.
@@ -46,7 +50,11 @@ No VJP writes into an array in place, neither an adjoint it is given nor
 one it returns. So `backward` stores a parent's first adjoint as it comes,
 even when it aliases the child's adjoint or another parent's, and adds
 later ones into a new array; it copies each parameter's adjoint once when
-it returns, so the caller gets writable arrays that share no memory.
+it returns, so the caller gets writable arrays that share no memory. It
+drops an operation's adjoint once that operation's VJP has run, so a sweep
+holds the adjoints of the nodes it has yet to reach, not of every node.
+A scalar parameter's adjoint (shape ()) is summed in one reduction over
+all axes.
 """
 
 from __future__ import annotations
@@ -69,9 +77,14 @@ class DomainError(ValueError):
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    """Sum `grad` down to `shape` (inverse of numpy broadcasting).
+
+    A scalar parameter's adjoint, shape (), is one reduction over every axis.
+    """
     if grad.shape == shape:
         return grad
+    if not shape:
+        return grad.sum()
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -244,17 +257,24 @@ class Tape:
 
     def lerp(self, w, x, y) -> Var:
         """(1 - w) x + w y as one node: the value of
-        `add(mul(sub(1.0, w), x), mul(w, y))`."""
+        `add(mul(sub(1.0, w), x), mul(w, y))`.
+
+        A one-entry weight, such as the schedule's (1,) beta_k, computes as
+        its 0-d view, which scales an array faster than a (1,) array does;
+        its adjoint is reduced back to shape (1,).
+        """
         w, x, y = self._coerce(w), self._coerce(x), self._coerce(y)
-        keep = 1.0 - w.value
-        value = keep * x.value + w.value * y.value
+        wv = w.value.reshape(()) if w.shape == (1,) else w.value
+        keep = 1.0 - wv
+        value = keep * x.value + wv * y.value
 
         def vjp(adj):
-            return (_unbroadcast(adj * (y.value - x.value), w.shape)
+            return (_unbroadcast(adj * (y.value - x.value),
+                                 wv.shape).reshape(w.shape)
                     if w.needs_grad else None,
                     _unbroadcast(adj * keep, x.shape) if x.needs_grad
                     else None,
-                    _unbroadcast(adj * w.value, y.shape) if y.needs_grad
+                    _unbroadcast(adj * wv, y.shape) if y.needs_grad
                     else None)
 
         return self.push(value, (w, x, y), vjp)
@@ -399,31 +419,35 @@ class Tape:
         each only when that operand needs one.
         """
         x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
-        xv, mv, vv = x.value, mean.value, var.value
-        d = xv.shape[-1]
-        if vv.shape not in ((), (d,)) or (vv <= 0.0).any():
-            raise DomainError("gaussian_logpdf", "variance must be positive "
-                              f"and of shape () or ({d},), got {vv!r}")
-        diff = xv - mv
-        quad, half_d = diff * diff, 0.5
-        if not vv.ndim:
-            quad, half_d = quad.sum(axis=-1), 0.5 * d
-        two_var = 2.0 * vv
-        value = -(half_d * np.log((2.0 * np.pi) * vv) + quad / two_var)
-        if vv.ndim:
-            value = value.sum(axis=-1)
+        value, terms = _gaussian_logpdf("gaussian_logpdf", x, mean, var)
 
         def vjp(adj):
-            # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - half_d / var
-            r = (adj[..., None] / vv) * diff
-            adj_var = adj[..., None] if vv.ndim else adj
-            return (
-                _unbroadcast(-r, xv.shape) if x.needs_grad else None,
-                _unbroadcast(r, mv.shape) if mean.needs_grad else None,
-                _unbroadcast(adj_var * (quad / (two_var * vv) - half_d / vv),
-                             vv.shape) if var.needs_grad else None)
+            return _gaussian_adjoints(adj, x, mean, var, terms)
 
         return self.push(value, (x, mean, var), vjp)
+
+    def gaussian_log_ratio(self, x, mean_x, var_x, y, mean_y, var_y) -> Var:
+        """log N(x; mean_x, var_x) - log N(y; mean_y, var_y) as one node.
+
+        Its value is that of `sub(gaussian_logpdf(x, mean_x, var_x),
+        gaussian_logpdf(y, mean_y, var_y))` bit for bit, each variance as
+        `gaussian_logpdf` takes it, and its VJP gives an adjoint only to the
+        operands that need one. An operand may appear on both sides, such as
+        a variance two kernels share.
+        """
+        x_side = (self._coerce(x), self._coerce(mean_x), self._coerce(var_x))
+        y_side = (self._coerce(y), self._coerce(mean_y), self._coerce(var_y))
+        value_x, terms_x = _gaussian_logpdf("gaussian_log_ratio", *x_side)
+        value_y, terms_y = _gaussian_logpdf("gaussian_log_ratio", *y_side)
+
+        def vjp(adj):
+            return (_gaussian_adjoints(-adj, *y_side, terms_y)
+                    + _gaussian_adjoints(adj, *x_side, terms_x))
+
+        # y's operands first: a sweep of the two-node chain reached y's
+        # density first, so an operand on both sides sums its two adjoints
+        # in the same order
+        return self.push(value_x - value_y, y_side + x_side, vjp)
 
     # ---------------------------------------------------------------- backward
 
@@ -448,6 +472,7 @@ class Tape:
             adj = grads[node.index]
             if adj is None:
                 continue
+            grads[node.index] = None    # consumed; freed after its VJP
             for parent, g in zip(node.parents, node.vjp(adj)):
                 if not parent.needs_grad:
                     continue
@@ -461,6 +486,40 @@ class Tape:
         return {p.name: np.zeros(p.shape) if grads[p.index] is None
                 else np.array(grads[p.index], dtype=np.float64)
                 for p in self.params}
+
+
+def _gaussian_logpdf(opcode: str, x: Var, mean: Var, var: Var):
+    """The value of `Tape.gaussian_logpdf` and the terms its VJP reuses; a
+    bad variance raises DomainError under `opcode`."""
+    xv, mv, vv = x.value, mean.value, var.value
+    d = xv.shape[-1]
+    if vv.shape not in ((), (d,)) or (vv <= 0.0).any():
+        raise DomainError(opcode, "variance must be positive and of shape () "
+                          f"or ({d},), got {vv!r}")
+    diff = xv - mv
+    quad, half_d = diff * diff, 0.5
+    if not vv.ndim:
+        quad, half_d = quad.sum(axis=-1), 0.5 * d
+    two_var = 2.0 * vv
+    value = -(half_d * np.log((2.0 * np.pi) * vv) + quad / two_var)
+    if vv.ndim:
+        value = value.sum(axis=-1)
+    return value, (diff, quad, half_d, two_var)
+
+
+def _gaussian_adjoints(adj, x: Var, mean: Var, var: Var, terms) -> tuple:
+    """The adjoints of x, mean and var (None where not needed) given the
+    adjoint of their `_gaussian_logpdf` value and its terms."""
+    diff, quad, half_d, two_var = terms
+    vv = var.value
+    # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - half_d / var
+    r = (adj[..., None] / vv) * diff
+    adj_var = adj[..., None] if vv.ndim else adj
+    return (
+        _unbroadcast(-r, x.shape) if x.needs_grad else None,
+        _unbroadcast(r, mean.shape) if mean.needs_grad else None,
+        _unbroadcast(adj_var * (quad / (two_var * vv) - half_d / vv),
+                     vv.shape) if var.needs_grad else None)
 
 
 # Holds the slot of every operation that is not recorded (see `Tape.push`).

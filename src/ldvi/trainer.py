@@ -161,6 +161,10 @@ class TrainPlan:
         for name in ("lr", "pretrain_lr"):  # grad_clip=inf does not clip
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # a pathlib.Path trains, then fails to serialise into the record
+        if self.data_dir is not None and not isinstance(self.data_dir, str):
+            raise ValueError(f"data_dir must be a str or None, got "
+                             f"{self.data_dir!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -956,8 +956,8 @@ class TestScoreReuse:
 
 
 # len(tape.nodes) of one K=8 sonar estimate on a training tape
-SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 115, "mcd": 212, "uha": 141,
-                       "ldvi": 227, "uha_em": 119, "ldvi_em": 204}
+SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 101, "mcd": 198, "uha": 127,
+                       "ldvi": 213, "uha_em": 105, "ldvi_em": 190}
 
 
 class TestTapeSize:

@@ -1,6 +1,7 @@
 """Unit tests for the reverse-mode tape."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,8 +12,8 @@ from ldvi import estimator, trainer
 from ldvi.annealing import MeanFieldGaussian
 from ldvi.estimator import (estimate_elbo, get_method, init_params,
                             lift_model, method_names)
-from ldvi.tape import Tape, DomainError, sigmoid, softplus
-from ldvi.targets import gaussian_toy_target
+from ldvi.tape import Tape, DomainError, _unbroadcast, sigmoid, softplus
+from ldvi.targets import gaussian_toy_target, get_target
 from ldvi.trainer import TrainPlan, train
 
 
@@ -100,6 +101,38 @@ UNARY_DOMAINS = {
 BINARY = ("add", "sub", "mul", "div")
 
 
+# gaussian_log_ratio's variances: (var_x's shape, var_y's shape), where None
+# means var_y is var_x, one Var passed twice
+RATIO_VARIANCES = {"scalar": ((), ()), "diagonal": ((3,), (3,)),
+                   "shared_scalar": ((), None), "shared_diagonal": ((3,), None),
+                   "scalar_and_diagonal": ((), (3,))}
+
+
+def _ratio_operands(rng, kind):
+    """(x, mean_x, var_x, y, mean_y, var_y) for (4, 3) points, less var_y
+    when it is var_x."""
+    var_x, var_y = RATIO_VARIANCES[kind]
+    vals = [rng.normal(size=(4, 3)), rng.normal(size=3),
+            rng.uniform(0.5, 2.0, size=var_x), rng.normal(size=(4, 3)),
+            rng.normal(size=(4, 3))]
+    if var_y is not None:
+        vals.append(rng.uniform(0.5, 2.0, size=var_y))
+    return vals
+
+
+def _shared(items):
+    """The six operands of the ratio: `items` with var_x repeated as var_y
+    when `_ratio_operands` gave five."""
+    items = list(items)
+    return items + [items[2]] if len(items) == 5 else items
+
+
+def _logpdf_ref(x, mean, var):
+    """The diagonal-Gaussian log-density in numpy, for a scalar or (D,) var."""
+    return (-0.5 * np.log(2 * np.pi * var)
+            - (x - mean) ** 2 / (2 * var)).sum(axis=-1)
+
+
 class TestFiniteDifferenceSweep:
     """Every opcode's AD gradient matches central differences on random inputs."""
 
@@ -151,6 +184,33 @@ class TestFiniteDifferenceSweep:
             assert abs(grads["s"] - ref_s) / abs(ref_s) < 1e-6
             np.testing.assert_allclose(grads["x"], ref_x, rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", sorted(RATIO_VARIANCES))
+    def test_gaussian_log_ratio(self, kind):
+        rng = np.random.default_rng(37)
+        weights = rng.normal(size=4)
+
+        def f(vs):
+            vs = _shared(vs)
+            return np.mean((_logpdf_ref(*vs[:3]) - _logpdf_ref(*vs[3:]))
+                           * weights)
+
+        for _ in range(10):
+            vals = _ratio_operands(rng, kind)
+            t = Tape()
+            args = _shared([t.lift(v, trainable=True, name=f"p{i}")
+                            for i, v in enumerate(vals)])
+            grads = t.backward(t.mean_all(
+                t.mul(t.gaussian_log_ratio(*args), weights)))
+            for i, v in enumerate(vals):
+                def g(z, i=i):
+                    vs = list(vals)
+                    vs[i] = z.reshape(np.shape(v))
+                    return f(vs)
+                ref = fd_grad(g, np.ravel(v)).reshape(np.shape(v))
+                assert grads[f"p{i}"].shape == np.shape(v)
+                np.testing.assert_allclose(grads[f"p{i}"], ref,
+                                           rtol=1e-6, atol=1e-9)
+
 
 # fused node -> (its numpy formula, its primitive tape chain)
 FUSED = {
@@ -162,9 +222,10 @@ FUSED = {
              lambda t, w, x, y: t.add(t.mul(t.sub(1.0, w), x), t.mul(w, y))),
 }
 # operand shapes (a or w, x, y): a scalar and a vector broadcast against
-# (B, D), and an addend broadcast along the batch
+# (B, D), an addend broadcast along the batch, and a one-entry weight such
+# as the schedule's beta_k
 FUSED_SHAPES = [((), (4, 3), (4, 3)), ((3,), (4, 3), (4, 3)),
-                ((4, 3), (4, 3), (3,))]
+                ((4, 3), (4, 3), (3,)), ((1,), (4, 3), (4, 3))]
 
 
 def _fused_operands(rng, shapes):
@@ -466,6 +527,93 @@ class TestGaussianLogpdf:
         assert err.value.opcode == "gaussian_logpdf"
 
 
+class TestGaussianLogRatio:
+    """One node whose value and gradients are those of
+    `sub(gaussian_logpdf(x, ...), gaussian_logpdf(y, ...))` bit for bit."""
+
+    @staticmethod
+    def _lift(t, vals, constant=()):
+        return _shared([t.lift(v) if i in constant
+                        else t.lift(v, trainable=True, name=f"p{i}")
+                        for i, v in enumerate(vals)])
+
+    @staticmethod
+    def _chain(t, x, mean_x, var_x, y, mean_y, var_y):
+        return t.sub(t.gaussian_logpdf(x, mean_x, var_x),
+                     t.gaussian_logpdf(y, mean_y, var_y))
+
+    @pytest.mark.parametrize("constant",
+                             [(), (0, 1, 3), (2, 5), tuple(range(6))])
+    @pytest.mark.parametrize("kind", sorted(RATIO_VARIANCES))
+    def test_value_matches_two_node_chain_bit_for_bit(self, kind, constant):
+        vals = _ratio_operands(np.random.default_rng(41), kind)
+        t = Tape()
+        args = self._lift(t, vals, constant)
+        before = len(t.nodes)
+        fused = t.gaussian_log_ratio(*args)
+        assert len(t.nodes) == before + 1
+        np.testing.assert_array_equal(fused.value, self._chain(t, *args).value)
+
+    def test_python_float_variances_and_zero_mean(self):
+        # the unit kernels pass var 1.0, and a None mean as 0.0
+        rng = np.random.default_rng(43)
+        t = Tape()
+        x = t.lift(rng.normal(size=(4, 3)), trainable=True, name="x")
+        y = t.lift(rng.normal(size=(4, 3)), trainable=True, name="y")
+        mean = t.lift(rng.normal(size=(4, 3)), trainable=True, name="m")
+        args = (x, 0.0, 1.0, y, mean, 2.5)
+        np.testing.assert_array_equal(t.gaussian_log_ratio(*args).value,
+                                      self._chain(t, *args).value)
+
+    @pytest.mark.parametrize("kind", sorted(RATIO_VARIANCES))
+    def test_gradients_match_two_node_chain_bit_for_bit(self, kind):
+        # a shared variance adds y's adjoint, then x's, to the one a later
+        # node gave it, as the chain's sweep does
+        vals = _ratio_operands(np.random.default_rng(47), kind)
+        weights = np.random.default_rng(53).normal(size=(2, 4))
+        grads = []
+        for build in (lambda t, *a: t.gaussian_log_ratio(*a), self._chain):
+            t = Tape()
+            args = self._lift(t, vals)
+            out = t.mul(build(t, *args), weights[0])
+            later = t.mul(t.sum(t.mul(args[2], args[0])), weights[1])
+            grads.append(t.backward(t.mean_all(t.add(out, later))))
+        assert grads[0].keys() == grads[1].keys()
+        for name in grads[0]:
+            np.testing.assert_array_equal(grads[0][name], grads[1][name])
+
+    @pytest.mark.parametrize("constant", range(6))
+    def test_operand_needing_no_gradient_gets_no_adjoint(self, constant):
+        vals = _ratio_operands(np.random.default_rng(59), "diagonal")
+        t = Tape()
+        out = t.gaussian_log_ratio(*self._lift(t, vals, (constant,)))
+        adjoints = dict(zip(out.parents, out.vjp(np.ones(out.shape))))
+        for parent, g in adjoints.items():
+            assert (g is None) == (not parent.needs_grad)
+        assert sum(g is None for g in adjoints.values()) == 1
+
+    @pytest.mark.parametrize("side", [2, 5])
+    def test_nonpositive_variance_names_the_op(self, side):
+        vals = _ratio_operands(np.random.default_rng(61), "diagonal")
+        vals[side] = np.array([1.0, 0.0, 1.0])
+        t = Tape()
+        with pytest.raises(DomainError) as err:
+            t.gaussian_log_ratio(*self._lift(t, vals))
+        assert err.value.opcode == "gaussian_log_ratio"
+
+
+class TestUnbroadcast:
+    @pytest.mark.parametrize("shape", [(1, 7), (7,), (1, 1, 7)])
+    def test_scalar_target_at_batch_one_matches_staged_sum(self, shape):
+        # one reduction over every axis; with a batch of one it gives the
+        # bits of the old sum over the leading axes, then the last
+        g = np.random.default_rng(67).normal(size=shape)
+        staged = g
+        while staged.ndim:
+            staged = staged.sum(axis=0)
+        assert _unbroadcast(g, ()).tobytes() == np.float64(staged).tobytes()
+
+
 class TestBackward:
     def test_vector_loss_rejected(self):
         t = Tape()
@@ -495,6 +643,30 @@ class TestBackward:
         np.testing.assert_array_equal(first["x"], second["x"])
         np.testing.assert_allclose(first["x"], np.exp([1.0, -2.0]) * [2.0, -1.0],
                                    rtol=1e-15)
+
+    def test_sweep_frees_each_adjoint_once_used(self):
+        """An operation's adjoint is dropped once its VJP has run, so the
+        sweep's peak does not grow with the chain: a K=64 uha_em/brownian
+        tape peaks below 1.5 times a K=8 one (about 7 times when every
+        adjoint was kept to the end), and a second sweep is equal."""
+        target, cfg = get_target("brownian"), get_method("uha_em")
+        peaks = {}
+        for K in (8, 64):
+            t = Tape()
+            model = lift_model(t, cfg, init_params(cfg, target.dim, K),
+                               target.dim, K)
+            loss = t.mean_all(estimate_elbo(model, target,
+                                            np.random.default_rng(0), 32).value)
+            tracemalloc.start()
+            try:
+                grads = t.backward(loss)
+                peaks[K] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] < 1.5 * peaks[8]
+        again = t.backward(loss)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, again[name])
 
     @pytest.mark.parametrize("op", ["add", "muladd"])
     def test_gradients_are_writable_and_unaliased(self, op):

@@ -1,6 +1,7 @@
 """Unit tests for the optimizer, training loop and run records."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -165,13 +166,15 @@ class TestTrain:
         ("lr", True), ("lr", "0.1"), ("lr", np.float32(0.1)),
         ("pretrain_lr", False), ("pretrain_lr", None), ("grad_clip", None),
         ("grad_clip", True), ("divergence_floor", "-1e8"),
-        ("divergence_floor", False)])
+        ("divergence_floor", False), ("data_dir", pathlib.Path("data")),
+        ("data_dir", b"data")])
     def test_plan_rejects_bad_value(self, field, value):
         """Each value failed mid-run, trained nothing, descended the bound
         or wrote a record that is not JSON before. A count must be a plain
         int: not a float, a bool or a numpy integer. A rate, the clip and
         the floor must be an int or a float: not a bool, a string, None or
-        a numpy float32."""
+        a numpy float32. data_dir must be a str or None: a pathlib.Path
+        trained, and then its record failed to serialise."""
         with pytest.raises(ValueError, match=field):
             toy_plan(**{field: value})
 
