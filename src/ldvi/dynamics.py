@@ -27,13 +27,21 @@ endpoint momentum augmentation is a kernel too: N(0, I), or for MCD its
 reverse kernel N(2 s(k, z), I), which draws the initial momentum and
 scores both endpoints.
 
+A forward kernel draws rho' = shrink rho (+ drift) + sqrt(var) eps as one
+node (`MomentumKernel.refresh`) and never builds its mean. Its density at
+its own draw is a function of the noise and the variance alone,
+-sum_d [0.5 log(2 pi var_d) + eps_d^2 / 2], so the log-ratio scores m_F
+from eps, and the chain's initial momentum density is scored the same way
+(for MCD's augmentation N(2 s, I) that makes it a constant). Only the
+terminal momentum density is evaluated at a point.
+
 All kernel parameters (step size delta, friction gamma, momentum retention
 eta) are scalar tape Vars, so gradients flow through every density. The
 kernels are built once per lift, so their shrink, variance and noise scale
-sqrt(var) are tape nodes shared by every transition. Each multiply-add of
-the chain (a leapfrog update, a forward mean shrink rho + drift, a draw
-scale eps + mean, a score correction) is one `Tape.muladd` node, and a
-reverse mean shrink rho - drift is one `Tape.mulsub` node.
+sqrt(var) are tape nodes shared by every transition, as is the leapfrog's
+half step delta / 2. Each multiply-add of the chain (a leapfrog update, a
+score correction) is one `Tape.muladd` node, and a reverse mean
+shrink rho - drift is one `Tape.mulsub` node.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from ldvi.tape import DomainError, Tape, Var
+from ldvi.tape import DomainError, Tape, Var, _unbroadcast
 
 __all__ = ["leapfrog", "MomentumKernel"]
 
@@ -52,13 +60,15 @@ ScoreFn = Callable[[int, Var, Var], Var]
 
 # ------------------------------------------------------------------ leapfrog
 
-def leapfrog(t: Tape, z: Var, rho: Var, delta: Var,
+def leapfrog(t: Tape, z: Var, rho: Var, delta: Var, half_delta: Var,
              grad_fn: Callable[[Var], Var]) -> tuple[Var, Var]:
-    """One leapfrog step of H(z, rho) = -log pi(z) + |rho|^2 / 2."""
-    half = t.mul(0.5, delta)
-    rho_half = t.muladd(half, grad_fn(z), rho)
+    """One leapfrog step of H(z, rho) = -log pi(z) + |rho|^2 / 2.
+
+    `half_delta` is delta / 2, built once per chain by the caller.
+    """
+    rho_half = t.muladd(half_delta, grad_fn(z), rho)
     z_new = t.muladd(delta, rho_half, z)
-    rho_new = t.muladd(half, grad_fn(z_new), rho_half)
+    rho_new = t.muladd(half_delta, grad_fn(z_new), rho_half)
     return z_new, rho_new
 
 
@@ -79,9 +89,10 @@ class MomentumKernel:
     `exact_ou` or `euler_maruyama`, and its reverse with `reverse`, or
     MCD's with `mcd_reverse`.
     `var` is a scalar Var, or 1.0 for a unit-variance kernel. A forward
-    kernel builds the noise scale sqrt(var) once; a unit-variance kernel
-    needs none, and a reverse kernel with a learned variance is never
-    sampled.
+    kernel draws with `refresh` and builds the noise scale sqrt(var) once
+    for it; the unit kernel needs none. A reverse kernel builds `mean` and
+    scores with `log_ratio`. `sample` draws from a unit-variance kernel, the
+    endpoint augmentation.
     """
 
     def __init__(self, tape: Tape, shrink: Var | None, var: Var | float,
@@ -154,16 +165,51 @@ class MomentumKernel:
         its sample is the noise itself."""
         return cls(tape, None, 1.0, forward=True)
 
+    def refresh(self, rho: Var, eps: np.ndarray,
+                drift: Var | None = None) -> Var:
+        """Draw rho' = shrink rho (+ drift) + sqrt(var) eps as one node.
+
+        Its value is that of `muladd(scale, eps, muladd(shrink, rho, drift))`
+        (`mul(shrink, rho)` without a drift) bit for bit. The unit kernel's
+        draw is the noise itself. Only a forward kernel refreshes.
+        """
+        t = self.tape
+        if not self.forward:
+            raise ValueError("only a forward kernel refreshes the momentum")
+        if self.shrink is None:
+            return t.lift(eps)
+        shrink, scale = self.shrink, self.scale
+        value = shrink.value * rho.value
+        parents = (shrink, rho, scale)
+        if drift is not None:
+            value = value + drift.value
+            parents += (drift,)
+        value = scale.value * eps + value
+
+        def vjp(adj):
+            adjoints = (_unbroadcast(adj * rho.value, shrink.shape)
+                        if shrink.needs_grad else None,
+                        _unbroadcast(adj * shrink.value, rho.shape)
+                        if rho.needs_grad else None,
+                        _unbroadcast(adj * eps, scale.shape)
+                        if scale.needs_grad else None)
+            if drift is None:
+                return adjoints
+            return adjoints + (_unbroadcast(adj, drift.shape)
+                               if drift.needs_grad else None,)
+
+        return t.push(value, parents, vjp)
+
     def mean(self, rho: Var | None, z: Var | None = None, k: int | None = None,
              drift: Var | None = None) -> Var | None:
-        """Mean at momentum rho, position z and transition k; None if 0."""
+        """Mean of a reverse kernel or an endpoint augmentation at momentum
+        rho, position z and transition k; None if 0. The drift is
+        subtracted."""
         t = self.tape
         if self.shrink is None:
             mean = None
         elif drift is None:
             mean = t.mul(self.shrink, rho)
-        elif self.forward:
-            mean = t.muladd(self.shrink, rho, drift)
         else:
             mean = t.mulsub(self.shrink, rho, drift)
         if self.score_fn is not None:
@@ -173,25 +219,28 @@ class MomentumKernel:
         return mean
 
     def sample(self, mean: Var | None, eps: np.ndarray) -> Var:
-        """mean + sqrt(var) eps for standard-Normal eps; a None mean is 0."""
+        """mean + eps for standard-Normal eps from a unit-variance kernel,
+        the endpoint augmentation; a None mean is 0."""
+        if isinstance(self.var, Var):
+            raise ValueError("only a unit-variance kernel is sampled; a "
+                             "forward kernel draws with refresh")
         t = self.tape
-        if not isinstance(self.var, Var):
-            return t.lift(eps) if mean is None else t.add(mean, eps)
-        if self.scale is None:
-            raise ValueError("a reverse kernel with a learned variance "
-                             "is never sampled")
-        return (t.mul(self.scale, eps) if mean is None
-                else t.muladd(self.scale, eps, mean))
+        return t.lift(eps) if mean is None else t.add(mean, eps)
 
     def log_pdf(self, x: Var, mean: Var | None) -> Var:
         return self.tape.gaussian_logpdf(x, 0.0 if mean is None else mean,
                                          self.var)
 
+    def noise_log_pdf(self, eps: np.ndarray) -> Var:
+        """The log-density of this kernel's draw from noise eps at the draw
+        itself, one `Tape.gaussian_noise_logpdf` node."""
+        return self.tape.gaussian_noise_logpdf(eps, self.var)
+
     def log_ratio(self, x: Var, mean: Var | None, forward: "MomentumKernel",
-                  y: Var, forward_mean: Var | None) -> Var:
-        """log_pdf(x, mean) - forward.log_pdf(y, forward_mean) as one
+                  eps: np.ndarray) -> Var:
+        """log_pdf(x, mean) - forward.noise_log_pdf(eps) as one
         `Tape.gaussian_log_ratio` node: a transition's log m_B - log m_F,
-        called on the reverse kernel m_B."""
+        called on the reverse kernel m_B, with m_F scored at the draw it
+        made from eps."""
         return self.tape.gaussian_log_ratio(
-            x, 0.0 if mean is None else mean, self.var,
-            y, 0.0 if forward_mean is None else forward_mean, forward.var)
+            x, 0.0 if mean is None else mean, self.var, eps, forward.var)

@@ -21,9 +21,12 @@ sees, the endpoint momentum augmentation) is derived from those three. The
 `METHODS` registry instantiates the seven named methods.
 
 `lift_model` assembles a method once per tape: it lifts every parameter
-under its own name, and builds q, the schedule and three momentum kernels
-(the refresh, the reverse kernel and the endpoint augmentation). The chain
-in `estimate_elbo` then only runs those parts and reads no kernel choice.
+under its own name, and builds q, the schedule, the leapfrog's half step
+delta / 2 and three momentum kernels (the refresh, the reverse kernel and
+the endpoint augmentation). The chain in `estimate_elbo` then only runs
+those parts and reads no kernel choice. Each momentum draw is scored from
+the noise that made it (see `ldvi.dynamics`), and the bound's terms are
+summed in one node.
 """
 
 from __future__ import annotations
@@ -197,13 +200,15 @@ def init_params(config: MethodConfig, dim: int, num_steps: int,
 class LiftedModel:
     """A method assembled on one tape: q, the schedule and three momentum
     kernels, the refresh, its reverse and the endpoint augmentation, which
-    draws and scores the endpoint momenta. A plain method has q only."""
+    draws and scores the endpoint momenta. `half_delta` is delta / 2 for a
+    leapfrog scheme, None otherwise. A plain method has q only."""
 
     tape: Tape
     config: MethodConfig
     q: MeanFieldGaussian
     schedule: AnnealingSchedule | None
     delta: Var | None
+    half_delta: Var | None
     gamma: Var | None
     refresh: MomentumKernel | None
     reverse: MomentumKernel | None
@@ -231,9 +236,11 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
     q = MeanFieldGaussian(tape, lifted["q.mu"], lifted["q.raw_scale"])
     if config.scheme == "plain":
         return LiftedModel(tape, config, q, None, None, None, None, None,
-                           None, num_steps)
+                           None, None, num_steps)
     schedule = AnnealingSchedule(tape, lifted["schedule.weights"])
     delta = tape.softplus(lifted["raw_delta"])
+    half_delta = (tape.mul(0.5, delta) if config.scheme == "leapfrog"
+                  else None)
     gamma = None
     if config.forward == "em":
         gamma = tape.softplus(lifted["raw_gamma"])
@@ -250,8 +257,8 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
         reverse = augment = MomentumKernel.mcd_reverse(tape, score_fn)
     else:
         reverse, augment = refresh.reverse(score_fn), MomentumKernel.unit(tape)
-    return LiftedModel(tape, config, q, schedule, delta, gamma, refresh,
-                       reverse, augment, num_steps)
+    return LiftedModel(tape, config, q, schedule, delta, half_delta, gamma,
+                       refresh, reverse, augment, num_steps)
 
 
 # -------------------------------------------------------------------- bounds
@@ -295,19 +302,22 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     Euler-Maruyama chain, which scores only where each transition starts,
     K - 1 times.
 
-    Every transition draws rho' from the forward momentum kernel, moves
-    (z, rho') by the scheme's map and adds log m_B(rho | rho', z) -
-    log m_F(rho' | rho), one `Tape.gaussian_log_ratio` node built by the
-    reverse kernel, which `_check_finite` reads as the log-ratio. The two
-    schemes differ only in the map and the
+    Every transition draws rho' from the forward momentum kernel in one
+    `MomentumKernel.refresh` node, moves (z, rho') by the scheme's map and
+    adds log m_B(rho | rho', z) - log m_F(rho' | rho), one
+    `Tape.gaussian_log_ratio` node built by the reverse kernel, which
+    scores m_F from the transition's noise and which `_check_finite` reads
+    as the log-ratio. The two schemes differ only in the map and the
     drift: a leapfrog step with no drift, or the Euler-Maruyama position
     update z + delta rho' with the drift delta grad log pi_k(z) added to the
     forward mean and subtracted from the reverse one. The kernels come built
-    with the model. The augmentation draws the initial momentum and scores
-    both endpoints, and its mean at k = 1, like each transition's forward
-    mean, is built once for both the sample and the density. MCD's
-    augmentation is its reverse kernel, so that mean is also the first
-    reverse mean, and MCD's score net runs once per position.
+    with the model. The augmentation draws the initial momentum, scores it
+    from its noise, and scores the terminal momentum at its point. Its mean
+    at k = 1 is built once; MCD's augmentation is its reverse kernel, so
+    that mean is also the first reverse mean, and MCD's score net runs once
+    per position. The initial term, the K - 1 log-ratios and the terminal
+    term are summed left to right in one `Tape.add_n` node; terms that need
+    no gradient (an evaluation chain's) are summed as they come.
 
     Raises EstimatorError naming the transition index, the quantity
     (position, momentum, log-ratio, initial or terminal density) and the
@@ -342,35 +352,46 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     aug, fwd, bwd = model.augment, model.refresh, model.reverse
     z = model.q.sample(rng.normal(size=shape))
     aug_mean = aug.mean(None, z, 1)
-    rho = aug.sample(aug_mean, rng.normal(size=shape))
-    L = t.neg(t.add(model.q.log_pdf(z), aug.log_pdf(rho, aug_mean)))
-    _check_finite(model, 0, initial_density=L)
+    eps = rng.normal(size=shape)
+    rho = aug.sample(aug_mean, eps)
+    initial = t.neg(t.add(model.q.log_pdf(z), aug.noise_log_pdf(eps)))
+    _check_finite(model, 0, initial_density=initial)
+    terms = [initial]
+
+    def add_term(term: Var) -> None:
+        # terms that need no gradient are summed as they come, so that an
+        # evaluation chain keeps one running value, not one per transition
+        if term.needs_grad or terms[-1].needs_grad:
+            terms.append(term)
+        else:
+            terms[-1] = t.add(terms[-1], term)
 
     em = c.scheme == "em"
     for k in range(1, K):
         grad = grad_at(k)
         drift = t.mul(model.delta, grad(z)) if em else None
-        mean = fwd.mean(rho, z, k, drift)
-        rho_prime = fwd.sample(mean, rng.normal(size=shape))
+        eps = rng.normal(size=shape)
+        rho_prime = fwd.refresh(rho, eps, drift)
         if em:
             z_new, rho_new = t.muladd(model.delta, rho_prime, z), rho_prime
         else:
-            z_new, rho_new = leapfrog(t, z, rho_prime, model.delta, grad)
+            z_new, rho_new = leapfrog(t, z, rho_prime, model.delta,
+                                      model.half_delta, grad)
         # MCD's reverse kernel is its augmentation, whose k = 1 mean the
         # chain already holds
         back = (aug_mean if k == 1 and bwd is aug
                 else bwd.mean(rho_prime, z, k, drift))
-        ratio = bwd.log_ratio(rho, back, fwd, rho_prime, mean)
+        ratio = bwd.log_ratio(rho, back, fwd, eps)
         _check_finite(model, k, position=z_new, momentum=rho_new,
                       log_ratio=ratio)
-        L = t.add(L, ratio)
+        add_term(ratio)
         z, rho = z_new, rho_new
 
     terminal = t.add(target.logp(t, z),
                      aug.log_pdf(rho, aug.mean(None, z, K)))
     _check_finite(model, K, terminal_density=terminal)
-    L = t.add(L, terminal)
-    return ElboEstimate(L)
+    add_term(terminal)
+    return ElboEstimate(t.add_n(terms))
 
 
 def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
@@ -383,9 +404,9 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     no operation in full: every slot holds the shared placeholder, with no
     value, parents or VJP, and each intermediate array is freed as soon as
     the chain moves past it. The chain itself keeps only the score pair of
-    its last position (and MCD its k = 1 augmentation mean), and draws each
-    transition's noise when it reaches it, so a chunk's peak memory does not
-    grow with num_steps. A chunk's tape is freed by reference counting when
+    its last position (and MCD its k = 1 augmentation mean) and the running
+    sum of the bound's terms, and draws each transition's noise when it
+    reaches it, so a chunk's peak memory does not grow with num_steps. A chunk's tape is freed by reference counting when
     the next chunk replaces it. Chunk i draws its noise from
     `default_rng([seed, i])`.
     """

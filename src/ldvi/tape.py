@@ -11,14 +11,20 @@ built analytically rather than by nesting backward passes). Composites such as
 value repeats the numpy operations of the primal chain they replace, in the
 same order, so values match it bit for bit while the tape holds one node.
 `Tape.gaussian_logpdf` takes a shared scalar or a (D,) diagonal variance, and
-is every single Gaussian density: q's, the endpoint momentum densities and
-the logistic prior. `Tape.gaussian_log_ratio` is the difference of two such
-densities as one node, a transition's log m_B - log m_F; it shares
-`gaussian_logpdf`'s formula and takes each variance as that does.
+is every Gaussian density evaluated at a point: q's, the terminal momentum
+density and the logistic prior. A reparameterised draw mean + sqrt(var) eps
+is scored from its noise instead: `Tape.gaussian_noise_logpdf` is its
+density at the draw, -sum_d [0.5 log(2 pi var_d) + eps_d^2 / 2], which needs
+neither the mean nor the draw and sends an adjoint to the variance alone.
+`Tape.gaussian_log_ratio` is a transition's log m_B - log m_F as one node:
+the reverse density at a point less the refresh's density from its noise.
+All three share one variance check and take a variance the same way; a
+scalar one enters the arithmetic as a python float.
 There is no `log` operation: every logarithm sits inside a fused node.
 The chain's own fused nodes are `Tape.muladd` (a * x + y), `Tape.mulsub`
-(a * x - y), `Tape.lerp` ((1 - w) x + w y), `Tape.gaussian_log_ratio` and
-`MeanFieldGaussian.score`.
+(a * x - y), `Tape.lerp` ((1 - w) x + w y), `Tape.gaussian_log_ratio`,
+`Tape.add_n` (a left-to-right sum, the bound's terms),
+`MomentumKernel.refresh` and `MeanFieldGaussian.score`.
 `Tape.push` records such a node from any module; the array kernels
 `sigmoid` and `softplus` serve both the tape operations of those names and
 fused nodes.
@@ -54,7 +60,7 @@ it returns, so the caller gets writable arrays that share no memory. It
 drops an operation's adjoint once that operation's VJP has run, so a sweep
 holds the adjoints of the nodes it has yet to reach, not of every node.
 A scalar parameter's adjoint (shape ()) is summed in one reduction over
-all axes.
+all axes, and leading axes of size 1 are reshaped away, not summed.
 """
 
 from __future__ import annotations
@@ -80,11 +86,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting).
 
     A scalar parameter's adjoint, shape (), is one reduction over every axis.
+    Leading axes that all have size 1 are reshaped away, not summed over.
     """
     if grad.shape == shape:
         return grad
     if not shape:
-        return grad.sum()
+        return np.add.reduce(grad, axis=None)
+    lead = grad.ndim - len(shape)
+    if lead > 0 and all(n == 1 for n in grad.shape[:lead]):
+        grad = grad.reshape(grad.shape[lead:])
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -260,17 +270,18 @@ class Tape:
         `add(mul(sub(1.0, w), x), mul(w, y))`.
 
         A one-entry weight, such as the schedule's (1,) beta_k, computes as
-        its 0-d view, which scales an array faster than a (1,) array does;
-        its adjoint is reduced back to shape (1,).
+        a python float, which scales an array faster than a (1,) array
+        does; its adjoint is reduced to one sum and reshaped to (1,).
         """
         w, x, y = self._coerce(w), self._coerce(x), self._coerce(y)
-        wv = w.value.reshape(()) if w.shape == (1,) else w.value
+        one = w.shape == (1,)
+        wv = float(w.value[0]) if one else w.value
         keep = 1.0 - wv
         value = keep * x.value + wv * y.value
 
         def vjp(adj):
             return (_unbroadcast(adj * (y.value - x.value),
-                                 wv.shape).reshape(w.shape)
+                                 () if one else w.shape).reshape(w.shape)
                     if w.needs_grad else None,
                     _unbroadcast(adj * keep, x.shape) if x.needs_grad
                     else None,
@@ -426,28 +437,60 @@ class Tape:
 
         return self.push(value, (x, mean, var), vjp)
 
-    def gaussian_log_ratio(self, x, mean_x, var_x, y, mean_y, var_y) -> Var:
-        """log N(x; mean_x, var_x) - log N(y; mean_y, var_y) as one node.
+    def gaussian_noise_logpdf(self, eps: np.ndarray, var) -> Var:
+        """The density of a reparameterised draw at the draw itself.
 
-        Its value is that of `sub(gaussian_logpdf(x, mean_x, var_x),
-        gaussian_logpdf(y, mean_y, var_y))` bit for bit, each variance as
-        `gaussian_logpdf` takes it, and its VJP gives an adjoint only to the
-        operands that need one. An operand may appear on both sides, such as
-        a variance two kernels share.
+        For a draw mean + sqrt(var) eps from standard-Normal noise `eps` (an
+        array), log N(mean + sqrt(var) eps; mean, var) is
+        -sum_d [0.5 log(2 pi var_d) + eps_d^2 / 2], which needs neither the
+        mean nor the draw. `var` is taken as `gaussian_logpdf` takes it, and
+        the VJP gives its adjoint alone.
         """
-        x_side = (self._coerce(x), self._coerce(mean_x), self._coerce(var_x))
-        y_side = (self._coerce(y), self._coerce(mean_y), self._coerce(var_y))
-        value_x, terms_x = _gaussian_logpdf("gaussian_log_ratio", *x_side)
-        value_y, terms_y = _gaussian_logpdf("gaussian_log_ratio", *y_side)
+        var = self._coerce(var)
+        value, vv = _gaussian_noise_logpdf("gaussian_noise_logpdf", eps, var)
 
         def vjp(adj):
-            return (_gaussian_adjoints(-adj, *y_side, terms_y)
-                    + _gaussian_adjoints(adj, *x_side, terms_x))
+            return (_noise_var_adjoint(adj, eps.shape[-1], vv),)
 
-        # y's operands first: a sweep of the two-node chain reached y's
-        # density first, so an operand on both sides sums its two adjoints
-        # in the same order
-        return self.push(value_x - value_y, y_side + x_side, vjp)
+        return self.push(value, (var,), vjp)
+
+    def gaussian_log_ratio(self, x, mean, var, eps: np.ndarray, var_f) -> Var:
+        """log N(x; mean, var) - log m_F as one node, where m_F is the
+        Gaussian a reparameterised draw came from, scored from its noise.
+
+        Its value is that of `sub(gaussian_logpdf(x, mean, var),
+        gaussian_noise_logpdf(eps, var_f))` bit for bit, each variance as
+        `gaussian_logpdf` takes it, and its VJP gives an adjoint only to the
+        operands that need one. `var` and `var_f` may be one Var, such as
+        the variance a reverse kernel shares with its refresh.
+        """
+        x, mean = self._coerce(x), self._coerce(mean)
+        var, var_f = self._coerce(var), self._coerce(var_f)
+        value_x, terms = _gaussian_logpdf("gaussian_log_ratio", x, mean, var)
+        value_f, vf = _gaussian_noise_logpdf("gaussian_log_ratio", eps, var_f)
+
+        def vjp(adj):
+            return ((_noise_var_adjoint(-adj, eps.shape[-1], vf)
+                     if var_f.needs_grad else None,)
+                    + _gaussian_adjoints(adj, x, mean, var, terms))
+
+        # var_f first: a sweep of the two-node chain reaches the noise term
+        # first, so a variance on both sides sums its adjoints in that order
+        return self.push(value_x - value_f, (var_f, x, mean, var), vjp)
+
+    def add_n(self, parts: Sequence) -> Var:
+        """The sum of `parts` left to right as one node: the value of
+        `add(...add(add(parts[0], parts[1]), parts[2])..., parts[-1])`."""
+        parts = [self._coerce(p) for p in parts]
+        value = parts[0].value
+        for p in parts[1:]:
+            value = value + p.value
+
+        def vjp(adj):
+            return tuple(_unbroadcast(adj, p.shape) if p.needs_grad else None
+                         for p in parts)
+
+        return self.push(value, tuple(parts), vjp)
 
     # ---------------------------------------------------------------- backward
 
@@ -488,38 +531,68 @@ class Tape:
                 for p in self.params}
 
 
+def _variance(opcode: str, vv: np.ndarray, d: int) -> float | np.ndarray:
+    """A positive variance of shape () or (d,), a scalar one as a python
+    float; otherwise DomainError under `opcode`."""
+    if not vv.shape:
+        scalar = float(vv)
+        if not scalar <= 0.0:
+            return scalar
+    elif vv.shape == (d,) and not (vv <= 0.0).any():
+        return vv
+    raise DomainError(opcode, "variance must be positive and of shape () "
+                      f"or ({d},), got {vv!r}")
+
+
 def _gaussian_logpdf(opcode: str, x: Var, mean: Var, var: Var):
     """The value of `Tape.gaussian_logpdf` and the terms its VJP reuses; a
-    bad variance raises DomainError under `opcode`."""
-    xv, mv, vv = x.value, mean.value, var.value
-    d = xv.shape[-1]
-    if vv.shape not in ((), (d,)) or (vv <= 0.0).any():
-        raise DomainError(opcode, "variance must be positive and of shape () "
-                          f"or ({d},), got {vv!r}")
-    diff = xv - mv
-    quad, half_d = diff * diff, 0.5
-    if not vv.ndim:
+    bad variance raises DomainError under `opcode`. A scalar variance is
+    a python float, so its arithmetic is float arithmetic."""
+    d = x.value.shape[-1]
+    vv = _variance(opcode, var.value, d)
+    diff = x.value - mean.value
+    quad, two_var = diff * diff, 2.0 * vv
+    if isinstance(vv, float):
         quad, half_d = quad.sum(axis=-1), 0.5 * d
-    two_var = 2.0 * vv
-    value = -(half_d * np.log((2.0 * np.pi) * vv) + quad / two_var)
-    if vv.ndim:
-        value = value.sum(axis=-1)
-    return value, (diff, quad, half_d, two_var)
+        value = -(half_d * float(np.log((2.0 * np.pi) * vv)) + quad / two_var)
+    else:
+        half_d = 0.5
+        value = -(half_d * np.log((2.0 * np.pi) * vv)
+                  + quad / two_var).sum(axis=-1)
+    return value, (diff, quad, half_d, two_var, vv)
 
 
 def _gaussian_adjoints(adj, x: Var, mean: Var, var: Var, terms) -> tuple:
     """The adjoints of x, mean and var (None where not needed) given the
     adjoint of their `_gaussian_logpdf` value and its terms."""
-    diff, quad, half_d, two_var = terms
-    vv = var.value
+    diff, quad, half_d, two_var, vv = terms
     # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - half_d / var
     r = (adj[..., None] / vv) * diff
-    adj_var = adj[..., None] if vv.ndim else adj
+    adj_var = adj if isinstance(vv, float) else adj[..., None]
     return (
         _unbroadcast(-r, x.shape) if x.needs_grad else None,
         _unbroadcast(r, mean.shape) if mean.needs_grad else None,
         _unbroadcast(adj_var * (quad / (two_var * vv) - half_d / vv),
-                     vv.shape) if var.needs_grad else None)
+                     var.shape) if var.needs_grad else None)
+
+
+def _gaussian_noise_logpdf(opcode: str, eps: np.ndarray, var: Var):
+    """The value of `Tape.gaussian_noise_logpdf` and its checked variance,
+    a python float when scalar."""
+    d = eps.shape[-1]
+    vv = _variance(opcode, var.value, d)
+    if isinstance(vv, float):
+        log_norm = 0.5 * d * float(np.log((2.0 * np.pi) * vv))
+    else:
+        log_norm = 0.5 * np.log((2.0 * np.pi) * vv).sum()
+    return -(log_norm + (eps * eps).sum(axis=-1) / 2.0), vv
+
+
+def _noise_var_adjoint(adj, d: int, vv: float | np.ndarray):
+    """The adjoint of the variance of a `_gaussian_noise_logpdf` value,
+    -0.5 / var_d per component, given the value's adjoint."""
+    total = np.add.reduce(adj, axis=None)
+    return -total * (0.5 * d / vv if isinstance(vv, float) else 0.5 / vv)
 
 
 # Holds the slot of every operation that is not recorded (see `Tape.push`).

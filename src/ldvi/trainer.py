@@ -172,7 +172,12 @@ class TrainPlan:
 
 @dataclass
 class RunRecord:
-    """Persisted outcome of one run; serialization round-trips losslessly."""
+    """Persisted outcome of one run; serialization round-trips losslessly.
+
+    `params`, the trained parameters `train` returns with the record, stays
+    in memory: it is left out of the JSON, the canonical bytes, equality
+    and the repr.
+    """
 
     plan: dict
     status: str = "ok"
@@ -185,9 +190,14 @@ class RunRecord:
     wall_time: float = 0.0
     schema_version: int = SCHEMA_VERSION
     metadata: dict = field(default_factory=dict)
+    params: dict | None = field(default=None, compare=False, repr=False)
+
+    def _persisted(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name != "params"}
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return json.dumps(self._persisted(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
@@ -197,7 +207,7 @@ class RunRecord:
 
     def canonical_bytes(self) -> bytes:
         """Deterministic byte form: everything except wall time."""
-        data = dataclasses.asdict(self)
+        data = self._persisted()
         data.pop("wall_time")
         return json.dumps(data, sort_keys=True).encode()
 
@@ -272,7 +282,7 @@ def train(plan: TrainPlan, target: TargetModel | None = None) -> RunRecord:
         config, params, target, plan.num_steps, plan.eval_samples,
         seed=plan.seed + EVAL_SEED_STRIDE)
 
-    record = RunRecord(
+    return RunRecord(
         plan=plan.to_dict(), final_elbo=mean, final_stderr=stderr,
         curve=curve, skipped_steps=skipped, clipped_steps=clipped,
         wall_time=time.perf_counter() - start,
@@ -280,9 +290,8 @@ def train(plan: TrainPlan, target: TargetModel | None = None) -> RunRecord:
                   "trainable": sorted(config.trainable),
                   "score_hidden": config.score_hidden,
                   "adam": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
-                           "eps": ADAM_EPS}})
-    record.params = params  # in memory only; not part of the record's JSON
-    return record
+                           "eps": ADAM_EPS}},
+        params=params)
 
 
 def run_grid(plans, on_record=None) -> list:

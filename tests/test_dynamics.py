@@ -28,18 +28,34 @@ def iso_logpdf(x, mean, var):
     return norm.logpdf(x, mean, np.sqrt(var)).sum(axis=-1)
 
 
+def step(t, z, rho, delta, grad_fn):
+    """`leapfrog` with delta / 2 built for this one step."""
+    return leapfrog(t, z, rho, delta, t.mul(0.5, delta), grad_fn)
+
+
 def kernel_log_pdf(kernel, x, rho, z=None, k=None, drift=None):
-    """log m(x | rho, z) for a kernel, at the mean it builds from rho."""
+    """log m(x | rho, z) for a reverse kernel, at the mean it builds from
+    rho."""
     return kernel.log_pdf(x, kernel.mean(rho, z, k, drift))
 
 
-def em_ratio(t, z, rho, rho_n, k, delta, gamma, grad, score):
-    """Reverse/forward log-ratio of one Euler-Maruyama transition."""
+def forward_log_pdf(kernel, x, rho, drift=None):
+    """log m_F(x | rho) of a forward kernel in full, at the mean
+    shrink rho (+ drift) built from tape primitives."""
+    t = kernel.tape
+    mean = (t.mul(kernel.shrink, rho) if drift is None
+            else t.muladd(kernel.shrink, rho, drift))
+    return t.gaussian_logpdf(x, mean, kernel.var)
+
+
+def em_ratio(t, z, rho, eps, k, delta, gamma, grad, score):
+    """(rho', reverse/forward log-ratio) of one Euler-Maruyama transition
+    that refreshes rho with noise eps, as the chain builds them."""
     fwd = EM(t, gamma, delta)
     drift = t.mul(delta, grad)
     bwd = fwd.reverse(score)
-    return t.sub(kernel_log_pdf(bwd, rho, rho_n, z, k, drift),
-                 kernel_log_pdf(fwd, rho_n, rho, z, k, drift))
+    rho_n = fwd.refresh(rho, eps, drift)
+    return rho_n, bwd.log_ratio(rho, bwd.mean(rho_n, z, k, drift), fwd, eps)
 
 
 class TestLeapfrog:
@@ -47,7 +63,7 @@ class TestLeapfrog:
         # one step on log pi = -z^2/2: grad = -z, starting at (1, 0.5), delta 0.1
         t = Tape()
         z, rho = t.lift([1.0]), t.lift([0.5])
-        zn, rn = leapfrog(t, z, rho, t.lift(0.1), standard_grad(t))
+        zn, rn = step(t, z, rho, t.lift(0.1), standard_grad(t))
         assert zn.value[0] == pytest.approx(1.045, abs=1e-15)
         assert rn.value[0] == pytest.approx(0.39775, abs=1e-15)
 
@@ -59,7 +75,7 @@ class TestLeapfrog:
             t = Tape()
             grad = lambda z: t.mul(-1.3, z)
             delta = t.lift(0.4)
-            zn, rn = leapfrog(t, t.lift(z0), t.lift(r0), delta, grad)
+            zn, rn = step(t, t.lift(z0), t.lift(r0), delta, grad)
             zb, rb = leapfrog_inverse(t, zn, rn, delta, grad)
             assert np.max(np.abs(zb.value - z0)) < 1e-12
             assert np.max(np.abs(rb.value - r0)) < 1e-12
@@ -70,7 +86,7 @@ class TestLeapfrog:
             t = Tape()
             z, rho = t.lift(v[:2]), t.lift(v[2:])
             grad = lambda zz: t.mul(-0.7, t.square(zz))
-            zn, rn = leapfrog(t, z, rho, t.lift(0.3), grad)
+            zn, rn = step(t, z, rho, t.lift(0.3), grad)
             return np.concatenate([zn.value, rn.value])
 
         v0 = np.array([0.4, -1.1, 0.8, 0.2])
@@ -89,10 +105,10 @@ class TestLeapfrog:
         t = Tape()
         grad = standard_grad(t)
         delta = t.lift(0.2)
-        zn, rn = leapfrog(t, t.lift(zs), t.lift(rs), delta, grad)
+        zn, rn = step(t, t.lift(zs), t.lift(rs), delta, grad)
         for i in range(5):
             t2 = Tape()
-            zi, ri = leapfrog(t2, t2.lift(zs[i]), t2.lift(rs[i]),
+            zi, ri = step(t2, t2.lift(zs[i]), t2.lift(rs[i]),
                               t2.lift(0.2), standard_grad(t2))
             np.testing.assert_allclose(zn.value[i], zi.value, rtol=1e-14)
             np.testing.assert_allclose(rn.value[i], ri.value, rtol=1e-14)
@@ -100,8 +116,8 @@ class TestLeapfrog:
     def test_gradients_flow_through_delta(self):
         t = Tape()
         delta = t.lift(0.15, trainable=True, name="delta")
-        zn, rn = leapfrog(t, t.lift([1.0]), t.lift([0.3]), delta,
-                          standard_grad(t))
+        zn, rn = step(t, t.lift([1.0]), t.lift([0.3]), delta,
+                      standard_grad(t))
         grads = t.backward(t.sum(zn))
         # d z'/d delta = rho + delta * (-z) at first order terms: hand value
         # z' = z + delta (rho - delta/2 z) => d/d delta = rho - delta z
@@ -109,23 +125,23 @@ class TestLeapfrog:
 
 
 class TestExactOU:
-    def test_log_pdf_matches_scipy(self):
+    def test_noise_log_pdf_matches_scipy_at_the_draw(self):
         rng = np.random.default_rng(2)
         t = Tape()
         ou = OU(t, t.lift(0.6))
         for _ in range(10):
-            rho = rng.normal(size=4)
-            x = rng.normal(size=4)
-            got = kernel_log_pdf(ou, t.lift(x), t.lift(rho)).value
+            rho, eps = rng.normal(size=4), rng.normal(size=4)
+            x = ou.refresh(t.lift(rho), eps).value
+            got = ou.noise_log_pdf(eps).value
             want = iso_logpdf(x, 0.6 * rho, 1 - 0.36)
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_sample_formula(self):
+    def test_refresh_formula(self):
         t = Tape()
         ou = OU(t, t.lift(0.5))
         rho = t.lift([2.0, -2.0])
         eps = np.array([1.0, 0.0])
-        got = ou.sample(ou.mean(rho), eps).value
+        got = ou.refresh(rho, eps).value
         np.testing.assert_allclose(got, [1.0 + np.sqrt(0.75), -1.0], rtol=1e-14)
 
     def test_stationary_under_standard_normal(self):
@@ -134,8 +150,8 @@ class TestExactOU:
         rho = rng.normal(size=100_000)
         t = Tape()
         ou = OU(t, t.lift(0.8))
-        out = ou.sample(ou.mean(t.lift(rho[:, None])),
-                        rng.normal(size=(100_000, 1))).value
+        out = ou.refresh(t.lift(rho[:, None]),
+                         rng.normal(size=(100_000, 1))).value
         assert abs(out.mean()) < 0.02
         assert abs(out.std() - 1.0) < 0.02
 
@@ -148,7 +164,7 @@ class TestExactOU:
         for _ in range(20):
             a, b = rng.normal(size=3), rng.normal(size=3)
             lhs = (iso_logpdf(a, 0, 1)
-                   + kernel_log_pdf(fwd, t.lift(b), t.lift(a)).value)
+                   + forward_log_pdf(fwd, t.lift(b), t.lift(a)).value)
             rhs = (iso_logpdf(b, 0, 1)
                    + kernel_log_pdf(bwd, t.lift(a), t.lift(b)).value)
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -168,33 +184,33 @@ class TestExactOU:
         ou = OU(t, t.lift(0.0))
         eps = np.array([0.7, -0.2])
         np.testing.assert_allclose(
-            ou.sample(ou.mean(t.lift([5.0, -5.0])), eps).value, eps,
-            rtol=1e-14)
+            ou.refresh(t.lift([5.0, -5.0]), eps).value, eps, rtol=1e-14)
 
     def test_gradient_flows_to_eta(self):
         t = Tape()
         eta = t.lift(0.5, trainable=True, name="eta")
-        lp = kernel_log_pdf(OU(t, eta), t.lift([0.3]), t.lift([0.9]))
+        lp = OU(t, eta).noise_log_pdf(np.array([0.3]))
         assert t.backward(lp)["eta"] != 0.0
 
 
 class TestEMKernels:
-    def test_forward_log_pdf_matches_scipy(self):
+    def test_forward_noise_log_pdf_matches_scipy_at_the_draw(self):
         rng = np.random.default_rng(5)
         t = Tape()
         gamma, delta = t.lift(0.8), t.lift(0.1)
         fwd = EM(t, gamma, delta)
         gd = 0.08
         for _ in range(10):
-            rho, x = rng.normal(size=3), rng.normal(size=3)
-            want = iso_logpdf(x, rho * (1 - gd), 2 * gd)
-            got = kernel_log_pdf(fwd, t.lift(x), t.lift(rho)).value
+            rho, eps, drift = (rng.normal(size=3) for _ in range(3))
+            x = fwd.refresh(t.lift(rho), eps, t.lift(drift)).value
+            want = iso_logpdf(x, rho * (1 - gd) + drift, 2 * gd)
+            got = fwd.noise_log_pdf(eps).value
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_forward_sample_formula(self):
+    def test_forward_refresh_formula(self):
         t = Tape()
         fwd = EM(t, t.lift(1.0), t.lift(0.125))
-        got = fwd.sample(fwd.mean(t.lift([2.0])), np.array([1.0])).value
+        got = fwd.refresh(t.lift([2.0]), np.array([1.0])).value
         np.testing.assert_allclose(got, [2.0 * 0.875 + np.sqrt(0.25)], rtol=1e-14)
 
     def test_zero_friction_rejected(self):
@@ -237,12 +253,16 @@ class TestEMKernels:
 
     @pytest.mark.parametrize("score", [None, lambda k, z, rho: z],
                              ids=["exact", "score"])
-    def test_learned_variance_reverse_is_never_sampled(self, score):
+    def test_learned_variance_kernels_are_never_sampled(self, score):
         t = Tape()
-        bwd = EM(t, t.lift(0.5), t.lift(0.2)).reverse(score)
+        fwd = EM(t, t.lift(0.5), t.lift(0.2))
+        bwd = fwd.reverse(score)
         mean = bwd.mean(t.lift([0.3, -0.1]), t.lift([1.0, 2.0]), 1)
-        with pytest.raises(ValueError, match="never sampled"):
-            bwd.sample(mean, np.array([0.4, 0.7]))
+        for kernel in (fwd, bwd):
+            with pytest.raises(ValueError, match="unit-variance"):
+                kernel.sample(mean, np.array([0.4, 0.7]))
+        with pytest.raises(ValueError, match="only a forward kernel"):
+            bwd.refresh(t.lift([0.3, -0.1]), np.array([0.4, 0.7]))
 
 
 class TestUnitKernel:
@@ -257,6 +277,30 @@ class TestUnitKernel:
         mean = unit.mean(None, t.lift(rng.normal(size=(4, 3))), 1)
         assert mean is None
         np.testing.assert_array_equal(unit.sample(mean, eps).value, eps)
+        np.testing.assert_array_equal(
+            unit.refresh(t.lift(rng.normal(size=(4, 3))), eps).value, eps)
+
+    def test_noise_log_pdf_is_log_pdf_at_the_noise_bit_for_bit(self):
+        # the initial momentum density of every method but MCD keeps its
+        # bits in the noise form
+        eps = np.random.default_rng(15).normal(size=(5, 3))
+        t = Tape()
+        unit = MomentumKernel.unit(t)
+        np.testing.assert_array_equal(unit.noise_log_pdf(eps).value,
+                                      unit.log_pdf(t.lift(eps), None).value)
+
+    def test_mcd_augmentation_density_is_constant(self):
+        # rho_1 = 2 s(1, z_1) + eps, so its density depends on eps alone
+        rng = np.random.default_rng(16)
+        t = Tape()
+        w = t.lift(0.5, trainable=True, name="w")
+        aug = MomentumKernel.mcd_reverse(t, lambda k, z, rho: t.mul(w, z))
+        z, eps = t.lift(rng.normal(size=(4, 3))), rng.normal(size=(4, 3))
+        mean = aug.mean(None, z, 1)
+        np.testing.assert_allclose(
+            aug.noise_log_pdf(eps).value,
+            aug.log_pdf(aug.sample(mean, eps), mean).value, rtol=1e-14)
+        assert not aug.noise_log_pdf(eps).needs_grad
 
     def test_log_pdf_matches_scipy(self):
         rng = np.random.default_rng(14)
@@ -280,13 +324,13 @@ class TestTransitions:
         t = Tape()
         delta = t.lift(0.2)
         ou = OU(t, t.lift(0.4))
-        rp = ou.sample(ou.mean(t.lift(r0)), eps)
-        zn, rn = leapfrog(t, t.lift(z0), rp, delta, standard_grad(t))
+        rp = ou.refresh(t.lift(r0), eps)
+        zn, rn = step(t, t.lift(z0), rp, delta, standard_grad(t))
         rp_ref = 0.4 * r0 + np.sqrt(1 - 0.16) * eps
         np.testing.assert_allclose(rp.value, rp_ref, rtol=1e-14)
         t2 = Tape()
-        zr, rr = leapfrog(t2, t2.lift(z0), t2.lift(rp_ref), t2.lift(0.2),
-                          standard_grad(t2))
+        zr, rr = step(t2, t2.lift(z0), t2.lift(rp_ref), t2.lift(0.2),
+                      standard_grad(t2))
         np.testing.assert_allclose(zn.value, zr.value, rtol=1e-14)
         np.testing.assert_allclose(rn.value, rr.value, rtol=1e-14)
 
@@ -297,8 +341,7 @@ class TestTransitions:
         delta, gamma = t.lift(0.1), t.lift(0.5)
         grad = t.mul(-1.0, t.lift(z0))
         kernel = EM(t, gamma, delta)
-        rn = kernel.sample(kernel.mean(t.lift(r0), drift=t.mul(delta, grad)),
-                           eps)
+        rn = kernel.refresh(t.lift(r0), eps, t.mul(delta, grad))
         zn = t.add(t.lift(z0), t.mul(delta, rn))
         gd = 0.05
         rho_ref = r0 * (1 - gd) + 0.1 * (-z0) + np.sqrt(2 * gd) * eps
@@ -312,15 +355,18 @@ class TestTransitions:
 
     def test_em_log_ratio_matches_scipy(self):
         rng = np.random.default_rng(11)
-        z, rho, rho_n = (rng.normal(size=2) for _ in range(3))
+        z, rho, eps = (rng.normal(size=2) for _ in range(3))
         gd = 0.06
+        rho_n = rho * (1 - gd) + 0.2 * (-z) + np.sqrt(2 * gd) * eps
         for with_score in (False, True):
             t = Tape()
             delta, gamma = t.lift(0.2), t.lift(0.3)
             grad = t.mul(-1.0, t.lift(z))
             score = (lambda k, zz, rr: t.mul(0.25, rr)) if with_score else None
-            got = em_ratio(t, t.lift(z), t.lift(rho), t.lift(rho_n),
-                           1, delta, gamma, grad, score).value
+            drawn, got = em_ratio(t, t.lift(z), t.lift(rho), eps,
+                                  1, delta, gamma, grad, score)
+            np.testing.assert_allclose(drawn.value, rho_n, rtol=1e-14)
+            got = got.value
             fwd = iso_logpdf(rho_n, rho * (1 - gd) + 0.2 * (-z), 2 * gd)
             bmean = rho_n * (1 - gd) - 0.2 * (-z)
             if with_score:
@@ -330,12 +376,76 @@ class TestTransitions:
 
     def test_gradients_flow_to_gamma_and_delta(self):
         rng = np.random.default_rng(12)
-        z, rho, rho_n = (rng.normal(size=2) for _ in range(3))
+        z, rho, eps = (rng.normal(size=2) for _ in range(3))
         t = Tape()
         delta = t.lift(0.2, trainable=True, name="delta")
         gamma = t.lift(0.3, trainable=True, name="gamma")
         grad = t.mul(-1.0, t.lift(z))
-        lr = em_ratio(t, t.lift(z), t.lift(rho), t.lift(rho_n), 1,
-                      delta, gamma, grad, None)
+        _, lr = em_ratio(t, t.lift(z), t.lift(rho), eps, 1,
+                         delta, gamma, grad, None)
         grads = t.backward(lr)
         assert grads["delta"] != 0.0 and grads["gamma"] != 0.0
+
+
+def _refresh_kernel(t, kind, p):
+    """An OU or EM refresh from the lifted raw parameters `p`."""
+    if kind == "ou":
+        return OU(t, t.sigmoid(p["raw"]))
+    return EM(t, t.softplus(p["raw"]), t.softplus(p["raw_delta"]))
+
+
+class TestRefresh:
+    """rho' = shrink rho (+ drift) + sqrt(var) eps as one node."""
+
+    RAW = {"raw": 0.3, "raw_delta": -1.2}
+
+    @pytest.mark.parametrize("kind,with_drift",
+                             [("ou", False), ("em", False), ("em", True)])
+    def test_matches_muladd_chain_bit_for_bit(self, kind, with_drift):
+        rng = np.random.default_rng(70)
+        rho, eps, drift = (rng.normal(size=(4, 3)) for _ in range(3))
+        t = Tape()
+        p = {k: t.lift(v, trainable=True, name=k) for k, v in self.RAW.items()}
+        kernel = _refresh_kernel(t, kind, p)
+        r = t.lift(rho, trainable=True, name="rho")
+        d = t.lift(drift, trainable=True, name="drift") if with_drift else None
+        before = len(t.nodes)
+        got = kernel.refresh(r, eps, d)
+        assert len(t.nodes) == before + 1
+        mean = (t.mul(kernel.shrink, r) if d is None
+                else t.muladd(kernel.shrink, r, d))
+        np.testing.assert_array_equal(
+            got.value, t.muladd(kernel.scale, eps, mean).value)
+
+    @pytest.mark.parametrize("kind", ["ou", "em"])
+    def test_vjp_matches_finite_differences(self, kind):
+        """Every operand's adjoint, the drift's (zero for OU) included."""
+        rng = np.random.default_rng(71)
+        vals = {**self.RAW, "rho": rng.normal(size=(4, 3)),
+                "drift": rng.normal(size=(4, 3))}
+        eps, weights = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        drifted = kind == "em"
+
+        def loss(t, vs, trainable):
+            p = {k: t.lift(v, trainable=trainable, name=k)
+                 for k, v in vs.items()}
+            out = _refresh_kernel(t, kind, p).refresh(
+                p["rho"], eps, p["drift"] if drifted else None)
+            return t.mean_all(t.mul(out, weights))
+
+        t = Tape()
+        grads = t.backward(loss(t, vals, True))
+        h = 1e-6
+        for key, v in vals.items():
+            v = np.asarray(v, dtype=np.float64)
+            ref = np.zeros(v.shape)
+            for idx in np.ndindex(v.shape):
+                shifted = []
+                for sign in (1, -1):
+                    w = v.copy()
+                    w[idx] += sign * h
+                    shifted.append(float(
+                        loss(Tape(), {**vals, key: w}, False).value))
+                ref[idx] = (shifted[0] - shifted[1]) / (2 * h)
+            np.testing.assert_allclose(grads[key], ref, rtol=1e-6,
+                                       atol=1e-9, err_msg=key)

@@ -101,36 +101,41 @@ UNARY_DOMAINS = {
 BINARY = ("add", "sub", "mul", "div")
 
 
-# gaussian_log_ratio's variances: (var_x's shape, var_y's shape), where None
-# means var_y is var_x, one Var passed twice
+# gaussian_log_ratio's variances: (var's shape, var_f's shape), where None
+# means var_f is var, one Var passed twice
 RATIO_VARIANCES = {"scalar": ((), ()), "diagonal": ((3,), (3,)),
                    "shared_scalar": ((), None), "shared_diagonal": ((3,), None),
                    "scalar_and_diagonal": ((), (3,))}
 
 
 def _ratio_operands(rng, kind):
-    """(x, mean_x, var_x, y, mean_y, var_y) for (4, 3) points, less var_y
-    when it is var_x."""
-    var_x, var_y = RATIO_VARIANCES[kind]
+    """([x, mean, var, var_f], eps) for (4, 3) points, less var_f when it
+    is var."""
+    var, var_f = RATIO_VARIANCES[kind]
     vals = [rng.normal(size=(4, 3)), rng.normal(size=3),
-            rng.uniform(0.5, 2.0, size=var_x), rng.normal(size=(4, 3)),
-            rng.normal(size=(4, 3))]
-    if var_y is not None:
-        vals.append(rng.uniform(0.5, 2.0, size=var_y))
-    return vals
+            rng.uniform(0.5, 2.0, size=var)]
+    if var_f is not None:
+        vals.append(rng.uniform(0.5, 2.0, size=var_f))
+    return vals, rng.normal(size=(4, 3))
 
 
-def _shared(items):
-    """The six operands of the ratio: `items` with var_x repeated as var_y
-    when `_ratio_operands` gave five."""
-    items = list(items)
-    return items + [items[2]] if len(items) == 5 else items
+def _shared(items, eps):
+    """The ratio's arguments (x, mean, var, eps, var_f) from `items`, with
+    var repeated as var_f when `_ratio_operands` gave three."""
+    x, mean, var, *rest = items
+    return x, mean, var, eps, rest[0] if rest else var
 
 
 def _logpdf_ref(x, mean, var):
     """The diagonal-Gaussian log-density in numpy, for a scalar or (D,) var."""
     return (-0.5 * np.log(2 * np.pi * var)
             - (x - mean) ** 2 / (2 * var)).sum(axis=-1)
+
+
+def _noise_ref(eps, var):
+    """log N(sqrt(var) eps; 0, var) in numpy, as a function of var with eps
+    held fixed."""
+    return _logpdf_ref(np.sqrt(var) * eps, 0.0, var)
 
 
 class TestFiniteDifferenceSweep:
@@ -189,16 +194,17 @@ class TestFiniteDifferenceSweep:
         rng = np.random.default_rng(37)
         weights = rng.normal(size=4)
 
-        def f(vs):
-            vs = _shared(vs)
-            return np.mean((_logpdf_ref(*vs[:3]) - _logpdf_ref(*vs[3:]))
-                           * weights)
-
         for _ in range(10):
-            vals = _ratio_operands(rng, kind)
+            vals, eps = _ratio_operands(rng, kind)
+
+            def f(vs):
+                x, mean, var, eps_, var_f = _shared(vs, eps)
+                return np.mean((_logpdf_ref(x, mean, var)
+                                - _noise_ref(eps_, var_f)) * weights)
+
             t = Tape()
             args = _shared([t.lift(v, trainable=True, name=f"p{i}")
-                            for i, v in enumerate(vals)])
+                            for i, v in enumerate(vals)], eps)
             grads = t.backward(t.mean_all(
                 t.mul(t.gaussian_log_ratio(*args), weights)))
             for i, v in enumerate(vals):
@@ -527,28 +533,68 @@ class TestGaussianLogpdf:
         assert err.value.opcode == "gaussian_logpdf"
 
 
+class TestGaussianNoiseLogpdf:
+    """The density of a reparameterised draw, scored from its noise."""
+
+    @pytest.mark.parametrize("var", [1.7, np.array([0.5, 1.0, 2.0])],
+                             ids=["scalar", "diagonal"])
+    def test_equals_the_density_at_the_draw(self, var):
+        # mean + sqrt(var) eps scored in full, as the forward kernel was
+        rng = np.random.default_rng(62)
+        eps = rng.normal(size=(4, 3))
+        t = Tape()
+        mean = t.lift(rng.normal(size=(4, 3)), trainable=True, name="mean")
+        v = t.lift(var, trainable=True, name="var")
+        draw = t.muladd(t.sqrt(v), eps, mean)
+        noise = t.gaussian_noise_logpdf(eps, v)
+        np.testing.assert_allclose(
+            noise.value, t.gaussian_logpdf(draw, mean, v).value, rtol=1e-12)
+        # its one operand is the variance: no adjoint reaches the draw or
+        # the mean
+        assert noise.parents == (v,)
+        assert not t.backward(t.mean_all(noise))["mean"].any()
+
+    @pytest.mark.parametrize("var", [1.7, np.array([0.5, 1.0, 2.0])],
+                             ids=["scalar", "diagonal"])
+    def test_variance_adjoint_is_minus_half_over_var(self, var):
+        eps = np.random.default_rng(63).normal(size=(4, 3))
+        t = Tape()
+        v = t.lift(var, trainable=True, name="var")
+        grad = t.backward(t.mean_all(t.gaussian_noise_logpdf(eps, v)))["var"]
+        want = -0.5 / np.asarray(var)
+        np.testing.assert_allclose(grad, want * 3 if np.ndim(var) == 0
+                                   else want, rtol=1e-14)
+
+    def test_nonpositive_variance_names_the_op(self):
+        t = Tape()
+        with pytest.raises(DomainError) as err:
+            t.gaussian_noise_logpdf(np.zeros((2, 3)), 0.0)
+        assert err.value.opcode == "gaussian_noise_logpdf"
+
+
 class TestGaussianLogRatio:
     """One node whose value and gradients are those of
-    `sub(gaussian_logpdf(x, ...), gaussian_logpdf(y, ...))` bit for bit."""
+    `sub(gaussian_logpdf(x, mean, var), gaussian_noise_logpdf(eps, var_f))`
+    bit for bit."""
 
     @staticmethod
-    def _lift(t, vals, constant=()):
+    def _lift(t, vals, eps, constant=()):
         return _shared([t.lift(v) if i in constant
                         else t.lift(v, trainable=True, name=f"p{i}")
-                        for i, v in enumerate(vals)])
+                        for i, v in enumerate(vals)], eps)
 
     @staticmethod
-    def _chain(t, x, mean_x, var_x, y, mean_y, var_y):
-        return t.sub(t.gaussian_logpdf(x, mean_x, var_x),
-                     t.gaussian_logpdf(y, mean_y, var_y))
+    def _chain(t, x, mean, var, eps, var_f):
+        return t.sub(t.gaussian_logpdf(x, mean, var),
+                     t.gaussian_noise_logpdf(eps, var_f))
 
     @pytest.mark.parametrize("constant",
-                             [(), (0, 1, 3), (2, 5), tuple(range(6))])
+                             [(), (0, 1), (2, 3), tuple(range(4))])
     @pytest.mark.parametrize("kind", sorted(RATIO_VARIANCES))
     def test_value_matches_two_node_chain_bit_for_bit(self, kind, constant):
-        vals = _ratio_operands(np.random.default_rng(41), kind)
+        vals, eps = _ratio_operands(np.random.default_rng(41), kind)
         t = Tape()
-        args = self._lift(t, vals, constant)
+        args = self._lift(t, vals, eps, constant)
         before = len(t.nodes)
         fused = t.gaussian_log_ratio(*args)
         assert len(t.nodes) == before + 1
@@ -559,22 +605,20 @@ class TestGaussianLogRatio:
         rng = np.random.default_rng(43)
         t = Tape()
         x = t.lift(rng.normal(size=(4, 3)), trainable=True, name="x")
-        y = t.lift(rng.normal(size=(4, 3)), trainable=True, name="y")
-        mean = t.lift(rng.normal(size=(4, 3)), trainable=True, name="m")
-        args = (x, 0.0, 1.0, y, mean, 2.5)
+        args = (x, 0.0, 1.0, rng.normal(size=(4, 3)), 2.5)
         np.testing.assert_array_equal(t.gaussian_log_ratio(*args).value,
                                       self._chain(t, *args).value)
 
     @pytest.mark.parametrize("kind", sorted(RATIO_VARIANCES))
     def test_gradients_match_two_node_chain_bit_for_bit(self, kind):
-        # a shared variance adds y's adjoint, then x's, to the one a later
-        # node gave it, as the chain's sweep does
-        vals = _ratio_operands(np.random.default_rng(47), kind)
+        # a shared variance adds var_f's adjoint, then var's, to the one a
+        # later node gave it, as the chain's sweep does
+        vals, eps = _ratio_operands(np.random.default_rng(47), kind)
         weights = np.random.default_rng(53).normal(size=(2, 4))
         grads = []
         for build in (lambda t, *a: t.gaussian_log_ratio(*a), self._chain):
             t = Tape()
-            args = self._lift(t, vals)
+            args = self._lift(t, vals, eps)
             out = t.mul(build(t, *args), weights[0])
             later = t.mul(t.sum(t.mul(args[2], args[0])), weights[1])
             grads.append(t.backward(t.mean_all(t.add(out, later))))
@@ -582,27 +626,85 @@ class TestGaussianLogRatio:
         for name in grads[0]:
             np.testing.assert_array_equal(grads[0][name], grads[1][name])
 
-    @pytest.mark.parametrize("constant", range(6))
-    def test_operand_needing_no_gradient_gets_no_adjoint(self, constant):
-        vals = _ratio_operands(np.random.default_rng(59), "diagonal")
+    def test_draw_and_forward_mean_are_no_operands(self):
+        # log m_F is scored from the noise: the node reaches neither the
+        # draw mean_f + sqrt(var_f) eps nor mean_f
+        rng = np.random.default_rng(57)
+        vals, eps = _ratio_operands(rng, "scalar")
         t = Tape()
-        out = t.gaussian_log_ratio(*self._lift(t, vals, (constant,)))
+        x, mean, var, eps, var_f = self._lift(t, vals, eps)
+        mean_f = t.lift(rng.normal(size=(4, 3)), trainable=True, name="mf")
+        draw = t.muladd(t.sqrt(var_f), eps, mean_f)
+        out = t.gaussian_log_ratio(x, mean, var, eps, var_f)
+        np.testing.assert_allclose(
+            out.value, (t.gaussian_logpdf(x, mean, var).value
+                        - t.gaussian_logpdf(draw, mean_f, var_f).value),
+            rtol=1e-12)
+        assert out.parents == (var_f, x, mean, var)
+        assert not t.backward(t.mean_all(out))["mf"].any()
+
+    @pytest.mark.parametrize("constant", range(4))
+    def test_operand_needing_no_gradient_gets_no_adjoint(self, constant):
+        vals, eps = _ratio_operands(np.random.default_rng(59), "diagonal")
+        t = Tape()
+        out = t.gaussian_log_ratio(*self._lift(t, vals, eps, (constant,)))
         adjoints = dict(zip(out.parents, out.vjp(np.ones(out.shape))))
         for parent, g in adjoints.items():
             assert (g is None) == (not parent.needs_grad)
         assert sum(g is None for g in adjoints.values()) == 1
 
-    @pytest.mark.parametrize("side", [2, 5])
+    @pytest.mark.parametrize("side", [2, 3])
     def test_nonpositive_variance_names_the_op(self, side):
-        vals = _ratio_operands(np.random.default_rng(61), "diagonal")
+        vals, eps = _ratio_operands(np.random.default_rng(61), "diagonal")
         vals[side] = np.array([1.0, 0.0, 1.0])
         t = Tape()
         with pytest.raises(DomainError) as err:
-            t.gaussian_log_ratio(*self._lift(t, vals))
+            t.gaussian_log_ratio(*self._lift(t, vals, eps))
         assert err.value.opcode == "gaussian_log_ratio"
 
 
+class TestAddN:
+    """A left-to-right sum as one node."""
+
+    @pytest.mark.parametrize("shapes", [[(4,)] * 5, [(), (4,), (4,)],
+                                        [(4,), ()]])
+    def test_matches_chained_adds(self, shapes):
+        rng = np.random.default_rng(64)
+        vals = [rng.normal(size=s) for s in shapes]
+        weights = rng.normal(size=4)
+        results = []
+        for fused in (True, False):
+            t = Tape()
+            parts = [t.lift(v, trainable=True, name=f"p{i}")
+                     for i, v in enumerate(vals)]
+            before = len(t.nodes)
+            if fused:
+                out = t.add_n(parts)
+                assert len(t.nodes) == before + 1
+            else:
+                out = parts[0]
+                for p in parts[1:]:
+                    out = t.add(out, p)
+            grads = t.backward(t.mean_all(t.mul(out, weights)))
+            results.append((out.value, grads))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        for name, g in results[0][1].items():
+            np.testing.assert_array_equal(g, results[1][1][name])
+
+
 class TestUnbroadcast:
+    @pytest.mark.parametrize("shape", [(1, 7), (1, 1, 7), (1, 2, 7)])
+    def test_size_one_leading_axes_match_the_sum(self, shape):
+        # a batch-of-one adjoint is reshaped, not summed, to a vector
+        g = np.random.default_rng(66).normal(size=shape)
+        staged = g
+        while staged.ndim > 2:
+            staged = staged.sum(axis=0)
+        want = staged.sum(axis=0) if staged.ndim == 2 else staged
+        np.testing.assert_array_equal(_unbroadcast(g, (7,)), want)
+        np.testing.assert_array_equal(_unbroadcast(g, (1, 7)),
+                                      want.reshape(1, 7))
+
     @pytest.mark.parametrize("shape", [(1, 7), (7,), (1, 1, 7)])
     def test_scalar_target_at_batch_one_matches_staged_sum(self, shape):
         # one reduction over every axis; with a batch of one it gives the

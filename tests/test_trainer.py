@@ -240,6 +240,17 @@ class TestPersistence:
         assert back == rec
         assert back.canonical_bytes() == rec.canonical_bytes()
 
+    def test_params_stay_out_of_json_bytes_equality_and_repr(self):
+        fields = dict(plan=toy_plan().to_dict(), final_elbo=-1.25,
+                      curve=[(0, -5.0)], metadata={"target_dim": 2})
+        bare = RunRecord(**fields)
+        rec = RunRecord(**fields, params={"q.mu": np.array([0.5, -0.5])})
+        assert rec.to_json() == bare.to_json()
+        assert "params" not in json.loads(rec.to_json())
+        assert rec.canonical_bytes() == bare.canonical_bytes()
+        assert rec == bare and repr(rec) == repr(bare)
+        assert RunRecord.from_json(rec.to_json()).params is None
+
     def test_canonical_bytes_ignore_wall_time(self):
         a = RunRecord(plan={"p": 1}, wall_time=1.0)
         b = RunRecord(plan={"p": 1}, wall_time=9.9)

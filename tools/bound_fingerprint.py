@@ -18,8 +18,17 @@ output does not depend on the thread settings of the environment. Compare two ch
     PYTHONPATH=src python3 tools/bound_fingerprint.py > after.json
     PYTHONPATH=/path/to/other/checkout/src python3 tools/bound_fingerprint.py > before.json
     diff before.json after.json
+
+or measure how far this checkout's values drift from a saved fingerprint:
+
+    PYTHONPATH=src python3 tools/bound_fingerprint.py --against before.json
+
+which prints the largest relative difference of the bounds, of the
+evaluation means and of the gradient 2-norms, each with the entry it comes
+from, and the number of train records whose digests differ.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -91,6 +100,48 @@ def fingerprint() -> dict:
     return out
 
 
+def drift(old: dict, new: dict) -> dict:
+    """quantity -> (largest relative difference, its entry) between two
+    fingerprints, and the number of train digests that differ."""
+    pairs = {"bounds": [], "eval means": [], "gradient 2-norms": []}
+    for key, was in old.items():
+        now = new[key]
+        if key.startswith("train/"):
+            continue
+        if key.startswith("eval256/"):
+            pairs["eval means"].append((key, was[0], now[0]))
+            continue
+        pairs["bounds"] += [(key, a, b) for a, b in zip(was["bounds"],
+                                                        now["bounds"])]
+        pairs["eval means"].append((key, was["eval_mean"][0],
+                                    now["eval_mean"][0]))
+        pairs["gradient 2-norms"] += [
+            (f"{key} {name}", g["l2"], now["grads"][name]["l2"])
+            for name, g in was["grads"].items()]
+    out = {}
+    for quantity, items in pairs.items():
+        out[quantity] = max(
+            (abs(float(b) - float(a)) / abs(float(a)) if float(a) else
+             abs(float(b)), key) for key, a, b in items)
+    out["train digests differing"] = sum(
+        old[k] != new[k] for k in old if k.startswith("train/"))
+    return out
+
+
 if __name__ == "__main__":
-    json.dump(fingerprint(), sys.stdout, indent=1, sort_keys=True)
-    print()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="OLD.json",
+                        help="print the drift from this fingerprint instead "
+                             "of the fingerprint")
+    args = parser.parse_args()
+    if args.against is None:
+        json.dump(fingerprint(), sys.stdout, indent=1, sort_keys=True)
+        print()
+    else:
+        with open(args.against) as f:
+            old = json.load(f)
+        for quantity, value in drift(old, fingerprint()).items():
+            if isinstance(value, tuple):
+                print(f"{quantity:24s} {value[0]:.3g}  ({value[1]})")
+            else:
+                print(f"{quantity:24s} {value}")
