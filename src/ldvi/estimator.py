@@ -270,17 +270,19 @@ class ElboEstimate:
     value: Var
 
 
-def _check_finite(model: LiftedModel, k: int, **quantities: Var) -> None:
-    """Raise EstimatorError naming the first non-finite quantity, k, the
-    step size delta and, when the method has one, the friction gamma.
+def _check_finite(model: LiftedModel, k: int,
+                  *quantities: tuple[str, Var]) -> None:
+    """Raise EstimatorError naming the first non-finite of the (name, Var)
+    quantities, k, the step size delta and, when the method has one, the
+    friction gamma.
     """
-    for name, v in quantities.items():
-        if not np.isfinite(v.value).all():
+    for name, v in quantities:
+        # the ufunc's own reduce skips ndarray.all's Python-level wrapper
+        if not np.logical_and.reduce(np.isfinite(v.value), axis=None):
             where = f"k={k}, delta={float(model.delta.value)!r}"
             if model.gamma is not None:
                 where += f", gamma={float(model.gamma.value)!r}"
-            raise EstimatorError(
-                f"non-finite {name.replace('_', ' ')} at transition {where}")
+            raise EstimatorError(f"non-finite {name} at transition {where}")
 
 
 def estimate_elbo(model: LiftedModel, target: TargetModel,
@@ -355,7 +357,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     eps = rng.normal(size=shape)
     rho = aug.sample(aug_mean, eps)
     initial = t.neg(t.add(model.q.log_pdf(z), aug.noise_log_pdf(eps)))
-    _check_finite(model, 0, initial_density=initial)
+    _check_finite(model, 0, ("initial density", initial))
     terms = [initial]
 
     def add_term(term: Var) -> None:
@@ -382,14 +384,14 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
         back = (aug_mean if k == 1 and bwd is aug
                 else bwd.mean(rho_prime, z, k, drift))
         ratio = bwd.log_ratio(rho, back, fwd, eps)
-        _check_finite(model, k, position=z_new, momentum=rho_new,
-                      log_ratio=ratio)
+        _check_finite(model, k, ("position", z_new), ("momentum", rho_new),
+                      ("log ratio", ratio))
         add_term(ratio)
         z, rho = z_new, rho_new
 
     terminal = t.add(target.logp(t, z),
                      aug.log_pdf(rho, aug.mean(None, z, K)))
-    _check_finite(model, K, terminal_density=terminal)
+    _check_finite(model, K, ("terminal density", terminal))
     add_term(terminal)
     return ElboEstimate(t.add_n(terms))
 

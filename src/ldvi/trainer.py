@@ -7,6 +7,12 @@ finishing with an independent evaluation (default 1,000 samples). Gradients
 are clipped by global norm; non-finite gradient steps are skipped and
 counted. Every run is fully determined by its plan: noise is keyed by
 (seed, step), so identical plans produce byte-identical records.
+
+One step's graph is alive at a time: each step's tape, lifted model and
+loss are freed before its update, and its gradients before the next step's
+backward sweep, so training's peak memory is one step's forward and
+backward. Adam updates its moment arrays in place and returns fresh
+parameter arrays, since callers keep the old ones.
 """
 
 from __future__ import annotations
@@ -45,7 +51,10 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators with bias correction."""
+    """First/second moment accumulators with bias correction.
+
+    The state owns its moment arrays: `adam_step` updates them in place.
+    """
 
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -56,18 +65,22 @@ def adam_step(state: AdamState, params: dict, grads: dict,
               lr: float) -> dict:
     """One bias-corrected Adam update; returns the new parameter dict.
 
-    Only keys present in `grads` move; `state` is updated in place.
+    Only keys present in `grads` move, each to a fresh array, so `params`
+    and `grads` are left as they were; the others are passed through.
+    `state` and its moment arrays are updated in place.
     """
     state.step += 1
     t = state.step
     out = dict(params)
     for key, g in grads.items():
         g = np.asarray(g, dtype=np.float64)
-        m = state.m.get(key, np.zeros_like(g))
-        v = state.v.get(key, np.zeros_like(g))
-        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-        state.m[key], state.v[key] = m, v
+        if key not in state.m:
+            state.m[key], state.v[key] = np.zeros_like(g), np.zeros_like(g)
+        m, v = state.m[key], state.v[key]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1 ** t)
         v_hat = v / (1 - ADAM_BETA2 ** t)
         out[key] = np.asarray(params[key]
@@ -228,30 +241,46 @@ def _resolve_config(plan: TrainPlan) -> MethodConfig:
 
 def _optimize(config, params, target, num_steps, steps, lr, batch, seed,
               grad_clip, divergence_floor, record_every):
-    """Shared Adam loop; returns (params, curve, skipped, clipped)."""
+    """Shared Adam loop; returns (params, curve, skipped, clipped).
+
+    One step's graph is alive at a time. `gradients` owns the step's tape,
+    lifted model and loss, so they are freed when it returns, before the
+    update; `descend` owns the step's gradients, so they are freed before
+    the next step's backward sweep.
+    """
     state = AdamState()
     curve, skipped, clipped = [], 0, 0
-    for step in range(steps):
+
+    def gradients(step: int) -> tuple[float, dict]:
         tape = Tape()
         model = lift_model(tape, config, params, target.dim, num_steps)
-        value = tape.mean_all(estimate_elbo(
+        loss = tape.mean_all(estimate_elbo(
             model, target, np.random.default_rng([seed, step]), batch).value)
-        elbo = float(value.value)
+        elbo = float(loss.value)
+        # a sweep over a diverged graph may itself overflow
         if elbo < divergence_floor:
             raise TrainingDiverged(
                 f"bound {elbo:.3e} fell below floor {divergence_floor:.3e} "
                 f"at step {step}")
-        if step % record_every == 0 or step == steps - 1:
-            curve.append((step, elbo))
-        grads = tape.backward(value)
+        return elbo, tape.backward(loss)
+
+    def descend(step: int) -> float:
+        nonlocal params, skipped, clipped
+        elbo, grads = gradients(step)
         if not all(np.isfinite(g).all() for g in grads.values()):
             skipped += 1
-            continue
+            return elbo
         grads, was_clipped = clip_gradients(grads, grad_clip)
         clipped += was_clipped
         # ascend the bound: feed Adam the negated gradients
         params = adam_step(state, params,
                            {k: -g for k, g in grads.items()}, lr)
+        return elbo
+
+    for step in range(steps):
+        elbo = descend(step)
+        if step % record_every == 0 or step == steps - 1:
+            curve.append((step, elbo))
     return params, curve, skipped, clipped
 
 

@@ -1104,6 +1104,30 @@ class TestEMChain:
 
 
 class TestErrorContext:
+    # the chain's own operations warn on the way; the check itself never does
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("name,factors,quantity", [
+        ("ula", (1e200,), "momentum"),
+        ("uha_em", (1e200,), "log ratio"),
+        # the first half-kick overflows: position and momentum both turn
+        # non-finite, and the position is named
+        ("ula", (1e300, 1e300), "position")])
+    def test_names_the_first_non_finite_quantity(self, name, factors,
+                                                 quantity):
+        def score(t, z):
+            for f in factors:
+                z = t.mul(f, z)
+            return z
+
+        bad = TargetModel(name="bad", dim=1, logp=lambda t, z: t.sum(z),
+                          score=score)
+        cfg = get_method(name)
+        model = lift_model(Tape(), cfg, init_params(cfg, 1, 3), 1, 3)
+        with pytest.raises(EstimatorError,
+                           match=f"^non-finite {quantity} at transition k=1,"):
+            estimate_elbo(model, bad, chain_rng(0), 1)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("name", ["ula", "uha_em"])
     def test_names_delta_and_gamma(self, name):

@@ -2,11 +2,15 @@
 
 import json
 import pathlib
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from ldvi.targets import gaussian_toy_target
+from ldvi import trainer
+from ldvi.tape import Tape
+from ldvi.targets import gaussian_toy_target, get_target
 from ldvi.trainer import (AdamState, RunRecord, TrainPlan, TrainingDiverged,
                           adam_step, clip_gradients, global_grad_norm,
                           run_grid, select_best, train)
@@ -60,6 +64,50 @@ class TestAdam:
         out = adam_step(state, params, {"a": np.array(1.0)}, lr=0.1)
         assert float(out["b"]) == 2.0
         assert float(out["a"]) != 1.0
+
+    def test_contract_in_place_moments_fresh_params(self):
+        """The moments are updated in place; params and grads are left as
+        they were; each moved parameter is a fresh array sharing memory
+        with no input and no moment; over 3 steps the values equal the
+        allocating formula bit for bit, for 0-d, 1-D and 2-D parameters
+        and a key that grads leave out."""
+        rng = np.random.default_rng(5)
+        params = {"s": np.array(0.3), "v": rng.normal(size=4),
+                  "w": rng.normal(size=(3, 2)), "fixed": np.array([7.0])}
+        want, m, v = dict(params), {}, {}
+        state = AdamState()
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=params[k].shape)
+                     for k in ("s", "v", "w")}
+            before = ({k: a.copy() for k, a in params.items()},
+                      {k: g.copy() for k, g in grads.items()})
+            moments = (dict(state.m), dict(state.v))
+            out = adam_step(state, params, grads, lr=0.05)
+            for key, g in grads.items():
+                m[key] = (0.9 * m.get(key, np.zeros_like(g))
+                          + (1 - 0.9) * g)
+                v[key] = (0.999 * v.get(key, np.zeros_like(g))
+                          + (1 - 0.999) * g * g)
+                want[key] = np.asarray(
+                    want[key] - 0.05 * (m[key] / (1 - 0.9 ** t))
+                    / (np.sqrt(v[key] / (1 - 0.999 ** t)) + 1e-8))
+            for key in grads:
+                if moments[0]:
+                    assert state.m[key] is moments[0][key]
+                    assert state.v[key] is moments[1][key]
+                np.testing.assert_array_equal(state.m[key], m[key])
+                np.testing.assert_array_equal(state.v[key], v[key])
+                assert out[key].shape == params[key].shape
+                for other in (params[key], grads[key], state.m[key],
+                              state.v[key]):
+                    assert not np.shares_memory(out[key], other)
+            for key in params:
+                np.testing.assert_array_equal(params[key], before[0][key])
+                np.testing.assert_array_equal(out[key], want[key])
+            for key in grads:
+                np.testing.assert_array_equal(grads[key], before[1][key])
+            assert out["fixed"] is params["fixed"] and "fixed" not in state.m
+            params = out
 
 
 class TestClipping:
@@ -137,12 +185,23 @@ class TestTrain:
         for key in a.params:
             np.testing.assert_array_equal(a.params[key], b.params[key])
 
-    def test_divergence_floor_aborts(self):
+    def test_divergence_floor_aborts(self, monkeypatch):
+        """The floor is checked before the backward sweep, which over a
+        diverged graph may itself overflow."""
+        swept = []
+
+        class SweepCountingTape(Tape):
+            def backward(self, loss):
+                swept.append(loss)
+                return super().backward(loss)
+
+        monkeypatch.setattr(trainer, "Tape", SweepCountingTape)
         plan = toy_plan(method="ula", num_steps=2, steps=10,
                         divergence_floor=1e9)  # unreachable bound
         target = gaussian_toy_target(1)
         with pytest.raises(TrainingDiverged, match="step 0"):
             train(plan, target=target)
+        assert swept == []
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -257,3 +316,68 @@ class TestPersistence:
         assert a.canonical_bytes() == b.canonical_bytes()
         c = RunRecord(plan={"p": 2}, wall_time=1.0)
         assert a.canonical_bytes() != c.canonical_bytes()
+
+
+class TestStepLifetime:
+    """`train` holds one step's graph at a time and frees it before the
+    update."""
+
+    def test_graph_and_gradients_freed_in_time(self, monkeypatch):
+        """When Adam runs for step s, step s's tape is freed; when step s
+        sweeps backward, step s-1's gradients (as swept and as clipped)
+        are freed. Reference counting must do it, with no collection."""
+        tapes, grads, adam_calls = [], [], []
+
+        class TrackedTape(Tape):
+            def backward(self, loss):
+                assert all(r() is None for r in grads)
+                out = super().backward(loss)
+                grads.extend(weakref.ref(g) for g in out.values())
+                return out
+
+        def make_tape():
+            tape = TrackedTape()
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        def clip(g, max_norm):
+            out, was = clip_gradients(g, max_norm)
+            # a clipped 0-d gradient is a numpy scalar, which has no weakref
+            grads.extend(weakref.ref(a) for a in out.values()
+                         if isinstance(a, np.ndarray))
+            return out, was
+
+        def adam(*args, **kwargs):
+            adam_calls.append(len(tapes))
+            assert all(r() is None for r in tapes)
+            return adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "Tape", make_tape)
+        monkeypatch.setattr(trainer, "clip_gradients", clip)
+        monkeypatch.setattr(trainer, "adam_step", adam)
+        for grad_clip in (100.0, 1e-6):   # unclipped and clipped
+            del tapes[:], grads[:], adam_calls[:]
+            train(toy_plan(method="uha", num_steps=3, steps=3,
+                           pretrain_steps=2, eval_samples=4,
+                           grad_clip=grad_clip),
+                  target=gaussian_toy_target(2))
+            assert adam_calls == [1, 2, 3, 4, 5]
+
+    def test_peak_memory_flat_in_steps(self):
+        """The tracemalloc peak of a 4-step train() is at most 1.25x that
+        of a 1-step one: holding the previous step's graph through the
+        next forward pass roughly doubles it."""
+        target = get_target("brownian")
+
+        def peak(steps):
+            plan = TrainPlan("uha", "brownian", num_steps=32, steps=steps,
+                             batch=8, pretrain_steps=2, eval_samples=2)
+            tracemalloc.start()
+            try:
+                train(plan, target=target)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)   # warm any one-time allocations
+        assert peak(4) <= 1.25 * peak(1)
