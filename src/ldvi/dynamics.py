@@ -10,25 +10,25 @@ deterministic and volume preserving, so the per-step contribution to the
 augmented lower bound is log m_B(rho | rho', z) - log m_F(rho' | rho), which
 `MomentumKernel.log_ratio` records as one `Tape.gaussian_log_ratio` node.
 
-Every momentum density of the bound is one `MomentumKernel`: N(mean, var I)
-with
+m_F and m_B come from one discretisation of the same dynamics, so they
+share the shrink and the variance, and one `MomentumKernel` is both. It is
+N(mean, var I) with
 
-    mean = shrink rho (+ drift going forward, - drift in reverse)
-           + coef s(k, z, rho),
+    m_F: mean = shrink rho (+ drift)
+    m_B: mean = shrink rho' (- drift) + coef s(k, z, rho'),
 
-where s is the learned score. The full refresh (ULA, MCD) is the unit
-kernel N(0, I): no shrink and no mean, so rho' is the noise itself. The
-exact Ornstein-Uhlenbeck refresh has shrink eta and variance 1 - eta^2,
-the Euler-Maruyama refresh shrink 1 - gamma delta and variance
-2 gamma delta. A reverse kernel shares its forward kernel's shrink and
-variance nodes, and LDVI's adds var s. MCD's, derived for the full refresh
-and paired with it only, has no shrink, variance 1 and coef 2. The
-endpoint momentum augmentation is a kernel too: N(0, I), or for MCD its
-reverse kernel N(2 s(k, z), I), which draws the initial momentum and
-scores both endpoints.
+where s is the learned score, if the method has one. The full refresh
+(ULA, MCD) is the unit kernel N(0, I): no shrink and no mean, so rho' is
+the noise itself. The exact Ornstein-Uhlenbeck refresh has shrink eta and
+variance 1 - eta^2, the Euler-Maruyama refresh shrink 1 - gamma delta and
+variance 2 gamma delta. A score enters the reverse mean with coef var, the
+discretised time reversal, except MCD's: its position-only score recenters
+the full refresh with coef 2. The endpoint momentum augmentation is a unit
+kernel too: N(0, I), or for MCD its own kernel N(2 s(k, z), I), which draws
+the initial momentum and scores both endpoints.
 
-A forward kernel draws rho' = shrink rho (+ drift) + sqrt(var) eps as one
-node (`MomentumKernel.refresh`) and never builds its mean. Its density at
+The kernel draws rho' = shrink rho (+ drift) + sqrt(var) eps as one node
+(`MomentumKernel.refresh`) and never builds m_F's mean. m_F's density at
 its own draw is a function of the noise and the variance alone,
 -sum_d [0.5 log(2 pi var_d) + eps_d^2 / 2], so the log-ratio scores m_F
 from eps, and the chain's initial momentum density is scored the same way
@@ -37,11 +37,11 @@ terminal momentum density is evaluated at a point.
 
 All kernel parameters (step size delta, friction gamma, momentum retention
 eta) are scalar tape Vars, so gradients flow through every density. The
-kernels are built once per lift, so their shrink, variance and noise scale
+kernel is built once per lift, so its shrink, variance and noise scale
 sqrt(var) are tape nodes shared by every transition, as is the leapfrog's
 half step delta / 2. Each multiply-add of the chain (a leapfrog update, a
 score correction) is one `Tape.muladd` node, and a reverse mean
-shrink rho - drift is one `Tape.mulsub` node.
+shrink rho' - drift is one `Tape.mulsub` node.
 """
 
 from __future__ import annotations
@@ -81,89 +81,71 @@ def _check_scalar(name: str, v: Var) -> Var:
 
 
 class MomentumKernel:
-    """Diagonal-Gaussian momentum kernel N(mean, var I).
+    """One method's diagonal-Gaussian momentum kernel N(mean, var I), both
+    the refresh m_F and its reversal m_B.
 
-    mean = shrink rho, plus the drift (added by a forward kernel, subtracted
-    by a reverse one), plus coef s(k, z, rho) when the kernel has a score.
-    Build a forward kernel with `unit` (N(0, I), the full refresh),
-    `exact_ou` or `euler_maruyama`, and its reverse with `reverse`, or
-    MCD's with `mcd_reverse`.
-    `var` is a scalar Var, or 1.0 for a unit-variance kernel. A forward
-    kernel draws with `refresh` and builds the noise scale sqrt(var) once
-    for it; the unit kernel needs none. A reverse kernel builds `mean` and
-    scores with `log_ratio`. `sample` draws from a unit-variance kernel, the
-    endpoint augmentation.
+    `refresh` draws from m_F, whose mean is shrink rho plus the drift. `mean`
+    builds m_B's: shrink rho' less the drift, plus coef s(k, z, rho') when
+    the kernel has a score. Build it with `unit` (N(0, I), the full
+    refresh), `exact_ou` or `euler_maruyama`. `var` is a scalar Var, whose
+    noise scale sqrt(var) is built once for `refresh`, or 1.0 for a unit
+    kernel, which needs none. `log_ratio` scores a transition, and `sample`
+    draws from a unit kernel, the endpoint augmentation.
     """
 
     def __init__(self, tape: Tape, shrink: Var | None, var: Var | float,
-                 forward: bool, coef: Var | float | None = None,
-                 score_fn: ScoreFn | None = None):
+                 score_fn: ScoreFn | None = None,
+                 coef: Var | float | None = None):
         self.tape = tape
         self.shrink = shrink
         self.var = var
-        self.forward = forward
-        self.coef = coef
         self.score_fn = score_fn
-        self.scale = (tape.sqrt(var) if forward and isinstance(var, Var)
-                      else None)
+        # by default a score enters the reverse mean as var s, the
+        # discretised time reversal of the refresh
+        self.coef = var if coef is None else coef
+        self.scale = tape.sqrt(var) if isinstance(var, Var) else None
 
     @classmethod
-    def exact_ou(cls, tape: Tape, eta: Var) -> "MomentumKernel":
+    def exact_ou(cls, tape: Tape, eta: Var,
+                 score_fn: ScoreFn | None = None) -> "MomentumKernel":
         """Exact Ornstein-Uhlenbeck refresh N(eta rho, (1 - eta^2) I).
 
         eta = exp(-gamma delta) is the momentum retention over one step,
         learned by UHA. eta -> 1 degenerates (zero variance) and is
         rejected. The full refresh of ULA and MCD is not this kernel at
-        eta = 0 but `unit`, which draws the noise itself.
+        eta = 0 but `unit`, which draws the noise itself. Without a score
+        the kernel is its own reversal, since the refresh is self-adjoint
+        with respect to N(0, I).
         """
         _check_scalar("exact_ou", eta)
         if not 0.0 <= float(eta.value) < 1.0:
             raise DomainError("exact_ou",
                               f"eta must lie in [0, 1), got {float(eta.value)}")
-        return cls(tape, eta, tape.sub(1.0, tape.square(eta)), forward=True)
+        return cls(tape, eta, tape.sub(1.0, tape.square(eta)), score_fn)
 
     @classmethod
-    def euler_maruyama(cls, tape: Tape, gamma: Var,
-                       delta: Var) -> "MomentumKernel":
+    def euler_maruyama(cls, tape: Tape, gamma: Var, delta: Var,
+                       score_fn: ScoreFn | None = None) -> "MomentumKernel":
         """Euler-Maruyama refresh N(rho (1 - gamma delta), 2 gamma delta I)."""
-        _check_scalar("forward_em", gamma)
-        _check_scalar("forward_em", delta)
+        _check_scalar("euler_maruyama", gamma)
+        _check_scalar("euler_maruyama", delta)
         gd = tape.mul(gamma, delta)
         shrink = tape.sub(1.0, gd)
         var = tape.mul(2.0, gd)
         if float(var.value) <= 0.0:
-            raise DomainError("forward_em", "gamma * delta must be positive")
-        return cls(tape, shrink, var, forward=True)
-
-    def reverse(self, score_fn: ScoreFn | None = None) -> "MomentumKernel":
-        """The reverse kernel, sharing this kernel's shrink and variance.
-
-        Without a score it is the stationary-case exact reversal (the OU
-        refresh is self-adjoint with respect to N(0, I)); with one, its mean
-        adds var s(k, z, rho'), the discretized time reversal whose drift
-        correction is twice the momentum score of the forward marginal.
-        """
-        return MomentumKernel(self.tape, self.shrink, self.var, forward=False,
-                              coef=None if score_fn is None else self.var,
-                              score_fn=score_fn)
+            raise DomainError("euler_maruyama",
+                              "gamma * delta must be positive")
+        return cls(tape, shrink, var, score_fn)
 
     @classmethod
-    def mcd_reverse(cls, tape: Tape, score_fn: ScoreFn) -> "MomentumKernel":
-        """MCD's reverse kernel N(2 s(k, z), I), for the full refresh.
-
-        The position-only score s approximates the score of the intermediate
-        marginal, so 2 s recenters the reverse refresh. It is also MCD's
-        endpoint momentum augmentation.
-        """
-        return cls(tape, None, 1.0, forward=False, coef=2.0,
-                   score_fn=score_fn)
-
-    @classmethod
-    def unit(cls, tape: Tape) -> "MomentumKernel":
+    def unit(cls, tape: Tape, score_fn: ScoreFn | None = None,
+             coef: float = 1.0) -> "MomentumKernel":
         """N(0, I): the full refresh of ULA and MCD, and the endpoint
-        momentum augmentation of every method but MCD. Its mean is None and
-        its sample is the noise itself."""
-        return cls(tape, None, 1.0, forward=True)
+        momentum augmentation of every method but MCD. Its refresh is the
+        noise itself. MCD's reverse mean is 2 s(k, z) (coef 2), whose
+        position-only score approximates that of the intermediate marginal;
+        the kernel N(2 s, I) is also MCD's augmentation."""
+        return cls(tape, None, 1.0, score_fn, coef)
 
     def refresh(self, rho: Var, eps: np.ndarray,
                 drift: Var | None = None) -> Var:
@@ -171,11 +153,9 @@ class MomentumKernel:
 
         Its value is that of `muladd(scale, eps, muladd(shrink, rho, drift))`
         (`mul(shrink, rho)` without a drift) bit for bit. The unit kernel's
-        draw is the noise itself. Only a forward kernel refreshes.
+        draw is the noise itself.
         """
         t = self.tape
-        if not self.forward:
-            raise ValueError("only a forward kernel refreshes the momentum")
         if self.shrink is None:
             return t.lift(eps)
         shrink, scale = self.shrink, self.scale
@@ -202,8 +182,8 @@ class MomentumKernel:
 
     def mean(self, rho: Var | None, z: Var | None = None, k: int | None = None,
              drift: Var | None = None) -> Var | None:
-        """Mean of a reverse kernel or an endpoint augmentation at momentum
-        rho, position z and transition k; None if 0. The drift is
+        """The reverse mean at momentum rho, position z and transition k, or
+        an endpoint augmentation's mean; None if 0. The drift is
         subtracted."""
         t = self.tape
         if self.shrink is None:
@@ -223,7 +203,7 @@ class MomentumKernel:
         the endpoint augmentation; a None mean is 0."""
         if isinstance(self.var, Var):
             raise ValueError("only a unit-variance kernel is sampled; a "
-                             "forward kernel draws with refresh")
+                             "learned-variance kernel draws with refresh")
         t = self.tape
         return t.lift(eps) if mean is None else t.add(mean, eps)
 
@@ -236,11 +216,9 @@ class MomentumKernel:
         itself, one `Tape.gaussian_noise_logpdf` node."""
         return self.tape.gaussian_noise_logpdf(eps, self.var)
 
-    def log_ratio(self, x: Var, mean: Var | None, forward: "MomentumKernel",
-                  eps: np.ndarray) -> Var:
-        """log_pdf(x, mean) - forward.noise_log_pdf(eps) as one
-        `Tape.gaussian_log_ratio` node: a transition's log m_B - log m_F,
-        called on the reverse kernel m_B, with m_F scored at the draw it
-        made from eps."""
+    def log_ratio(self, x: Var, mean: Var | None, eps: np.ndarray) -> Var:
+        """log m_B(x) at the reverse mean less log m_F at the draw it made
+        from noise eps: a transition's log-ratio as one
+        `Tape.gaussian_log_ratio` node."""
         return self.tape.gaussian_log_ratio(
-            x, 0.0 if mean is None else mean, self.var, eps, forward.var)
+            x, 0.0 if mean is None else mean, self.var, eps)

@@ -6,7 +6,7 @@ The augmented lower bound is accumulated along a simulated chain of K states:
         + sum_{k=1..K-1} log m_B(rho_k | rho'_k, z_k) - log m_F(rho'_k | rho_k)
         + log pbar(z_K, rho_K)
 
-Transition k refreshes the momentum with the forward kernel and then moves
+Transition k refreshes the momentum with the kernel m_F and then moves
 (z, rho) by one integrator step of the bridge density pi_k. The chain draws
 its standard-Normal noise from a numpy Generator as it needs it, z first, then
 the initial momentum, then one draw per transition, so given the generator's
@@ -15,18 +15,19 @@ parameters (pathwise gradients), and two configurations that reduce to the
 same computation produce identical values from equal generators.
 
 A `MethodConfig` names a method by three choices: the integration scheme,
-the momentum refresh (forward kernel) and the reverse kernel. Everything
-else (which parameters exist, whether a score network exists and what it
-sees, the endpoint momentum augmentation) is derived from those three. The
-`METHODS` registry instantiates the seven named methods.
+the momentum refresh m_F and its reverse m_B, which together make the
+method's one `MomentumKernel`. Everything else (which parameters exist,
+whether a score network exists and what it sees, the endpoint momentum
+augmentation) is derived from those three. The `METHODS` registry
+instantiates the seven named methods.
 
 `lift_model` assembles a method once per tape: it lifts every parameter
 under its own name, and builds q, the schedule, the leapfrog's half step
-delta / 2 and three momentum kernels (the refresh, the reverse kernel and
-the endpoint augmentation). The chain in `estimate_elbo` then only runs
-those parts and reads no kernel choice. Each momentum draw is scored from
-the noise that made it (see `ldvi.dynamics`), and the bound's terms are
-summed in one node.
+delta / 2, the method's momentum kernel (both the refresh and its reverse)
+and the endpoint augmentation, which is MCD's own kernel or N(0, I). The
+chain in `estimate_elbo` then only runs those parts and reads no kernel
+choice. Each momentum draw is scored from the noise that made it (see
+`ldvi.dynamics`), and the bound's terms are summed in one node.
 """
 
 from __future__ import annotations
@@ -198,10 +199,11 @@ def init_params(config: MethodConfig, dim: int, num_steps: int,
 
 @dataclass
 class LiftedModel:
-    """A method assembled on one tape: q, the schedule and three momentum
-    kernels, the refresh, its reverse and the endpoint augmentation, which
-    draws and scores the endpoint momenta. `half_delta` is delta / 2 for a
-    leapfrog scheme, None otherwise. A plain method has q only."""
+    """A method assembled on one tape: q, the schedule, the momentum kernel,
+    which refreshes the momentum and scores its reverse, and the endpoint
+    augmentation, which draws and scores the endpoint momenta. `half_delta`
+    is delta / 2 for a leapfrog scheme, None otherwise. A plain method has
+    q only."""
 
     tape: Tape
     config: MethodConfig
@@ -210,8 +212,7 @@ class LiftedModel:
     delta: Var | None
     half_delta: Var | None
     gamma: Var | None
-    refresh: MomentumKernel | None
-    reverse: MomentumKernel | None
+    kernel: MomentumKernel | None
     augment: MomentumKernel | None
     num_steps: int
 
@@ -236,29 +237,28 @@ def lift_model(tape: Tape, config: MethodConfig, params: dict[str, np.ndarray],
     q = MeanFieldGaussian(tape, lifted["q.mu"], lifted["q.raw_scale"])
     if config.scheme == "plain":
         return LiftedModel(tape, config, q, None, None, None, None, None,
-                           None, None, num_steps)
+                           None, num_steps)
     schedule = AnnealingSchedule(tape, lifted["schedule.weights"])
     delta = tape.softplus(lifted["raw_delta"])
     half_delta = (tape.mul(0.5, delta) if config.scheme == "leapfrog"
                   else None)
-    gamma = None
-    if config.forward == "em":
-        gamma = tape.softplus(lifted["raw_gamma"])
-        refresh = MomentumKernel.euler_maruyama(tape, gamma, delta)
-    elif config.forward == "ou":
-        refresh = MomentumKernel.exact_ou(tape,
-                                          tape.sigmoid(lifted["raw_eta"]))
-    else:
-        refresh = MomentumKernel.unit(tape)
     net = config.score_net(dim)
     score_fn = None if net is None else net.make_score_fn(tape, lifted,
                                                            num_steps)
-    if config.backward == "mcd":
-        reverse = augment = MomentumKernel.mcd_reverse(tape, score_fn)
+    gamma = None
+    if config.forward == "em":
+        gamma = tape.softplus(lifted["raw_gamma"])
+        kernel = MomentumKernel.euler_maruyama(tape, gamma, delta, score_fn)
+    elif config.forward == "ou":
+        kernel = MomentumKernel.exact_ou(
+            tape, tape.sigmoid(lifted["raw_eta"]), score_fn)
     else:
-        reverse, augment = refresh.reverse(score_fn), MomentumKernel.unit(tape)
+        kernel = MomentumKernel.unit(
+            tape, score_fn, 2.0 if config.backward == "mcd" else 1.0)
+    augment = (kernel if config.backward == "mcd"
+               else MomentumKernel.unit(tape))
     return LiftedModel(tape, config, q, schedule, delta, half_delta, gamma,
-                       refresh, reverse, augment, num_steps)
+                       kernel, augment, num_steps)
 
 
 # -------------------------------------------------------------------- bounds
@@ -304,18 +304,18 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     Euler-Maruyama chain, which scores only where each transition starts,
     K - 1 times.
 
-    Every transition draws rho' from the forward momentum kernel in one
+    Every transition draws rho' from the momentum kernel in one
     `MomentumKernel.refresh` node, moves (z, rho') by the scheme's map and
     adds log m_B(rho | rho', z) - log m_F(rho' | rho), one
-    `Tape.gaussian_log_ratio` node built by the reverse kernel, which
-    scores m_F from the transition's noise and which `_check_finite` reads
-    as the log-ratio. The two schemes differ only in the map and the
-    drift: a leapfrog step with no drift, or the Euler-Maruyama position
+    `Tape.gaussian_log_ratio` node built by the same kernel, which scores
+    m_F from the transition's noise and which `_check_finite` reads as the
+    log-ratio. The two schemes differ only in the map and the drift: a
+    leapfrog step with no drift, or the Euler-Maruyama position
     update z + delta rho' with the drift delta grad log pi_k(z) added to the
-    forward mean and subtracted from the reverse one. The kernels come built
+    forward mean and subtracted from the reverse one. The kernel comes built
     with the model. The augmentation draws the initial momentum, scores it
     from its noise, and scores the terminal momentum at its point. Its mean
-    at k = 1 is built once; MCD's augmentation is its reverse kernel, so
+    at k = 1 is built once; MCD's augmentation is its momentum kernel, so
     that mean is also the first reverse mean, and MCD's score net runs once
     per position. The initial term, the K - 1 log-ratios and the terminal
     term are summed left to right in one `Tape.add_n` node; terms that need
@@ -351,7 +351,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
 
         return grad
 
-    aug, fwd, bwd = model.augment, model.refresh, model.reverse
+    aug, kernel = model.augment, model.kernel
     z = model.q.sample(rng.normal(size=shape))
     aug_mean = aug.mean(None, z, 1)
     eps = rng.normal(size=shape)
@@ -373,17 +373,17 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
         grad = grad_at(k)
         drift = t.mul(model.delta, grad(z)) if em else None
         eps = rng.normal(size=shape)
-        rho_prime = fwd.refresh(rho, eps, drift)
+        rho_prime = kernel.refresh(rho, eps, drift)
         if em:
             z_new, rho_new = t.muladd(model.delta, rho_prime, z), rho_prime
         else:
             z_new, rho_new = leapfrog(t, z, rho_prime, model.delta,
                                       model.half_delta, grad)
-        # MCD's reverse kernel is its augmentation, whose k = 1 mean the
-        # chain already holds
-        back = (aug_mean if k == 1 and bwd is aug
-                else bwd.mean(rho_prime, z, k, drift))
-        ratio = bwd.log_ratio(rho, back, fwd, eps)
+        # MCD's kernel is its augmentation, whose k = 1 mean the chain
+        # already holds
+        back = (aug_mean if k == 1 and kernel is aug
+                else kernel.mean(rho_prime, z, k, drift))
+        ratio = kernel.log_ratio(rho, back, eps)
         _check_finite(model, k, ("position", z_new), ("momentum", rho_new),
                       ("log ratio", ratio))
         add_term(ratio)
@@ -408,8 +408,9 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     the chain moves past it. The chain itself keeps only the score pair of
     its last position (and MCD its k = 1 augmentation mean) and the running
     sum of the bound's terms, and draws each transition's noise when it
-    reaches it, so a chunk's peak memory does not grow with num_steps. A chunk's tape is freed by reference counting when
-    the next chunk replaces it. Chunk i draws its noise from
+    reaches it, so a chunk's peak memory does not grow with num_steps. A
+    chunk's tape is freed by reference counting when the next chunk
+    replaces it. Chunk i draws its noise from
     `default_rng([seed, i])`.
     """
     for name, value in (("n_samples", n_samples), ("batch", batch)):

@@ -17,7 +17,8 @@ is scored from its noise instead: `Tape.gaussian_noise_logpdf` is its
 density at the draw, -sum_d [0.5 log(2 pi var_d) + eps_d^2 / 2], which needs
 neither the mean nor the draw and sends an adjoint to the variance alone.
 `Tape.gaussian_log_ratio` is a transition's log m_B - log m_F as one node:
-the reverse density at a point less the refresh's density from its noise.
+the reverse density at a point less the refresh's density from its noise,
+both of the one variance that the momentum kernel's two directions share.
 All three share one variance check and take a variance the same way; a
 scalar one enters the arithmetic as a python float.
 There is no `log` operation: every logarithm sits inside a fused node.
@@ -454,29 +455,29 @@ class Tape:
 
         return self.push(value, (var,), vjp)
 
-    def gaussian_log_ratio(self, x, mean, var, eps: np.ndarray, var_f) -> Var:
+    def gaussian_log_ratio(self, x, mean, var, eps: np.ndarray) -> Var:
         """log N(x; mean, var) - log m_F as one node, where m_F is the
-        Gaussian a reparameterised draw came from, scored from its noise.
+        Gaussian of the same variance that a reparameterised draw came from,
+        scored from its noise.
 
         Its value is that of `sub(gaussian_logpdf(x, mean, var),
-        gaussian_noise_logpdf(eps, var_f))` bit for bit, each variance as
+        gaussian_noise_logpdf(eps, var))` bit for bit, the variance as
         `gaussian_logpdf` takes it, and its VJP gives an adjoint only to the
-        operands that need one. `var` and `var_f` may be one Var, such as
-        the variance a reverse kernel shares with its refresh.
+        operands that need one.
         """
-        x, mean = self._coerce(x), self._coerce(mean)
-        var, var_f = self._coerce(var), self._coerce(var_f)
+        x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
         value_x, terms = _gaussian_logpdf("gaussian_log_ratio", x, mean, var)
-        value_f, vf = _gaussian_noise_logpdf("gaussian_log_ratio", eps, var_f)
+        value_f, vf = _gaussian_noise_logpdf("gaussian_log_ratio", eps, var)
 
         def vjp(adj):
             return ((_noise_var_adjoint(-adj, eps.shape[-1], vf)
-                     if var_f.needs_grad else None,)
+                     if var.needs_grad else None,)
                     + _gaussian_adjoints(adj, x, mean, var, terms))
 
-        # var_f first: a sweep of the two-node chain reaches the noise term
-        # first, so a variance on both sides sums its adjoints in that order
-        return self.push(value_x - value_f, (var_f, x, mean, var), vjp)
+        # var is listed twice, the noise side first: a sweep of the two-node
+        # chain reaches the noise term first, so the variance sums its
+        # adjoints in that order
+        return self.push(value_x - value_f, (var, x, mean, var), vjp)
 
     def add_n(self, parts: Sequence) -> Var:
         """The sum of `parts` left to right as one node: the value of

@@ -115,7 +115,9 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, bool]:
     if norm <= max_norm or norm == 0.0:
         return grads, False
     scale = max_norm / norm
-    return {k: np.asarray(g) * scale for k, g in grads.items()}, True
+    # a 0-d product is a numpy scalar; the outer asarray keeps it a 0-d array
+    return {k: np.asarray(np.asarray(g) * scale)
+            for k, g in grads.items()}, True
 
 
 # ------------------------------------------------------------------- planning
@@ -284,14 +286,10 @@ def _optimize(config, params, target, num_steps, steps, lr, batch, seed,
     return params, curve, skipped, clipped
 
 
-def train(plan: TrainPlan, target: TargetModel | None = None) -> RunRecord:
-    """Pretrain q with plain VI, optimize the method's bound, evaluate."""
-    start = time.perf_counter()
-    if target is None:
-        target = _resolve_target(plan)
-    config = _resolve_config(plan)
+def _initial_params(plan: TrainPlan, config: MethodConfig,
+                    target: TargetModel) -> dict:
+    """The method's starting parameters, with q pretrained by plain VI."""
     params = init_params(config, target.dim, plan.num_steps, seed=plan.seed)
-
     if plan.pretrain_steps > 0 and config.scheme != "plain":
         plain = get_method("plainvi")
         q_params = {"q.mu": params["q.mu"],
@@ -301,11 +299,21 @@ def train(plan: TrainPlan, target: TargetModel | None = None) -> RunRecord:
             plan.pretrain_lr, plan.batch, plan.seed + 2 * EVAL_SEED_STRIDE,
             plan.grad_clip, plan.divergence_floor, plan.record_every)
         params.update(q_params)
+    return params
 
+
+def train(plan: TrainPlan, target: TargetModel | None = None) -> RunRecord:
+    """Pretrain q with plain VI, optimize the method's bound, evaluate."""
+    start = time.perf_counter()
+    if target is None:
+        target = _resolve_target(plan)
+    config = _resolve_config(plan)
+    # only _optimize holds the starting parameters, so its first update
+    # frees them
     params, curve, skipped, clipped = _optimize(
-        config, params, target, plan.num_steps, plan.steps, plan.lr,
-        plan.batch, plan.seed, plan.grad_clip, plan.divergence_floor,
-        plan.record_every)
+        config, _initial_params(plan, config, target), target,
+        plan.num_steps, plan.steps, plan.lr, plan.batch, plan.seed,
+        plan.grad_clip, plan.divergence_floor, plan.record_every)
 
     mean, stderr = evaluate_elbo_mean(
         config, params, target, plan.num_steps, plan.eval_samples,

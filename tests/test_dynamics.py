@@ -34,14 +34,14 @@ def step(t, z, rho, delta, grad_fn):
 
 
 def kernel_log_pdf(kernel, x, rho, z=None, k=None, drift=None):
-    """log m(x | rho, z) for a reverse kernel, at the mean it builds from
+    """log m_B(x | rho, z) of a kernel, at the reverse mean it builds from
     rho."""
     return kernel.log_pdf(x, kernel.mean(rho, z, k, drift))
 
 
 def forward_log_pdf(kernel, x, rho, drift=None):
-    """log m_F(x | rho) of a forward kernel in full, at the mean
-    shrink rho (+ drift) built from tape primitives."""
+    """log m_F(x | rho) of a kernel in full, at the mean shrink rho
+    (+ drift) built from tape primitives."""
     t = kernel.tape
     mean = (t.mul(kernel.shrink, rho) if drift is None
             else t.muladd(kernel.shrink, rho, drift))
@@ -51,11 +51,10 @@ def forward_log_pdf(kernel, x, rho, drift=None):
 def em_ratio(t, z, rho, eps, k, delta, gamma, grad, score):
     """(rho', reverse/forward log-ratio) of one Euler-Maruyama transition
     that refreshes rho with noise eps, as the chain builds them."""
-    fwd = EM(t, gamma, delta)
+    kernel = EM(t, gamma, delta, score)
     drift = t.mul(delta, grad)
-    bwd = fwd.reverse(score)
-    rho_n = fwd.refresh(rho, eps, drift)
-    return rho_n, bwd.log_ratio(rho, bwd.mean(rho_n, z, k, drift), fwd, eps)
+    rho_n = kernel.refresh(rho, eps, drift)
+    return rho_n, kernel.log_ratio(rho, kernel.mean(rho_n, z, k, drift), eps)
 
 
 class TestLeapfrog:
@@ -156,17 +155,16 @@ class TestExactOU:
         assert abs(out.std() - 1.0) < 0.02
 
     def test_detailed_balance_with_score_free_reversal(self):
-        # N(rho) m_F(rho'|rho) = N(rho') m_B(rho|rho') for the OU pair
+        # N(rho) m_F(rho'|rho) = N(rho') m_B(rho|rho') for the OU kernel
         rng = np.random.default_rng(4)
         t = Tape()
-        fwd = OU(t, t.lift(0.35))
-        bwd = fwd.reverse()
+        ou = OU(t, t.lift(0.35))
         for _ in range(20):
             a, b = rng.normal(size=3), rng.normal(size=3)
             lhs = (iso_logpdf(a, 0, 1)
-                   + forward_log_pdf(fwd, t.lift(b), t.lift(a)).value)
+                   + forward_log_pdf(ou, t.lift(b), t.lift(a)).value)
             rhs = (iso_logpdf(b, 0, 1)
-                   + kernel_log_pdf(bwd, t.lift(a), t.lift(b)).value)
+                   + kernel_log_pdf(ou, t.lift(a), t.lift(b)).value)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_eta_one_rejected(self):
@@ -218,12 +216,20 @@ class TestEMKernels:
         with pytest.raises(DomainError):
             EM(t, t.lift(0.0), t.lift(0.1))
 
+    @pytest.mark.parametrize("gamma", [0.0, [0.5, 0.5]],
+                             ids=["zero", "vector"])
+    def test_errors_name_the_constructor(self, gamma):
+        t = Tape()
+        with pytest.raises(DomainError) as err:
+            EM(t, t.lift(gamma), t.lift(0.1))
+        assert err.value.opcode == "euler_maruyama"
+
     def test_backward_with_score(self):
         rng = np.random.default_rng(6)
         t = Tape()
         gamma, delta = t.lift(0.5), t.lift(0.2)
         score = lambda k, z, rho: t.mul(float(k), t.add(z, rho))
-        bwd = EM(t, gamma, delta).reverse(score)
+        bwd = EM(t, gamma, delta, score)
         gd = 0.1
         z = rng.normal(size=2)
         rho_p, x = rng.normal(size=2), rng.normal(size=2)
@@ -235,7 +241,7 @@ class TestEMKernels:
         rng = np.random.default_rng(7)
         t = Tape()
         score = lambda k, z, rho: t.mul(0.5, z)  # position-only
-        bwd = MomentumKernel.mcd_reverse(t, score)
+        bwd = MomentumKernel.unit(t, score, 2.0)
         z, x = rng.normal(size=3), rng.normal(size=3)
         want = iso_logpdf(x, z, 1.0)
         got = kernel_log_pdf(bwd, t.lift(x), t.lift(np.zeros(3)), t.lift(z),
@@ -245,7 +251,7 @@ class TestEMKernels:
     def test_mcd_sample_adds_unit_noise(self):
         rng = np.random.default_rng(12)
         t = Tape()
-        bwd = MomentumKernel.mcd_reverse(t, lambda k, z, rho: t.mul(0.5, z))
+        bwd = MomentumKernel.unit(t, lambda k, z, rho: t.mul(0.5, z), 2.0)
         z, eps = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         mean = bwd.mean(None, t.lift(z), 1)
         np.testing.assert_array_equal(bwd.sample(mean, eps).value,
@@ -255,14 +261,10 @@ class TestEMKernels:
                              ids=["exact", "score"])
     def test_learned_variance_kernels_are_never_sampled(self, score):
         t = Tape()
-        fwd = EM(t, t.lift(0.5), t.lift(0.2))
-        bwd = fwd.reverse(score)
-        mean = bwd.mean(t.lift([0.3, -0.1]), t.lift([1.0, 2.0]), 1)
-        for kernel in (fwd, bwd):
-            with pytest.raises(ValueError, match="unit-variance"):
-                kernel.sample(mean, np.array([0.4, 0.7]))
-        with pytest.raises(ValueError, match="only a forward kernel"):
-            bwd.refresh(t.lift([0.3, -0.1]), np.array([0.4, 0.7]))
+        kernel = EM(t, t.lift(0.5), t.lift(0.2), score)
+        mean = kernel.mean(t.lift([0.3, -0.1]), t.lift([1.0, 2.0]), 1)
+        with pytest.raises(ValueError, match="unit-variance"):
+            kernel.sample(mean, np.array([0.4, 0.7]))
 
 
 class TestUnitKernel:
@@ -280,6 +282,16 @@ class TestUnitKernel:
         np.testing.assert_array_equal(
             unit.refresh(t.lift(rng.normal(size=(4, 3))), eps).value, eps)
 
+    def test_score_enters_the_reverse_mean_with_coef_one(self):
+        # the full refresh with a momentum score reverses to N(s, I)
+        rng = np.random.default_rng(17)
+        t = Tape()
+        unit = MomentumKernel.unit(t, lambda k, z, rho: t.mul(0.5,
+                                                              t.add(z, rho)))
+        z, rho = rng.normal(size=(2, 4, 3))
+        np.testing.assert_array_equal(
+            unit.mean(t.lift(rho), t.lift(z), 1).value, 1.0 * (0.5 * (z + rho)))
+
     def test_noise_log_pdf_is_log_pdf_at_the_noise_bit_for_bit(self):
         # the initial momentum density of every method but MCD keeps its
         # bits in the noise form
@@ -294,7 +306,7 @@ class TestUnitKernel:
         rng = np.random.default_rng(16)
         t = Tape()
         w = t.lift(0.5, trainable=True, name="w")
-        aug = MomentumKernel.mcd_reverse(t, lambda k, z, rho: t.mul(w, z))
+        aug = MomentumKernel.unit(t, lambda k, z, rho: t.mul(w, z), 2.0)
         z, eps = t.lift(rng.normal(size=(4, 3))), rng.normal(size=(4, 3))
         mean = aug.mean(None, z, 1)
         np.testing.assert_allclose(

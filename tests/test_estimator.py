@@ -1005,7 +1005,7 @@ class TestTapeSize:
         eps = np.random.default_rng(2).normal(size=(4, 3))
         rho = t.lift(np.ones((4, 3)), trainable=True, name="rho")
         before = len(t.nodes)
-        np.testing.assert_array_equal(model.refresh.refresh(rho, eps).value,
+        np.testing.assert_array_equal(model.kernel.refresh(rho, eps).value,
                                       eps)
         assert len(t.nodes) == before
 

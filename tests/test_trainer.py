@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ldvi import trainer
+from ldvi.estimator import estimate_elbo, get_method, init_params, lift_model
 from ldvi.tape import Tape
 from ldvi.targets import gaussian_toy_target, get_target
 from ldvi.trainer import (AdamState, RunRecord, TrainPlan, TrainingDiverged,
@@ -135,6 +136,22 @@ class TestClipping:
     def test_infinite_norm_stays_infinite(self):
         assert global_grad_norm({"a": np.array([1.7e308, 1.7e308])}) == np.inf
         assert global_grad_norm({"a": np.array([np.inf, 1.0])}) == np.inf
+
+    def test_clipped_scalar_gradient_stays_a_0d_array(self):
+        """A clipped 0-d gradient, uha's raw_delta, is a 0-d ndarray with
+        the bits of the scaled gradient."""
+        cfg = get_method("uha")
+        t = Tape()
+        model = lift_model(t, cfg, init_params(cfg, 2, 3), 2, 3)
+        est = estimate_elbo(model, gaussian_toy_target(2),
+                            np.random.default_rng(0), 4)
+        grads = t.backward(t.mean_all(est.value))
+        clipped, was = clip_gradients(grads, 1e-6)
+        assert was
+        got = clipped["raw_delta"]
+        assert type(got) is np.ndarray and got.shape == ()
+        scale = 1e-6 / global_grad_norm(grads)
+        assert got.tobytes() == np.float64(grads["raw_delta"] * scale).tobytes()
 
     def test_ordinary_norm_keeps_its_bytes(self):
         rng = np.random.default_rng(0)
@@ -342,9 +359,7 @@ class TestStepLifetime:
 
         def clip(g, max_norm):
             out, was = clip_gradients(g, max_norm)
-            # a clipped 0-d gradient is a numpy scalar, which has no weakref
-            grads.extend(weakref.ref(a) for a in out.values()
-                         if isinstance(a, np.ndarray))
+            grads.extend(weakref.ref(a) for a in out.values())
             return out, was
 
         def adam(*args, **kwargs):
@@ -362,6 +377,30 @@ class TestStepLifetime:
                            grad_clip=grad_clip),
                   target=gaussian_toy_target(2))
             assert adam_calls == [1, 2, 3, 4, 5]
+
+    def test_initial_params_freed_after_first_update(self, monkeypatch):
+        """Once the first main-phase update has replaced them, no starting
+        parameter array is alive: `train` keeps no reference to them."""
+        initial, alive = [], []
+
+        def init(*args, **kwargs):
+            params = init_params(*args, **kwargs)
+            initial.extend(weakref.ref(a) for a in params.values())
+            return params
+
+        def adam(state, params, grads, lr):
+            if "schedule.weights" in params:    # a main-phase update
+                alive.append(sum(r() is not None for r in initial))
+            return adam_step(state, params, grads, lr)
+
+        monkeypatch.setattr(trainer, "init_params", init)
+        monkeypatch.setattr(trainer, "adam_step", adam)
+        train(toy_plan(method="ldvi", num_steps=3, steps=3, pretrain_steps=2,
+                       eval_samples=4, score_hidden=4),
+              target=gaussian_toy_target(2))
+        # pretraining replaced q; the rest lives until the first update
+        assert alive[0] == len(initial) - 2
+        assert alive[1:] == [0, 0]
 
     def test_peak_memory_flat_in_steps(self):
         """The tracemalloc peak of a 4-step train() is at most 1.25x that

@@ -1,6 +1,8 @@
 """Print a JSON fingerprint of ldvi's bound values and gradients.
 
-For every method on every benchmark target but lorenz (K=8, a batch of 4
+For every method, and for the three configurations that `MethodConfig`
+accepts but no named method uses (named by their refresh and reverse, such
+as "full+score"), on every benchmark target but lorenz (K=8, a batch of 4
 chains, parameters perturbed by noise keyed by the method, the target and
 the parameter's name) it records the `repr` of each chain's bound, the
 `repr` of the `evaluate_elbo_mean` output, and per-parameter gradient
@@ -10,10 +12,11 @@ compute bit-identical forward values; equal hashes mean equal gradients, and
 the two norms show how far unequal ones drift. It also records the SHA-256 of
 `RunRecord.canonical_bytes()` for a short `train()` run of every method on
 toy, brownian, sonar and ionosphere, so equal digests mean byte-identical
-records, and the `repr` of an `evaluate_elbo_mean` of every method on
+records, and the `repr` of an `evaluate_elbo_mean` of every configuration on
 ionosphere at the default batch of 256 over 600 samples, whose last chunk
-is a ragged 88. It pins BLAS to one thread, as perfbench/run.py does, so the
-output does not depend on the thread settings of the environment. Compare two checkouts with
+is a ragged 88. It pins BLAS to one thread, as perfbench/run.py does, so
+the output does not depend on the thread settings of the environment.
+Compare two checkouts with
 
     PYTHONPATH=src python3 tools/bound_fingerprint.py > after.json
     PYTHONPATH=/path/to/other/checkout/src python3 tools/bound_fingerprint.py > before.json
@@ -42,14 +45,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ldvi.estimator import (estimate_elbo, evaluate_elbo_mean, get_method,
-                            init_params, lift_model, method_names)
+from ldvi.estimator import (METHODS, MethodConfig, estimate_elbo,
+                            evaluate_elbo_mean, init_params, lift_model,
+                            method_names)
 from ldvi.tape import Tape
 from ldvi.targets import TARGET_NAMES, get_target
 from ldvi.trainer import TrainPlan, train
 
 K, BATCH, SEED = 8, 4, 7
 WIDE_SAMPLES = 600   # two full 256-chain chunks and a ragged one of 88
+# The leapfrog (refresh, reverse) pairs that MethodConfig accepts but no
+# named method uses, under generated names. `train` takes a method by name,
+# so they have no train records.
+UNNAMED = [MethodConfig(f"{fwd}+{bwd}", "leapfrog", fwd, bwd)
+           for fwd, bwd in (("full", "score"), ("ou", "score"),
+                            ("em", "exact"))]
 
 
 def perturbed(params: dict, *names: str) -> dict:
@@ -67,8 +77,8 @@ def fingerprint() -> dict:
     out = {}
     for target_name in (n for n in TARGET_NAMES if n != "lorenz"):
         target = get_target(target_name)
-        for method in method_names():
-            cfg = get_method(method)
+        for cfg in [*METHODS.values(), *UNNAMED]:
+            method = cfg.name
             params = perturbed(init_params(cfg, target.dim, K), method,
                                target_name)
             t = Tape()
