@@ -32,13 +32,14 @@ choice. Each momentum draw is scored from the noise that made it (see
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ldvi.annealing import (AnnealingSchedule, MeanFieldGaussian,
-                            inverse_softplus)
+                            bridge_score, inverse_softplus)
 from ldvi.dynamics import MomentumKernel, leapfrog
 from ldvi.scorenet import ScoreNet
 from ldvi.tape import Tape, Var
@@ -297,10 +298,13 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
 
     Transition k needs the bridge score grad log pi_k = (1 - beta_k) grad log q
     + beta_k grad log pbar at each position it visits, and a leapfrog step ends
-    where the next one begins. So the chain keeps the (base score, target
-    score) pair of the last position it scored, the only pair it ever reuses,
-    and each transition mixes it with its own beta_k. For K >= 2 a leapfrog
-    chain thus calls `target.score` K times, once per position, and an
+    where the next one begins. So the chain keeps q's score array and the
+    target's score Var of the last position it scored, the only pair it ever
+    reuses, and each use mixes them with its own beta_k in one
+    `bridge_score` node, which also multiplies by delta for the
+    Euler-Maruyama drift and carries q's score back to q and the position.
+    For K >= 2 a leapfrog chain thus calls `target.score` and
+    `MeanFieldGaussian.score_array` K times each, once per position, and an
     Euler-Maruyama chain, which scores only where each transition starts,
     K - 1 times.
 
@@ -335,21 +339,18 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
 
     # The last position scored, by Var.index (every position is q.sample's
     # add or an integrator output, and only operation results carry an
-    # index), and its (base score, target score) pair.
-    last_index, last_pair = None, None
+    # index), and q's score array and the target's score Var there.
+    last_index, last_scores = None, None
 
-    def grad_at(k: int):
-        """Score of the interior bridge pi_k, for 1 <= k < K."""
-        beta = model.schedule.beta(k)
-
-        def grad(zz: Var) -> Var:
-            nonlocal last_index, last_pair
-            if zz.index != last_index:
-                last_index, last_pair = zz.index, (model.q.score(zz),
-                                                   target.score(t, zz))
-            return t.lerp(beta, *last_pair)
-
-        return grad
+    def grad(k: int, zz: Var, delta: Var | None = None) -> Var:
+        """Score of the interior bridge pi_k at zz, for 1 <= k < K, times
+        delta when given."""
+        nonlocal last_index, last_scores
+        if zz.index != last_index:
+            last_index, last_scores = zz.index, (model.q.score_array(zz),
+                                                 target.score(t, zz))
+        return bridge_score(model.schedule, k, model.q, zz, *last_scores,
+                            delta)
 
     aug, kernel = model.augment, model.kernel
     z = model.q.sample(rng.normal(size=shape))
@@ -370,15 +371,15 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
 
     em = c.scheme == "em"
     for k in range(1, K):
-        grad = grad_at(k)
-        drift = t.mul(model.delta, grad(z)) if em else None
+        drift = grad(k, z, model.delta) if em else None
         eps = rng.normal(size=shape)
         rho_prime = kernel.refresh(rho, eps, drift)
         if em:
             z_new, rho_new = t.muladd(model.delta, rho_prime, z), rho_prime
         else:
             z_new, rho_new = leapfrog(t, z, rho_prime, model.delta,
-                                      model.half_delta, grad)
+                                      model.half_delta,
+                                      functools.partial(grad, k))
         # MCD's kernel is its augmentation, whose k = 1 mean the chain
         # already holds
         back = (aug_mean if k == 1 and kernel is aug
@@ -405,12 +406,12 @@ def evaluate_elbo_mean(config: MethodConfig, params: dict[str, np.ndarray],
     trainable=False. Every parameter is then a constant, so the tape records
     no operation in full: every slot holds the shared placeholder, with no
     value, parents or VJP, and each intermediate array is freed as soon as
-    the chain moves past it. The chain itself keeps only the score pair of
-    its last position (and MCD its k = 1 augmentation mean) and the running
-    sum of the bound's terms, and draws each transition's noise when it
-    reaches it, so a chunk's peak memory does not grow with num_steps. A
-    chunk's tape is freed by reference counting when the next chunk
-    replaces it. Chunk i draws its noise from
+    the chain moves past it. The chain itself keeps only q's and the
+    target's scores at its last position (and MCD its k = 1 augmentation
+    mean) and the running sum of the bound's terms, and draws each
+    transition's noise when it reaches it, so a chunk's peak memory does not
+    grow with num_steps. A chunk's tape is freed by reference counting when
+    the next chunk replaces it. Chunk i draws its noise from
     `default_rng([seed, i])`.
     """
     for name, value in (("n_samples", n_samples), ("batch", batch)):

@@ -19,13 +19,15 @@ neither the mean nor the draw and sends an adjoint to the variance alone.
 `Tape.gaussian_log_ratio` is a transition's log m_B - log m_F as one node:
 the reverse density at a point less the refresh's density from its noise,
 both of the one variance that the momentum kernel's two directions share.
-All three share one variance check and take a variance the same way; a
-scalar one enters the arithmetic as a python float.
+All three check the variance and take log(2 pi var) in one helper, which
+`Tape.gaussian_log_ratio` calls once for both its sides; a scalar variance
+enters the arithmetic as a python float.
 There is no `log` operation: every logarithm sits inside a fused node.
 The chain's own fused nodes are `Tape.muladd` (a * x + y), `Tape.mulsub`
-(a * x - y), `Tape.lerp` ((1 - w) x + w y), `Tape.gaussian_log_ratio`,
-`Tape.add_n` (a left-to-right sum, the bound's terms),
-`MomentumKernel.refresh` and `MeanFieldGaussian.score`.
+(a * x - y), `Tape.gaussian_log_ratio`, `Tape.add_n` (a left-to-right sum,
+the bound's terms), `MomentumKernel.refresh` and `bridge_score` in
+`ldvi.annealing` ((1 - beta_k) times q's score plus beta_k times the
+target's, times the step size for the Euler-Maruyama drift).
 `Tape.push` records such a node from any module; the array kernels
 `sigmoid` and `softplus` serve both the tape operations of those names and
 fused nodes.
@@ -43,9 +45,10 @@ is a parameter or some parent needs one (`Var.needs_grad`); only such a node
 keeps its parents and VJP. Any other operation still takes its index slot,
 so indices stay unique, but the slot holds one shared placeholder with no
 value, parents or VJP; the value lives only in the caller's `Var`, so numpy
-frees it once the caller drops it. Backward skips placeholders and sends no
-adjoint into a parent that needs none. A tape with no parameter (pure
-evaluation) therefore holds no node value at all.
+frees it once the caller drops it. Backward sends no adjoint into a parent
+that needs none, so a placeholder never holds one, and the sweep passes its
+slot without loading it. A tape with no parameter (pure evaluation)
+therefore holds no node value at all.
 
 A `Var` holds a weak reference to its tape (one `weakref.ref` per tape,
 shared by its nodes), so tape -> nodes -> tape is no reference cycle, and
@@ -190,15 +193,15 @@ class Tape:
         its slot gets the shared placeholder, and the returned Var carries
         the value but neither the parents nor the VJP.
         """
-        index = len(self.nodes)
+        nodes = self.nodes
         for parent in parents:
             if parent.needs_grad:
-                break
-        else:
-            self.nodes.append(_UNTRACKED)
-            return Var(self._ref, index, value)
-        var = Var(self._ref, index, value, parents, vjp, needs_grad=True)
-        self.nodes.append(var)
+                var = Var(self._ref, len(nodes), value, parents, vjp,
+                          needs_grad=True)
+                nodes.append(var)
+                return var
+        var = Var(self._ref, len(nodes), value)
+        nodes.append(_UNTRACKED)
         return var
 
     def _coerce(self, x) -> Var:
@@ -265,31 +268,6 @@ class Tape:
                     _unbroadcast(-adj, y.shape) if y.needs_grad else None)
 
         return self.push(value, (a, x, y), vjp)
-
-    def lerp(self, w, x, y) -> Var:
-        """(1 - w) x + w y as one node: the value of
-        `add(mul(sub(1.0, w), x), mul(w, y))`.
-
-        A one-entry weight, such as the schedule's (1,) beta_k, computes as
-        a python float, which scales an array faster than a (1,) array
-        does; its adjoint is reduced to one sum and reshaped to (1,).
-        """
-        w, x, y = self._coerce(w), self._coerce(x), self._coerce(y)
-        one = w.shape == (1,)
-        wv = float(w.value[0]) if one else w.value
-        keep = 1.0 - wv
-        value = keep * x.value + wv * y.value
-
-        def vjp(adj):
-            return (_unbroadcast(adj * (y.value - x.value),
-                                 () if one else w.shape).reshape(w.shape)
-                    if w.needs_grad else None,
-                    _unbroadcast(adj * keep, x.shape) if x.needs_grad
-                    else None,
-                    _unbroadcast(adj * wv, y.shape) if y.needs_grad
-                    else None)
-
-        return self.push(value, (w, x, y), vjp)
 
     def div(self, a, b) -> Var:
         a, b = self._coerce(a), self._coerce(b)
@@ -431,7 +409,8 @@ class Tape:
         each only when that operand needs one.
         """
         x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
-        value, terms = _gaussian_logpdf("gaussian_logpdf", x, mean, var)
+        value, terms = _gaussian_logpdf(
+            x, mean, *_variance("gaussian_logpdf", var.value, x.shape[-1]))
 
         def vjp(adj):
             return _gaussian_adjoints(adj, x, mean, var, terms)
@@ -448,7 +427,9 @@ class Tape:
         the VJP gives its adjoint alone.
         """
         var = self._coerce(var)
-        value, vv = _gaussian_noise_logpdf("gaussian_noise_logpdf", eps, var)
+        vv, log_2pi_var = _variance("gaussian_noise_logpdf", var.value,
+                                    eps.shape[-1])
+        value = _gaussian_noise_logpdf(eps, vv, log_2pi_var)
 
         def vjp(adj):
             return (_noise_var_adjoint(adj, eps.shape[-1], vv),)
@@ -466,11 +447,14 @@ class Tape:
         operands that need one.
         """
         x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
-        value_x, terms = _gaussian_logpdf("gaussian_log_ratio", x, mean, var)
-        value_f, vf = _gaussian_noise_logpdf("gaussian_log_ratio", eps, var)
+        # one check and one log of the variance serve both sides
+        vv, log_2pi_var = _variance("gaussian_log_ratio", var.value,
+                                    x.shape[-1])
+        value_x, terms = _gaussian_logpdf(x, mean, vv, log_2pi_var)
+        value_f = _gaussian_noise_logpdf(eps, vv, log_2pi_var)
 
         def vjp(adj):
-            return ((_noise_var_adjoint(-adj, eps.shape[-1], vf)
+            return ((_noise_var_adjoint(-adj, eps.shape[-1], vv)
                      if var.needs_grad else None,)
                     + _gaussian_adjoints(adj, x, mean, var, terms))
 
@@ -508,58 +492,62 @@ class Tape:
             raise DomainError("backward",
                               f"loss must be scalar, got shape {loss.value.shape}")
 
-        grads: list[np.ndarray | None] = [None] * len(self.nodes)
+        nodes = self.nodes
+        grads: list[np.ndarray | None] = [None] * len(nodes)
         grads[loss.index] = np.ones(())
-        for node in reversed(self.nodes[: loss.index + 1]):
-            if node.vjp is None:    # a leaf or an untracked placeholder
-                continue
-            adj = grads[node.index]
+        # only a node that holds an adjoint is loaded; a placeholder never
+        # holds one
+        for i in range(loss.index, -1, -1):
+            adj = grads[i]
             if adj is None:
                 continue
-            grads[node.index] = None    # consumed; freed after its VJP
+            node = nodes[i]
+            if node.vjp is None:    # a parameter: its adjoint is returned
+                continue
+            grads[i] = None    # consumed; freed after its VJP
             for parent, g in zip(node.parents, node.vjp(adj)):
                 if not parent.needs_grad:
                     continue
                 # no VJP writes in place (see the module docstring), so a
                 # first adjoint is stored uncopied
-                if grads[parent.index] is None:
-                    grads[parent.index] = g
+                j = parent.index
+                if grads[j] is None:
+                    grads[j] = g
                 else:
-                    grads[parent.index] = grads[parent.index] + g
+                    grads[j] = grads[j] + g
 
         return {p.name: np.zeros(p.shape) if grads[p.index] is None
                 else np.array(grads[p.index], dtype=np.float64)
                 for p in self.params}
 
 
-def _variance(opcode: str, vv: np.ndarray, d: int) -> float | np.ndarray:
-    """A positive variance of shape () or (d,), a scalar one as a python
-    float; otherwise DomainError under `opcode`."""
+def _variance(opcode: str, vv: np.ndarray, d: int
+              ) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """A positive variance of shape () or (d,) and log(2 pi var), a scalar
+    variance and its log as python floats; otherwise DomainError under
+    `opcode`."""
     if not vv.shape:
         scalar = float(vv)
         if not scalar <= 0.0:
-            return scalar
+            return scalar, float(np.log((2.0 * np.pi) * scalar))
     elif vv.shape == (d,) and not (vv <= 0.0).any():
-        return vv
+        return vv, np.log((2.0 * np.pi) * vv)
     raise DomainError(opcode, "variance must be positive and of shape () "
                       f"or ({d},), got {vv!r}")
 
 
-def _gaussian_logpdf(opcode: str, x: Var, mean: Var, var: Var):
-    """The value of `Tape.gaussian_logpdf` and the terms its VJP reuses; a
-    bad variance raises DomainError under `opcode`. A scalar variance is
-    a python float, so its arithmetic is float arithmetic."""
-    d = x.value.shape[-1]
-    vv = _variance(opcode, var.value, d)
+def _gaussian_logpdf(x: Var, mean: Var, vv, log_2pi_var):
+    """The value of `Tape.gaussian_logpdf` and the terms its VJP reuses,
+    given the checked variance and its log from `_variance`. A scalar
+    variance is a python float, so its arithmetic is float arithmetic."""
     diff = x.value - mean.value
     quad, two_var = diff * diff, 2.0 * vv
     if isinstance(vv, float):
-        quad, half_d = quad.sum(axis=-1), 0.5 * d
-        value = -(half_d * float(np.log((2.0 * np.pi) * vv)) + quad / two_var)
+        quad, half_d = quad.sum(axis=-1), 0.5 * x.value.shape[-1]
+        value = -(half_d * log_2pi_var + quad / two_var)
     else:
         half_d = 0.5
-        value = -(half_d * np.log((2.0 * np.pi) * vv)
-                  + quad / two_var).sum(axis=-1)
+        value = -(half_d * log_2pi_var + quad / two_var).sum(axis=-1)
     return value, (diff, quad, half_d, two_var, vv)
 
 
@@ -577,16 +565,14 @@ def _gaussian_adjoints(adj, x: Var, mean: Var, var: Var, terms) -> tuple:
                      var.shape) if var.needs_grad else None)
 
 
-def _gaussian_noise_logpdf(opcode: str, eps: np.ndarray, var: Var):
-    """The value of `Tape.gaussian_noise_logpdf` and its checked variance,
-    a python float when scalar."""
-    d = eps.shape[-1]
-    vv = _variance(opcode, var.value, d)
+def _gaussian_noise_logpdf(eps: np.ndarray, vv, log_2pi_var):
+    """The value of `Tape.gaussian_noise_logpdf`, given the checked
+    variance and its log from `_variance`."""
     if isinstance(vv, float):
-        log_norm = 0.5 * d * float(np.log((2.0 * np.pi) * vv))
+        log_norm = 0.5 * eps.shape[-1] * log_2pi_var
     else:
-        log_norm = 0.5 * np.log((2.0 * np.pi) * vv).sum()
-    return -(log_norm + (eps * eps).sum(axis=-1) / 2.0), vv
+        log_norm = 0.5 * log_2pi_var.sum()
+    return -(log_norm + (eps * eps).sum(axis=-1) / 2.0)
 
 
 def _noise_var_adjoint(adj, d: int, vv: float | np.ndarray):

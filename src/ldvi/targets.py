@@ -227,7 +227,9 @@ def brownian_motion_target() -> TargetModel:
     The score is one tape node. Its value repeats the numpy operations of the
     primitive chain `narrow`, `affine` by the shift, `sub`/`mul` by the
     masks, `exp`, the row sums and `concat` in order; its VJP is the
-    Hessian-vector product of logp.
+    Hessian-vector product of logp. Both treat the two log-scales as one
+    (..., 2) block, and the VJP applies the shift and its transpose as one
+    precomputed second-difference matrix.
     """
     mask = BROWNIAN_OBSERVED_MASK
     n = 30
@@ -236,8 +238,14 @@ def brownian_motion_target() -> TargetModel:
     shift[np.arange(1, n), np.arange(0, n - 1)] = 1.0
     unshift = np.zeros((n, n))  # (unshift @ w)_i = w_{i+1}, last row zero
     unshift[np.arange(0, n - 1), np.arange(1, n)] = 1.0
+    # a @ second_diff is (a - a @ shift.T) @ unshift.T - (a - a @ shift.T):
+    # a_{i+1} - 2 a_i + a_{i-1}, with a_0 = 0 and, in the last entry, no
+    # a_{n+1} term and -a_n in place of -2 a_n
+    eye = np.eye(n)
+    second_diff = (eye - shift.T) @ (unshift.T - eye)
     ymask = BROWNIAN_OBSERVATIONS * mask
     ones = np.ones((1, n))  # row sums as `affine`, as in `_rowsum`
+    counts = np.array([float(n), float(n_obs)])
 
     def pieces(t: Tape, v: Var):
         u_inn = t.narrow(v, 0, 1)
@@ -260,31 +268,29 @@ def brownian_motion_target() -> TargetModel:
         return t.add(t.add(pri, walk), t.add(obs, const))
 
     def score(t: Tape, v: Var) -> Var:
-        u_inn, u_obs = v.value[..., 0:1], v.value[..., 1:2]
-        x = v.value[..., 2:2 + n]
+        # the two log-scales u = (u_inn, u_obs) as one (..., 2) block, whose
+        # entries see the same operations as the chain's two length-1 ones
+        u, x = v.value[..., 0:2], v.value[..., 2:2 + n]
         d = x - x @ shift.T
         r = ymask - mask * x
-        prec_inn = np.exp(-2.0 * u_inn)
-        prec_obs = np.exp(-2.0 * u_obs)
-        sse_inn = (d * d) @ ones.T
-        sse_obs = (r * r) @ ones.T
+        prec = np.exp(-2.0 * u)
+        prec_inn, prec_obs = prec[..., 0:1], prec[..., 1:2]
+        sse = np.concatenate([(d * d) @ ones.T, (r * r) @ ones.T], axis=-1)
         w = d @ unshift.T - d
-        value = np.concatenate([
-            -0.25 * u_inn + prec_inn * sse_inn - float(n),
-            -0.25 * u_obs + prec_obs * sse_obs - float(n_obs),
-            prec_inn * w + prec_obs * r], axis=-1)
+        value = np.concatenate([-0.25 * u + prec * sse - counts,
+                                prec_inn * w + prec_obs * r], axis=-1)
 
         def vjp(adj):
-            # Hessian of logp times adj; e is the innovation residual of a_x
-            a_inn, a_obs, a_x = adj[..., 0:1], adj[..., 1:2], adj[..., 2:]
-            e = a_x - a_x @ shift.T
-            g_inn = -0.25 * a_inn - 2.0 * prec_inn * (
-                a_inn * sse_inn + (a_x * w).sum(axis=-1, keepdims=True))
-            g_obs = -0.25 * a_obs - 2.0 * prec_obs * (
-                a_obs * sse_obs + (a_x * r).sum(axis=-1, keepdims=True))
-            g_x = (prec_inn * (e @ unshift.T - e - 2.0 * a_inn * w)
-                   - prec_obs * mask * (a_x + 2.0 * a_obs * r))
-            return (np.concatenate([g_inn, g_obs, g_x], axis=-1),)
+            # Hessian of logp times adj, with the cross terms a_x . (w, r)
+            # of the u block
+            a_u, a_x = adj[..., 0:2], adj[..., 2:]
+            wr = np.concatenate([w[..., None, :], r[..., None, :]], axis=-2)
+            cross = (wr @ a_x[..., None])[..., 0]
+            g_u = -0.25 * a_u - 2.0 * prec * (a_u * sse + cross)
+            two_a = 2.0 * a_u
+            g_x = (prec_inn * (a_x @ second_diff - two_a[..., 0:1] * w)
+                   - prec_obs * mask * (a_x + two_a[..., 1:2] * r))
+            return (np.concatenate([g_u, g_x], axis=-1),)
 
         return t.push(value, (v,), vjp)
 

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import norm
 
-from ldvi.annealing import inverse_softplus
+from ldvi.annealing import MeanFieldGaussian, inverse_softplus
 from ldvi.dynamics import MomentumKernel
 from ldvi.estimator import (EstimatorError, METHODS, MethodConfig,
                             estimate_elbo, evaluate_elbo_mean, get_method,
@@ -81,14 +81,19 @@ class RecordingRng:
         return self._rng.normal(size=size)
 
 
+def q_score(t, q, z):
+    """q's score (mu - z) / sigma^2 from tape primitives."""
+    return t.div(t.sub(q.mu, z), q.var)
+
+
 def bridge_score(t, z, k, K, q, target, schedule):
     """Score of the bridge pi_k at z: exactly q's at k=0, the target's at K."""
     if k <= 0:
-        return q.score(z)
+        return q_score(t, q, z)
     if k >= K:
         return target.score(t, z)
-    b = schedule.beta(k)
-    return t.add(t.mul(t.sub(1.0, b), q.score(z)),
+    b = t.narrow(schedule.betas, k - 1, k)
+    return t.add(t.mul(t.sub(1.0, b), q_score(t, q, z)),
                  t.mul(b, target.score(t, z)))
 
 
@@ -867,6 +872,27 @@ class TestScoreReuse:
         assert len(calls) == K + per_chain
         assert len({z.index for z in calls}) == len(calls)
 
+    @pytest.mark.parametrize("name,per_chain", [
+        ("ula", 0), ("uha", 0), ("mcd", 0), ("ldvi", 0),
+        ("uha_em", -1), ("ldvi_em", -1)])
+    def test_one_q_score_per_position(self, name, per_chain, monkeypatch):
+        """A leapfrog position starts one transition and ends another, and
+        each bridge node there reuses the q score array of the first."""
+        calls = []
+        score_array = MeanFieldGaussian.score_array
+
+        def counting(self, z):
+            calls.append(z.index)
+            return score_array(self, z)
+
+        monkeypatch.setattr(MeanFieldGaussian, "score_array", counting)
+        K = 5
+        cfg = dataclasses.replace(get_method(name), score_hidden=4)
+        run_estimate(cfg, init_params(cfg, 3, K), gaussian_toy_target(3), K,
+                     chain_rng(0), 4)
+        assert len(calls) == K + per_chain
+        assert len(set(calls)) == len(calls)
+
     @pytest.mark.parametrize("name,calls_per_chain", [
         ("mcd", 0), ("ldvi", -1), ("ldvi_em", -1)])
     def test_score_net_calls(self, name, calls_per_chain, monkeypatch):
@@ -959,23 +985,41 @@ class TestScoreReuse:
 
 
 # len(tape.nodes) of one K=8 sonar estimate on a training tape
-SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 88, "mcd": 185, "uha": 107,
-                       "ldvi": 193, "uha_em": 91, "ldvi_em": 176}
+SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 73, "mcd": 170, "uha": 92,
+                       "ldvi": 178, "uha_em": 70, "ldvi_em": 155}
+# the nodes one more transition adds to it. A leapfrog transition scores its
+# new position and mixes two bridge scores; an Euler-Maruyama transition
+# mixes one, the drift included. Each mix is one `bridge_score` node.
+SONAR_NODES_PER_TRANSITION = {"plainvi": 0, "ula": 7, "mcd": 18, "uha": 9,
+                              "ldvi": 20, "uha_em": 6, "ldvi_em": 17}
+
+
+def sonar_nodes(name, K):
+    target = get_target("sonar")
+    cfg = get_method(name)
+    t = Tape()
+    model = lift_model(t, cfg, init_params(cfg, target.dim, K),
+                       target.dim, K)
+    estimate_elbo(model, target, chain_rng(0), 2)
+    return len(t.nodes)
 
 
 class TestTapeSize:
-    """What one estimate records: a ceiling on its nodes per method, and no
-    multiplication by a constant 0 or 1 in the full refresh."""
+    """What one estimate records: a ceiling on its nodes per method, the
+    exact count per transition, and no multiplication by a constant 0 or 1
+    in the full refresh."""
 
     @pytest.mark.parametrize("name", method_names())
     def test_sonar_node_ceiling(self, name):
-        target, K = get_target("sonar"), 8
-        cfg = get_method(name)
-        t = Tape()
-        model = lift_model(t, cfg, init_params(cfg, target.dim, K),
-                           target.dim, K)
-        estimate_elbo(model, target, chain_rng(0), 2)
-        assert len(t.nodes) <= SONAR_NODE_CEILINGS[name]
+        assert sonar_nodes(name, 8) <= SONAR_NODE_CEILINGS[name]
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_sonar_nodes_per_transition(self, name):
+        """Pinned exactly, so that a change to what a transition records
+        fails here, not only in `perfbench/run.py --sweep`."""
+        at_8, at_9 = sonar_nodes(name, 8), sonar_nodes(name, 9)
+        assert at_8 == SONAR_NODE_CEILINGS[name]
+        assert at_9 - at_8 == SONAR_NODES_PER_TRANSITION[name]
 
     @pytest.mark.parametrize("name", ["ula", "mcd"])
     def test_full_refresh_multiplies_by_no_constant_zero_or_one(

@@ -21,6 +21,7 @@ from ldvi.targets import TARGET_NAMES, TargetModel, gaussian_toy_target
     (estimator, "lift_model"), (estimator, "estimate_elbo"),
     (estimator, "evaluate_elbo_mean"), (estimator, "get_method"),
     (estimator, "init_params"), (estimator, "method_names"),
+    (estimator, "bridge_score"),
     (tape.Tape, "backward"), (tape.Tape, "gaussian_logpdf"),
     (scorenet.ScoreNet, "apply"), (dynamics.MomentumKernel, "log_pdf")])
 def test_traced_callable_is_defined_where_it_is_looked_up(owner, name):

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.stats import norm
 
 from ldvi import estimator, trainer
-from ldvi.annealing import MeanFieldGaussian
+from ldvi.annealing import MeanFieldGaussian, bridge_score
 from ldvi.estimator import (estimate_elbo, get_method, init_params,
                             lift_model, method_names)
 from ldvi.tape import Tape, DomainError, _unbroadcast, sigmoid, softplus
@@ -210,12 +211,9 @@ FUSED = {
                lambda t, a, x, y: t.add(t.mul(a, x), y)),
     "mulsub": (lambda a, x, y: a * x - y,
                lambda t, a, x, y: t.sub(t.mul(a, x), y)),
-    "lerp": (lambda w, x, y: (1.0 - w) * x + w * y,
-             lambda t, w, x, y: t.add(t.mul(t.sub(1.0, w), x), t.mul(w, y))),
 }
-# operand shapes (a or w, x, y): a scalar and a vector broadcast against
-# (B, D), an addend broadcast along the batch, and a one-entry weight such
-# as the schedule's beta_k
+# operand shapes (a, x, y): a scalar and a vector broadcast against (B, D),
+# an addend broadcast along the batch, and a one-entry factor
 FUSED_SHAPES = [((), (4, 3), (4, 3)), ((3,), (4, 3), (4, 3)),
                 ((4, 3), (4, 3), (3,)), ((1,), (4, 3), (4, 3))]
 
@@ -226,9 +224,11 @@ def _fused_operands(rng, shapes):
 
 
 class TestFusedNodes:
-    """muladd, mulsub, lerp and q.score: one node each, the primitive chain's value
-    bit for bit, gradients that match central differences, and no adjoint
-    for an operand that needs none."""
+    """muladd and mulsub: one node each, the primitive chain's value bit for
+    bit, gradients that match central differences, and no adjoint for an
+    operand that needs none. q's score, which the bridge node carries
+    (`ldvi.annealing.bridge_score`), checked the same way through a real
+    q."""
 
     @pytest.mark.parametrize("shapes", FUSED_SHAPES)
     @pytest.mark.parametrize("op", sorted(FUSED))
@@ -286,6 +286,15 @@ class TestFusedNodes:
         raw = t.lift(rng.normal(size=3), trainable=trainable, name="raw")
         return MeanFieldGaussian(t, mu, raw)
 
+    @staticmethod
+    def _q_score(t, q, z):
+        """q's score as one bridge node: beta_1 = 0 and a zero target
+        score, so its value is q's score itself."""
+        schedule = types.SimpleNamespace(tape=t, betas=t.lift([0.0]),
+                                         num_steps=1)
+        return bridge_score(schedule, 1, q, z, q.score_array(z),
+                            t.lift(np.zeros(z.shape)))
+
     def test_q_score_matches_finite_differences(self):
         rng = np.random.default_rng(23)
         z0, weights = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
@@ -293,7 +302,7 @@ class TestFusedNodes:
         q = self._q(t, rng)
         mu0, raw0 = q.mu.value.copy(), q.raw_scale.value.copy()
         z = t.lift(z0, trainable=True, name="z")
-        grads = t.backward(t.mean_all(t.mul(q.score(z), weights)))
+        grads = t.backward(t.mean_all(t.mul(self._q_score(t, q, z), weights)))
 
         def f(mu, raw, zz):
             return np.mean((mu - zz) / softplus(raw) ** 2 * weights)
@@ -311,20 +320,22 @@ class TestFusedNodes:
         q = self._q(t, rng)
         z = t.exp(t.lift(rng.normal(size=(4, 3)), trainable=True, name="z"))
         before = len(t.nodes)
-        first = q.score(z)
-        assert len(t.nodes) == before + 2     # sigma^2 once, then the score
-        second = q.score(t.neg(z))
-        assert len(t.nodes) == before + 4     # the neg and the score
+        first = q.score_array(z)
+        assert len(t.nodes) == before + 1     # sigma^2 once, and no score
+        node = self._q_score(t, q, z)
+        assert len(t.nodes) == before + 2     # the bridge node
         chain = t.div(t.sub(q.mu, z), t.square(q.sigma))
-        np.testing.assert_array_equal(first.value, chain.value)
-        assert second.parents[2] is first.parents[2]
+        np.testing.assert_array_equal(first, chain.value)
+        np.testing.assert_array_equal(node.value, chain.value)
+        second = self._q_score(t, q, t.neg(z))
+        assert second.parents[2] is node.parents[2] is q.var
 
     def test_q_score_gives_no_adjoint_to_a_constant_position(self):
         rng = np.random.default_rng(31)
         t = Tape()
         q = self._q(t, rng)
-        out = q.score(t.lift(rng.normal(size=(4, 3))))
-        mu_adj, z_adj, var_adj = out.vjp(np.ones(out.shape))
+        out = self._q_score(t, q, t.lift(rng.normal(size=(4, 3))))
+        _, mu_adj, var_adj, z_adj, _ = out.vjp(np.ones(out.shape))
         assert z_adj is None and mu_adj is not None and var_adj is not None
 
 

@@ -482,7 +482,7 @@ class TestBrownianFusedScore:
         out = build(t, v)
         return out.value, t.backward(t.mean_all(t.mul(out, proj)))["v"]
 
-    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    @pytest.mark.parametrize("shape", [(D,), (4, D), (256, D)])
     def test_score_pushes_one_node(self, model, shape):
         t = Tape()
         v = t.lift(self.point(shape))
@@ -490,14 +490,14 @@ class TestBrownianFusedScore:
         model.score(t, v)
         assert len(t.nodes) == before + 1
 
-    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    @pytest.mark.parametrize("shape", [(D,), (4, D), (256, D)])
     def test_value_matches_chain_bit_for_bit(self, model, shape):
         t = Tape()
         v = t.lift(self.point(shape))
         np.testing.assert_array_equal(model.score(t, v).value,
                                       chain_brownian_score(t, v).value)
 
-    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    @pytest.mark.parametrize("shape", [(D,), (4, D), (256, D)])
     def test_gradients_match_chain(self, model, shape):
         v0 = self.point(shape)
         proj = np.random.default_rng(3).normal(size=shape)
@@ -506,6 +506,8 @@ class TestBrownianFusedScore:
         np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
 
+    # not at (256, D), whose 8192 coordinates take seconds to perturb; the
+    # chain comparison above covers that shape
     @pytest.mark.parametrize("shape", [(D,), (4, D)])
     def test_gradients_match_central_differences(self, model, shape):
         v0 = self.point(shape)
