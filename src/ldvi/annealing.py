@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ldvi.tape import Tape, Var, _unbroadcast
+from ldvi.tape import Tape, Var
 
 __all__ = ["MeanFieldGaussian", "AnnealingSchedule", "bridge_score",
            "inverse_softplus"]
@@ -135,8 +135,7 @@ def bridge_score(schedule: AnnealingSchedule, k: int, q: MeanFieldGaussian,
 
     def vjp(adj):
         if delta is not None:
-            adj_delta = (np.add.reduce(adj * mix, axis=None)
-                         if delta.needs_grad else None)
+            adj_delta = adj * mix if delta.needs_grad else None
             adj = adj * delta.value
         adj_beta = None
         if betas.needs_grad:
@@ -146,13 +145,10 @@ def bridge_score(schedule: AnnealingSchedule, k: int, q: MeanFieldGaussian,
         # q's score (mu - z) / var, whose adjoint is adj_q
         adj_q = adj * keep
         r = adj_q / var.value
-        adjoints = (adj_beta,
-                    _unbroadcast(r, mu.shape) if mu.needs_grad else None,
-                    _unbroadcast(-adj_q * q_score / var.value, var.shape)
-                    if var.needs_grad else None,
-                    _unbroadcast(-r, z.shape) if z.needs_grad else None,
-                    _unbroadcast(adj * beta, ts.shape) if ts.needs_grad
-                    else None)
+        adjoints = (adj_beta, r if mu.needs_grad else None,
+                    -adj_q * q_score / var.value if var.needs_grad else None,
+                    -r if z.needs_grad else None,
+                    adj * beta if ts.needs_grad else None)
         return adjoints if delta is None else adjoints + (adj_delta,)
 
     return schedule.tape.push(value, parents, vjp)

@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from ldvi.tape import DomainError, Tape, Var, _unbroadcast
+from ldvi.tape import DomainError, Tape, Var
 
 __all__ = ["leapfrog", "MomentumKernel"]
 
@@ -167,16 +167,12 @@ class MomentumKernel:
         value = scale.value * eps + value
 
         def vjp(adj):
-            adjoints = (_unbroadcast(adj * rho.value, shrink.shape)
-                        if shrink.needs_grad else None,
-                        _unbroadcast(adj * shrink.value, rho.shape)
-                        if rho.needs_grad else None,
-                        _unbroadcast(adj * eps, scale.shape)
-                        if scale.needs_grad else None)
+            adjoints = (adj * rho.value if shrink.needs_grad else None,
+                        adj * shrink.value if rho.needs_grad else None,
+                        adj * eps if scale.needs_grad else None)
             if drift is None:
                 return adjoints
-            return adjoints + (_unbroadcast(adj, drift.shape)
-                               if drift.needs_grad else None,)
+            return adjoints + (adj if drift.needs_grad else None,)
 
         return t.push(value, parents, vjp)
 

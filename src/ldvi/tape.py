@@ -56,6 +56,12 @@ reference counting frees a tape with every array it holds as soon as the
 last strong reference to the tape goes. `Var.tape` raises `RuntimeError`
 once the tape has been freed, and on a constant, which has none.
 
+A VJP returns, per parent, an adjoint of any shape that the parent's shape
+broadcasts to, or None for a parent that needs no gradient; `backward`
+alone sums an adjoint down to its parent's shape, when the two differ.
+A scalar parent's adjoint (shape ()) is summed in one reduction over all
+axes, and leading axes of size 1 are reshaped away, not summed.
+
 No VJP writes into an array in place, neither an adjoint it is given nor
 one it returns. So `backward` stores a parent's first adjoint as it comes,
 even when it aliases the child's adjoint or another parent's, and adds
@@ -63,8 +69,6 @@ later ones into a new array; it copies each parameter's adjoint once when
 it returns, so the caller gets writable arrays that share no memory. It
 drops an operation's adjoint once that operation's VJP has run, so a sweep
 holds the adjoints of the nodes it has yet to reach, not of every node.
-A scalar parameter's adjoint (shape ()) is summed in one reduction over
-all axes, and leading axes of size 1 are reshaped away, not summed.
 """
 
 from __future__ import annotations
@@ -88,12 +92,11 @@ class DomainError(ValueError):
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting).
+    `Tape.backward` calls it, for every VJP, when the two shapes differ.
 
     A scalar parameter's adjoint, shape (), is one reduction over every axis.
     Leading axes that all have size 1 are reshaped away, not summed over.
     """
-    if grad.shape == shape:
-        return grad
     if not shape:
         return np.add.reduce(grad, axis=None)
     lead = grad.ndim - len(shape)
@@ -185,9 +188,11 @@ class Tape:
         """Record an operation: its value, its parent Vars and its VJP.
 
         `vjp(adj)` maps the adjoint of `value` to one adjoint per parent, in
-        the order of `parents`; it may give None for a parent that needs no
-        gradient. Tape methods and fused nodes defined outside this module
-        (such as the logistic-regression target's) are all recorded here.
+        the order of `parents`: an array of any shape that the parent's
+        shape broadcasts to, which `backward` sums down to it, or None for
+        a parent that needs no gradient. Tape methods and fused nodes
+        defined outside this module (such as the logistic-regression
+        target's) are all recorded here.
 
         An operation none of whose parents needs a gradient is not recorded:
         its slot gets the shared placeholder, and the returned Var carries
@@ -214,8 +219,8 @@ class Tape:
         value = a.value + b.value
 
         def vjp(adj):
-            return (_unbroadcast(adj, a.shape) if a.needs_grad else None,
-                    _unbroadcast(adj, b.shape) if b.needs_grad else None)
+            return (adj if a.needs_grad else None,
+                    adj if b.needs_grad else None)
 
         return self.push(value, (a, b), vjp)
 
@@ -224,8 +229,8 @@ class Tape:
         value = a.value - b.value
 
         def vjp(adj):
-            return (_unbroadcast(adj, a.shape) if a.needs_grad else None,
-                    _unbroadcast(-adj, b.shape) if b.needs_grad else None)
+            return (adj if a.needs_grad else None,
+                    -adj if b.needs_grad else None)
 
         return self.push(value, (a, b), vjp)
 
@@ -234,10 +239,8 @@ class Tape:
         value = a.value * b.value
 
         def vjp(adj):
-            return (_unbroadcast(adj * b.value, a.shape) if a.needs_grad
-                    else None,
-                    _unbroadcast(adj * a.value, b.shape) if b.needs_grad
-                    else None)
+            return (adj * b.value if a.needs_grad else None,
+                    adj * a.value if b.needs_grad else None)
 
         return self.push(value, (a, b), vjp)
 
@@ -247,11 +250,9 @@ class Tape:
         value = a.value * x.value + y.value
 
         def vjp(adj):
-            return (_unbroadcast(adj * x.value, a.shape) if a.needs_grad
-                    else None,
-                    _unbroadcast(adj * a.value, x.shape) if x.needs_grad
-                    else None,
-                    _unbroadcast(adj, y.shape) if y.needs_grad else None)
+            return (adj * x.value if a.needs_grad else None,
+                    adj * a.value if x.needs_grad else None,
+                    adj if y.needs_grad else None)
 
         return self.push(value, (a, x, y), vjp)
 
@@ -261,11 +262,9 @@ class Tape:
         value = a.value * x.value - y.value
 
         def vjp(adj):
-            return (_unbroadcast(adj * x.value, a.shape) if a.needs_grad
-                    else None,
-                    _unbroadcast(adj * a.value, x.shape) if x.needs_grad
-                    else None,
-                    _unbroadcast(-adj, y.shape) if y.needs_grad else None)
+            return (adj * x.value if a.needs_grad else None,
+                    adj * a.value if x.needs_grad else None,
+                    -adj if y.needs_grad else None)
 
         return self.push(value, (a, x, y), vjp)
 
@@ -276,8 +275,8 @@ class Tape:
         value = a.value / b.value
 
         def vjp(adj):
-            return (_unbroadcast(adj / b.value, a.shape),
-                    _unbroadcast(-adj * value / b.value, b.shape))
+            return (adj / b.value if a.needs_grad else None,
+                    -adj * value / b.value if b.needs_grad else None)
 
         return self.push(value, (a, b), vjp)
 
@@ -365,8 +364,7 @@ class Tape:
         def vjp(adj):
             a2 = adj.reshape(-1, adj.shape[-1])
             x2 = x.value.reshape(-1, x.value.shape[-1])
-            return (adj @ weight.value, a2.T @ x2,
-                    _unbroadcast(adj, bias.shape))
+            return adj @ weight.value, a2.T @ x2, adj
 
         return self.push(value, (x, weight, bias), vjp)
 
@@ -472,8 +470,7 @@ class Tape:
             value = value + p.value
 
         def vjp(adj):
-            return tuple(_unbroadcast(adj, p.shape) if p.needs_grad else None
-                         for p in parts)
+            return tuple(adj if p.needs_grad else None for p in parts)
 
         return self.push(value, tuple(parts), vjp)
 
@@ -508,6 +505,9 @@ class Tape:
             for parent, g in zip(node.parents, node.vjp(adj)):
                 if not parent.needs_grad:
                     continue
+                shape = parent.value.shape
+                if g.shape != shape:
+                    g = _unbroadcast(g, shape)
                 # no VJP writes in place (see the module docstring), so a
                 # first adjoint is stored uncopied
                 j = parent.index
@@ -558,11 +558,9 @@ def _gaussian_adjoints(adj, x: Var, mean: Var, var: Var, terms) -> tuple:
     # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - half_d / var
     r = (adj[..., None] / vv) * diff
     adj_var = adj if isinstance(vv, float) else adj[..., None]
-    return (
-        _unbroadcast(-r, x.shape) if x.needs_grad else None,
-        _unbroadcast(r, mean.shape) if mean.needs_grad else None,
-        _unbroadcast(adj_var * (quad / (two_var * vv) - half_d / vv),
-                     var.shape) if var.needs_grad else None)
+    return (-r if x.needs_grad else None, r if mean.needs_grad else None,
+            adj_var * (quad / (two_var * vv) - half_d / vv)
+            if var.needs_grad else None)
 
 
 def _gaussian_noise_logpdf(eps: np.ndarray, vv, log_2pi_var):

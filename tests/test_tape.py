@@ -100,6 +100,9 @@ UNARY_DOMAINS = {
 }
 
 BINARY = ("add", "sub", "mul", "div")
+# operand shapes (a, b) for the binary sweep
+BINARY_SHAPES = [((3,), (3,))] + [
+    pair for s in [(), (1,), (3,)] for pair in ((s, (4, 3)), ((4, 3), s))]
 
 
 # the shape of gaussian_log_ratio's variance, which both its sides share
@@ -144,20 +147,33 @@ class TestFiniteDifferenceSweep:
 
     @pytest.mark.parametrize("op", BINARY)
     def test_binary(self, op):
+        # equal shapes, then each operand broadcast against a (4, 3) one:
+        # backward sums the adjoint down to the broadcast operand's shape
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = rng.uniform(-3.0, 3.0, size=3)
-            b = rng.uniform(0.5, 3.0, size=3)
+        for shape_a, shape_b in BINARY_SHAPES:
+            for _ in range(100 if shape_a == shape_b else 20):
+                a = rng.uniform(-3.0, 3.0, size=shape_a)
+                b = rng.uniform(0.5, 3.0, size=shape_b)
+                t = Tape()
+                va = t.lift(a, trainable=True, name="a")
+                vb = t.lift(b, trainable=True, name="b")
+                loss = t.mean_all(getattr(t, op)(va, vb))
+                grads = t.backward(loss)
+                fa = fd_grad(lambda z: np.mean(_numpy_binop(op, z, b)), a)
+                fb = fd_grad(lambda z: np.mean(_numpy_binop(op, a, z)), b)
+                for ad, ref in ((grads["a"], fa), (grads["b"], fb)):
+                    assert ad.shape == ref.shape
+                    denom = np.maximum(np.abs(ref), 1e-8)
+                    assert np.max(np.abs(ad - ref) / denom) < 1e-6
+        # a constant operand gets no adjoint from the node's VJP
+        for constant in (0, 1):
             t = Tape()
-            va = t.lift(a, trainable=True, name="a")
-            vb = t.lift(b, trainable=True, name="b")
-            loss = t.sum(getattr(t, op)(va, vb))
-            grads = t.backward(loss)
-            fa = fd_grad(lambda z: np.sum(_numpy_binop(op, z, b)), a)
-            fb = fd_grad(lambda z: np.sum(_numpy_binop(op, a, z)), b)
-            for ad, ref in ((grads["a"], fa), (grads["b"], fb)):
-                denom = np.maximum(np.abs(ref), 1e-8)
-                assert np.max(np.abs(ad - ref) / denom) < 1e-6
+            args = [t.lift(v) if i == constant
+                    else t.lift(v, trainable=True, name=f"p{i}")
+                    for i, v in enumerate((a, b))]
+            out = getattr(t, op)(*args)
+            for i, g in enumerate(out.vjp(np.ones(out.shape))):
+                assert (g is None) == (i == constant)
 
     def test_scale_and_affine_and_sum(self):
         rng = np.random.default_rng(3)
@@ -792,6 +808,23 @@ class TestBackward:
         np.testing.assert_array_equal(grads["p1"], want)
         grads["p1"] += 100.0
         np.testing.assert_array_equal(t.backward(loss)["p1"], want)
+
+    def test_pushed_adjoint_is_summed_to_each_parent_shape(self):
+        # a VJP may return every adjoint at the broadcast shape; backward
+        # sums each down to its parent's shape, with _unbroadcast's bits
+        shapes = [(), (1,), (3,), (1, 3), (4, 3)]
+        g = np.random.default_rng(68).normal(size=(4, 3))
+        t = Tape()
+        params = [t.lift(np.zeros(s), trainable=True, name=f"p{i}")
+                  for i, s in enumerate(shapes)]
+        out = t.push(np.zeros((4, 3)), tuple(params),
+                     lambda adj: (g,) * len(params))
+        grads = t.backward(t.mean_all(out))
+        for i, s in enumerate(shapes):
+            assert grads[f"p{i}"].shape == s
+            assert grads[f"p{i}"].tobytes() == _unbroadcast(g, s).tobytes()
+        assert grads["p0"].tobytes() == np.float64(
+            np.add.reduce(g, axis=None)).tobytes()
 
     def test_loss_from_another_tape_rejected(self):
         t, other = Tape(), Tape()

@@ -11,11 +11,13 @@ median is worse than the parent's by no more than the metric's bound.
     python3 tools/ab_bench.py PARENT CHANGE --workload eval-mcd-ionosphere \\
         --seeds 1 2 3 4 5 6 7 8 9 10 --out ab.json
 
-PARENT and CHANGE are checkout roots (each with perfbench/ and src/). The
-run length, the metric names, their directions and their bounds come from
-CHANGE's BENCHMARK.json. Runs
-are sequential, one process at a time; a run that exits non-zero or reports
-a failed check stops the comparison.
+PARENT and CHANGE are checkout roots (each with perfbench/ and src/). Their
+absolute paths must have equal length: the length of the checkout path
+alone moves eval-mcd-ionosphere's cell_s by up to about 10%, so copy both
+into sibling directories whose names have equal length. The run length,
+the metric names, their directions and their bounds come from CHANGE's
+BENCHMARK.json. Runs are sequential, one process at a time; a run that
+exits non-zero or reports a failed check stops the comparison.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ def main(argv=None) -> int:
     if len(args.seeds) < 2:
         parser.error("need at least two seeds for quartiles")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(roots["parent"])) != len(str(roots["change"])):
+        parser.error(f"the roots' absolute paths differ in length "
+                     f"({roots['parent']}, {roots['change']}), which alone "
+                     "moves timings; copy both into sibling directories "
+                     "whose names have equal length")
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}

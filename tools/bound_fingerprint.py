@@ -28,7 +28,8 @@ or measure how far this checkout's values drift from a saved fingerprint:
 
 which prints the largest relative difference of the bounds, of the
 evaluation means and of the gradient 2-norms, each with the entry it comes
-from, and the number of train records whose digests differ.
+from, and the number of train records and of gradients whose digests
+differ.
 """
 
 import argparse
@@ -112,8 +113,10 @@ def fingerprint() -> dict:
 
 def drift(old: dict, new: dict) -> dict:
     """quantity -> (largest relative difference, its entry) between two
-    fingerprints, and the number of train digests that differ."""
+    fingerprints, and the numbers of train and gradient digests that
+    differ."""
     pairs = {"bounds": [], "eval means": [], "gradient 2-norms": []}
+    grad_digests = 0
     for key, was in old.items():
         now = new[key]
         if key.startswith("train/"):
@@ -128,6 +131,8 @@ def drift(old: dict, new: dict) -> dict:
         pairs["gradient 2-norms"] += [
             (f"{key} {name}", g["l2"], now["grads"][name]["l2"])
             for name, g in was["grads"].items()]
+        grad_digests += sum(g["sha256"] != now["grads"][name]["sha256"]
+                            for name, g in was["grads"].items())
     out = {}
     for quantity, items in pairs.items():
         out[quantity] = max(
@@ -135,6 +140,7 @@ def drift(old: dict, new: dict) -> dict:
              abs(float(b)), key) for key, a, b in items)
     out["train digests differing"] = sum(
         old[k] != new[k] for k in old if k.startswith("train/"))
+    out["gradient digests differing"] = grad_digests
     return out
 
 
@@ -152,6 +158,6 @@ if __name__ == "__main__":
             old = json.load(f)
         for quantity, value in drift(old, fingerprint()).items():
             if isinstance(value, tuple):
-                print(f"{quantity:24s} {value[0]:.3g}  ({value[1]})")
+                print(f"{quantity:26s} {value[0]:.3g}  ({value[1]})")
             else:
-                print(f"{quantity:24s} {value}")
+                print(f"{quantity:26s} {value}")
