@@ -8,7 +8,8 @@ Euler-Maruyama variants) the position update z + delta rho' after a refresh
 that also carries the drift delta grad log pi_k(z). Both maps are
 deterministic and volume preserving, so the per-step contribution to the
 augmented lower bound is log m_B(rho | rho', z) - log m_F(rho' | rho), which
-`MomentumKernel.log_ratio` records as one `Tape.gaussian_log_ratio` node.
+`MomentumKernel.log_ratio` records as one `Tape.gaussian_log_ratio` node that
+also builds m_B's mean.
 
 m_F and m_B come from one discretisation of the same dynamics, so they
 share the shrink and the variance, and one `MomentumKernel` is both. It is
@@ -35,13 +36,20 @@ from eps, and the chain's initial momentum density is scored the same way
 (for MCD's augmentation N(2 s, I) that makes it a constant). Only the
 terminal momentum density is evaluated at a point.
 
+m_B's mean is no node of its own: `MomentumKernel.log_ratio` computes it
+inside the log-ratio node, with the value of the `mul`/`mulsub` and `muladd`
+nodes it replaces, except that an Euler-Maruyama mean with a score keeps
+its shrink rho' - drift as one `Tape.mulsub` node, which holds the order in
+which rho' sums its adjoints. `MomentumKernel.mean` builds only the endpoint
+augmentation's mean, coef s from the score that `MomentumKernel.score`
+gives, and MCD's first transition reuses the score its augmentation took.
+
 All kernel parameters (step size delta, friction gamma, momentum retention
 eta) are scalar tape Vars, so gradients flow through every density. The
 kernel is built once per lift, so its shrink, variance and noise scale
 sqrt(var) are tape nodes shared by every transition, as is the leapfrog's
-half step delta / 2. Each multiply-add of the chain (a leapfrog update, a
-score correction) is one `Tape.muladd` node, and a reverse mean
-shrink rho' - drift is one `Tape.mulsub` node.
+half step delta / 2. Each multiply-add of the chain (a leapfrog update) is
+one `Tape.muladd` node.
 """
 
 from __future__ import annotations
@@ -84,13 +92,13 @@ class MomentumKernel:
     """One method's diagonal-Gaussian momentum kernel N(mean, var I), both
     the refresh m_F and its reversal m_B.
 
-    `refresh` draws from m_F, whose mean is shrink rho plus the drift. `mean`
-    builds m_B's: shrink rho' less the drift, plus coef s(k, z, rho') when
-    the kernel has a score. Build it with `unit` (N(0, I), the full
-    refresh), `exact_ou` or `euler_maruyama`. `var` is a scalar Var, whose
-    noise scale sqrt(var) is built once for `refresh`, or 1.0 for a unit
-    kernel, which needs none. `log_ratio` scores a transition, and `sample`
-    draws from a unit kernel, the endpoint augmentation.
+    `refresh` draws from m_F, whose mean is shrink rho plus the drift.
+    `log_ratio` scores a transition against m_B, whose mean is shrink rho'
+    less the drift, plus coef s(k, z, rho') when the kernel has a score.
+    Build it with `unit` (N(0, I), the full refresh), `exact_ou` or
+    `euler_maruyama`. `var` is a scalar Var, whose noise scale sqrt(var) is
+    built once for `refresh`, or 1.0 for a unit kernel, which needs none.
+    `mean` and `sample` serve a unit kernel as the endpoint augmentation.
     """
 
     def __init__(self, tape: Tape, shrink: Var | None, var: Var | float,
@@ -102,7 +110,8 @@ class MomentumKernel:
         self.score_fn = score_fn
         # by default a score enters the reverse mean as var s, the
         # discretised time reversal of the refresh
-        self.coef = var if coef is None else coef
+        coef = var if coef is None else coef
+        self.coef = coef if isinstance(coef, Var) else tape.lift(coef)
         self.scale = tape.sqrt(var) if isinstance(var, Var) else None
 
     @classmethod
@@ -176,23 +185,15 @@ class MomentumKernel:
 
         return t.push(value, parents, vjp)
 
-    def mean(self, rho: Var | None, z: Var | None = None, k: int | None = None,
-             drift: Var | None = None) -> Var | None:
-        """The reverse mean at momentum rho, position z and transition k, or
-        an endpoint augmentation's mean; None if 0. The drift is
-        subtracted."""
-        t = self.tape
-        if self.shrink is None:
-            mean = None
-        elif drift is None:
-            mean = t.mul(self.shrink, rho)
-        else:
-            mean = t.mulsub(self.shrink, rho, drift)
-        if self.score_fn is not None:
-            s = self.score_fn(k, z, rho)
-            mean = (t.mul(self.coef, s) if mean is None
-                    else t.muladd(self.coef, s, mean))
-        return mean
+    def score(self, k: int, z: Var, rho: Var | None = None) -> Var | None:
+        """s(k, z, rho), or None for a kernel without a score."""
+        return None if self.score_fn is None else self.score_fn(k, z, rho)
+
+    def mean(self, score: Var | None) -> Var | None:
+        """A unit kernel's mean coef s from its score s (`score`), the
+        endpoint augmentation's; None, which is 0, for a kernel without
+        one."""
+        return None if score is None else self.tape.mul(self.coef, score)
 
     def sample(self, mean: Var | None, eps: np.ndarray) -> Var:
         """mean + eps for standard-Normal eps from a unit-variance kernel,
@@ -212,9 +213,67 @@ class MomentumKernel:
         itself, one `Tape.gaussian_noise_logpdf` node."""
         return self.tape.gaussian_noise_logpdf(eps, self.var)
 
-    def log_ratio(self, x: Var, mean: Var | None, eps: np.ndarray) -> Var:
-        """log m_B(x) at the reverse mean less log m_F at the draw it made
-        from noise eps: a transition's log-ratio as one
-        `Tape.gaussian_log_ratio` node."""
-        return self.tape.gaussian_log_ratio(
-            x, 0.0 if mean is None else mean, self.var, eps)
+    def log_ratio(self, rho: Var, rho_prime: Var, eps: np.ndarray,
+                  z: Var | None = None, k: int | None = None,
+                  drift: Var | None = None,
+                  score: Var | None = None) -> Var:
+        """log m_B(rho | rho', z) - log m_F(rho' | rho) of transition k,
+        whose refresh drew rho' from noise eps, as one
+        `Tape.gaussian_log_ratio` node that also builds m_B's mean,
+        shrink rho' (- drift) (+ coef s(k, z, rho')). A kernel with a score
+        computes it, unless the caller passes the one it holds as `score`.
+
+        The mean's value is that of `mul(shrink, rho')` or
+        `mulsub(shrink, rho', drift)`, then `muladd(coef, s, .)` (or
+        `mul(coef, s)` with no shrink), bit for bit. Its parents follow the
+        order in which a sweep of those nodes reaches them, so every adjoint
+        sums in the same order. In a leapfrog chain rho' has no use after
+        the ratio, so the mean's and the score's adjoints are the first two
+        that rho' sums, in either order. With the Euler-Maruyama drift rho'
+        is the next transition's momentum as well, whose adjoint comes
+        first, so for a mean with a score `mulsub(shrink, rho', drift)`
+        stays a node, recorded before the score, as before.
+        """
+        t = self.tape
+        shrink, coef = self.shrink, self.coef
+        if shrink is None and self.score_fn is None:
+            return t.gaussian_log_ratio(rho, 0.0, self.var, eps)
+        base = (t.mulsub(shrink, rho_prime, drift)
+                if drift is not None and self.score_fn is not None else None)
+        if score is None:
+            score = self.score(k, z, rho_prime)
+        # the parents of muladd(coef, s, .) or mul(coef, s) come first, then
+        # those of the mul or mulsub before it
+        parents = [] if score is None else [coef, score]
+        mean = None
+        if base is not None:
+            parents.append(base)
+            mean = base.value
+        elif shrink is not None:
+            parents += (shrink, rho_prime)
+            mean = shrink.value * rho_prime.value
+            if drift is not None:
+                parents.append(drift)
+                mean = mean - drift.value
+        if score is not None:
+            mean = (coef.value * score.value if mean is None
+                    else coef.value * score.value + mean)
+
+        def mean_vjp(g):
+            adjoints = []
+            if score is not None:
+                adjoints += (g * score.value if coef.needs_grad else None,
+                             g * coef.value if score.needs_grad else None)
+            if base is not None:
+                adjoints.append(g if base.needs_grad else None)
+            elif shrink is not None:
+                adjoints += (g * rho_prime.value if shrink.needs_grad
+                             else None,
+                             g * shrink.value if rho_prime.needs_grad
+                             else None)
+                if drift is not None:
+                    adjoints.append(-g if drift.needs_grad else None)
+            return tuple(adjoints)
+
+        return t.gaussian_log_ratio(rho, mean, self.var, eps, parents,
+                                    mean_vjp)

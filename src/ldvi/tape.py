@@ -19,15 +19,25 @@ neither the mean nor the draw and sends an adjoint to the variance alone.
 `Tape.gaussian_log_ratio` is a transition's log m_B - log m_F as one node:
 the reverse density at a point less the refresh's density from its noise,
 both of the one variance that the momentum kernel's two directions share.
+It may also build the reverse density's mean from parents and a VJP that
+its caller gives, so that the mean is no node of its own.
 All three check the variance and take log(2 pi var) in one helper, which
 `Tape.gaussian_log_ratio` calls once for both its sides; a scalar variance
 enters the arithmetic as a python float.
 There is no `log` operation: every logarithm sits inside a fused node.
-The chain's own fused nodes are `Tape.muladd` (a * x + y), `Tape.mulsub`
-(a * x - y), `Tape.gaussian_log_ratio`, `Tape.add_n` (a left-to-right sum,
-the bound's terms), `MomentumKernel.refresh` and `bridge_score` in
-`ldvi.annealing` ((1 - beta_k) times q's score plus beta_k times the
-target's, times the step size for the Euler-Maruyama drift).
+The fused nodes are:
+- `Tape.muladd` (a * x + y), the leapfrog's and the position updates;
+- `Tape.mulsub` (a * x - y), an Euler-Maruyama reverse mean's
+  shrink rho' - drift when the mean also has a score;
+- `Tape.gaussian_log_ratio`, with the reverse mean inside it
+  (`MomentumKernel.log_ratio` in `ldvi.dynamics`);
+- `Tape.add_n`, a left-to-right sum, the bound's terms;
+- `MomentumKernel.refresh`, a momentum draw;
+- `bridge_score` in `ldvi.annealing`, (1 - beta_k) times q's score plus
+  beta_k times the target's, times the step size for the Euler-Maruyama
+  drift;
+- in `ldvi.targets`, the logistic-regression likelihood and score, and the
+  Brownian-motion log-density and score.
 `Tape.push` records such a node from any module; the array kernels
 `sigmoid` and `softplus` serve both the tape operations of those names and
 fused nodes.
@@ -408,10 +418,12 @@ class Tape:
         """
         x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
         value, terms = _gaussian_logpdf(
-            x, mean, *_variance("gaussian_logpdf", var.value, x.shape[-1]))
+            x.value, mean.value,
+            *_variance("gaussian_logpdf", var.value, x.shape[-1]))
 
         def vjp(adj):
-            return _gaussian_adjoints(adj, x, mean, var, terms)
+            return _gaussian_adjoints(adj, terms, x.needs_grad,
+                                      mean.needs_grad, var.needs_grad)
 
         return self.push(value, (x, mean, var), vjp)
 
@@ -434,7 +446,9 @@ class Tape:
 
         return self.push(value, (var,), vjp)
 
-    def gaussian_log_ratio(self, x, mean, var, eps: np.ndarray) -> Var:
+    def gaussian_log_ratio(self, x, mean, var, eps: np.ndarray,
+                           mean_parents: Sequence[Var] | None = None,
+                           mean_vjp=None) -> Var:
         """log N(x; mean, var) - log m_F as one node, where m_F is the
         Gaussian of the same variance that a reparameterised draw came from,
         scored from its noise.
@@ -443,23 +457,37 @@ class Tape:
         gaussian_noise_logpdf(eps, var))` bit for bit, the variance as
         `gaussian_logpdf` takes it, and its VJP gives an adjoint only to the
         operands that need one.
+
+        The node may also build its mean: given `mean_parents`, `mean` is
+        the array they make and `mean_vjp(g)` maps the mean's adjoint g to
+        one adjoint per mean parent, as `push` takes a VJP. The mean is then
+        no node of its own, and its parents are the node's.
         """
-        x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
+        x, var = self._coerce(x), self._coerce(var)
+        if mean_parents is None:
+            mean = self._coerce(mean)
+            mean_parents, mean_vjp = (mean,), _pass_through
+            mean = mean.value
         # one check and one log of the variance serve both sides
         vv, log_2pi_var = _variance("gaussian_log_ratio", var.value,
                                     x.shape[-1])
-        value_x, terms = _gaussian_logpdf(x, mean, vv, log_2pi_var)
+        value_x, terms = _gaussian_logpdf(x.value, mean, vv, log_2pi_var)
         value_f = _gaussian_noise_logpdf(eps, vv, log_2pi_var)
 
         def vjp(adj):
+            need_mean = any(p.needs_grad for p in mean_parents)
+            g_x, g_mean, g_var = _gaussian_adjoints(
+                adj, terms, x.needs_grad, need_mean, var.needs_grad)
             return ((_noise_var_adjoint(-adj, eps.shape[-1], vv)
-                     if var.needs_grad else None,)
-                    + _gaussian_adjoints(adj, x, mean, var, terms))
+                     if var.needs_grad else None, g_x, g_var)
+                    + (mean_vjp(g_mean) if need_mean
+                       else (None,) * len(mean_parents)))
 
         # var is listed twice, the noise side first: a sweep of the two-node
         # chain reaches the noise term first, so the variance sums its
-        # adjoints in that order
-        return self.push(value_x - value_f, (var, x, mean, var), vjp)
+        # adjoints in that order. The mean's parents come last, as the
+        # sweep of a chain that builds the mean reaches them after the ratio.
+        return self.push(value_x - value_f, (var, x, var, *mean_parents), vjp)
 
     def add_n(self, parts: Sequence) -> Var:
         """The sum of `parts` left to right as one node: the value of
@@ -536,14 +564,14 @@ def _variance(opcode: str, vv: np.ndarray, d: int
                       f"or ({d},), got {vv!r}")
 
 
-def _gaussian_logpdf(x: Var, mean: Var, vv, log_2pi_var):
+def _gaussian_logpdf(x: np.ndarray, mean, vv, log_2pi_var):
     """The value of `Tape.gaussian_logpdf` and the terms its VJP reuses,
     given the checked variance and its log from `_variance`. A scalar
     variance is a python float, so its arithmetic is float arithmetic."""
-    diff = x.value - mean.value
+    diff = x - mean
     quad, two_var = diff * diff, 2.0 * vv
     if isinstance(vv, float):
-        quad, half_d = quad.sum(axis=-1), 0.5 * x.value.shape[-1]
+        quad, half_d = quad.sum(axis=-1), 0.5 * x.shape[-1]
         value = -(half_d * log_2pi_var + quad / two_var)
     else:
         half_d = 0.5
@@ -551,16 +579,22 @@ def _gaussian_logpdf(x: Var, mean: Var, vv, log_2pi_var):
     return value, (diff, quad, half_d, two_var, vv)
 
 
-def _gaussian_adjoints(adj, x: Var, mean: Var, var: Var, terms) -> tuple:
-    """The adjoints of x, mean and var (None where not needed) given the
+def _gaussian_adjoints(adj, terms, need_x: bool, need_mean: bool,
+                       need_var: bool) -> tuple:
+    """The adjoints of x, mean and var, each None unless needed, given the
     adjoint of their `_gaussian_logpdf` value and its terms."""
     diff, quad, half_d, two_var, vv = terms
     # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - half_d / var
-    r = (adj[..., None] / vv) * diff
+    r = (adj[..., None] / vv) * diff if need_x or need_mean else None
     adj_var = adj if isinstance(vv, float) else adj[..., None]
-    return (-r if x.needs_grad else None, r if mean.needs_grad else None,
+    return (-r if need_x else None, r if need_mean else None,
             adj_var * (quad / (two_var * vv) - half_d / vv)
-            if var.needs_grad else None)
+            if need_var else None)
+
+
+def _pass_through(adj):
+    """The VJP of a mean that is itself the ratio's operand."""
+    return (adj,)
 
 
 def _gaussian_noise_logpdf(eps: np.ndarray, vv, log_2pi_var):

@@ -7,8 +7,12 @@ which consumes scores inside its transitions, stays differentiable end to end
 with a single (first-order) backward sweep. Lorenz, seeds and the toy build
 it from primitive tape operations. Logistic regression records its score and
 its likelihood as single fused nodes (`Tape.push`), and Brownian motion its
-score, each with a hand-written VJP (for a score, a Hessian-vector product)
-and a value that matches the primitive chain it replaces bit for bit.
+score and its log-density, each with a hand-written VJP (for a score, a
+Hessian-vector product) and a value that matches the primitive chain it
+replaces bit for bit. The Brownian nodes take the walk's shifts x_{i-1} and
+d_{i+1} as slices, where the chain multiplies by a 0/1 shift matrix; both
+give the same floats for finite input. The Brownian log-density's VJP is its
+adjoint times the score, recomputed from a value helper that holds no tape.
 
 Positivity-constrained variables are handled by sampling their logs: the
 densities below include the log-Jacobian terms of alpha = exp(u) and
@@ -224,61 +228,79 @@ def brownian_motion_target() -> TargetModel:
     transform. Innovations: x_i ~ N(x_{i-1}, alpha_inn), x_0 = 0; observed
     y_i ~ N(x_i, alpha_obs) for masked indices ("scale" = std deviation).
 
-    The score is one tape node. Its value repeats the numpy operations of the
-    primitive chain `narrow`, `affine` by the shift, `sub`/`mul` by the
-    masks, `exp`, the row sums and `concat` in order; its VJP is the
-    Hessian-vector product of logp. Both treat the two log-scales as one
-    (..., 2) block, and the VJP applies the shift and its transpose as one
-    precomputed second-difference matrix.
+    The log-density and the score are one tape node each. Their values
+    repeat the numpy operations of the primitive chains `narrow`, `affine`
+    by the shift, `sub`/`mul` by the masks, `exp`, `square`, the sums (for
+    the score, the row sums and `concat`) in order, except that the shifts
+    x_{i-1} and d_{i+1} are slices, which give the same floats as the
+    chain's products by a 0/1 shift matrix for finite input. The score's
+    VJP is the Hessian-vector product of logp; it treats the two log-scales
+    as one (..., 2) block and applies the shift and its transpose as one
+    precomputed second-difference matrix. The log-density's VJP is its
+    adjoint times the score, which it recomputes from the position with the
+    tape-free `score_terms` that `score` shares, so no VJP holds the tape.
     """
     mask = BROWNIAN_OBSERVED_MASK
     n = 30
     n_obs = int(mask.sum())
-    shift = np.zeros((n, n))  # (shift @ x)_i = x_{i-1}, first row zero
-    shift[np.arange(1, n), np.arange(0, n - 1)] = 1.0
-    unshift = np.zeros((n, n))  # (unshift @ w)_i = w_{i+1}, last row zero
-    unshift[np.arange(0, n - 1), np.arange(1, n)] = 1.0
-    # a @ second_diff is (a - a @ shift.T) @ unshift.T - (a - a @ shift.T):
-    # a_{i+1} - 2 a_i + a_{i-1}, with a_0 = 0 and, in the last entry, no
-    # a_{n+1} term and -a_n in place of -2 a_n
+    # a @ second_diff is a_{i+1} - 2 a_i + a_{i-1}, with a_0 = 0 and, in the
+    # last entry, no a_{n+1} term and -a_n in place of -2 a_n
     eye = np.eye(n)
-    second_diff = (eye - shift.T) @ (unshift.T - eye)
+    second_diff = (eye - np.eye(n, k=1)) @ (np.eye(n, k=-1) - eye)
     ymask = BROWNIAN_OBSERVATIONS * mask
     ones = np.ones((1, n))  # row sums as `affine`, as in `_rowsum`
     counts = np.array([float(n), float(n_obs)])
+    const = -math.log(8.0 * math.pi) - 0.5 * (n + n_obs) * LOG_2PI
 
-    def pieces(t: Tape, v: Var):
-        u_inn = t.narrow(v, 0, 1)
-        u_obs = t.narrow(v, 1, 2)
-        x = t.narrow(v, 2, 2 + n)
-        d = t.sub(x, t.affine(x, shift))        # innovation residuals
-        r = t.sub(ymask, t.mul(mask, x))        # masked observation residuals
-        prec_inn = t.exp(t.mul(-2.0, u_inn))    # 1 / alpha_inn^2, length-1
-        prec_obs = t.exp(t.mul(-2.0, u_obs))
-        return u_inn, u_obs, d, r, prec_inn, prec_obs
+    # Each first difference below is one pass over the rows laid end to
+    # end, several times faster than a pass over the rows' strided slices;
+    # the entries where one row meets the next are then set apart.
 
-    def logp(t: Tape, v: Var) -> Var:
-        u_inn, u_obs, d, r, prec_inn, prec_obs = pieces(t, v)
-        pri = t.mul(-0.125, t.add(t.sum(t.square(u_inn)), t.sum(t.square(u_obs))))
-        walk = t.sub(t.mul(-0.5, t.sum(t.mul(prec_inn, t.square(d)))),
-                     t.mul(float(n), t.sum(u_inn)))
-        obs = t.sub(t.mul(-0.5, t.sum(t.mul(prec_obs, t.square(r)))),
-                    t.mul(float(n_obs), t.sum(u_obs)))
-        const = -math.log(8.0 * math.pi) - 0.5 * (n + n_obs) * LOG_2PI
-        return t.add(t.add(pri, walk), t.add(obs, const))
+    def residuals(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The innovation residuals d_i = x_i - x_{i-1} (x_0 = 0) and the
+        masked observation residuals of v's walk x."""
+        x = v[..., 2:2 + n].copy()
+        d = np.empty_like(x)
+        np.subtract(x.reshape(-1)[1:], x.reshape(-1)[:-1],
+                    out=d.reshape(-1)[1:])
+        d[..., 0] = x[..., 0]
+        return d, ymask - mask * x
 
-    def score(t: Tape, v: Var) -> Var:
+    def score_terms(v: np.ndarray):
+        """The score's value at v and the terms its VJP reuses."""
         # the two log-scales u = (u_inn, u_obs) as one (..., 2) block, whose
         # entries see the same operations as the chain's two length-1 ones
-        u, x = v.value[..., 0:2], v.value[..., 2:2 + n]
-        d = x - x @ shift.T
-        r = ymask - mask * x
+        u = v[..., 0:2]
+        d, r = residuals(v)
         prec = np.exp(-2.0 * u)
-        prec_inn, prec_obs = prec[..., 0:1], prec[..., 1:2]
         sse = np.concatenate([(d * d) @ ones.T, (r * r) @ ones.T], axis=-1)
-        w = d @ unshift.T - d
+        w = np.empty_like(d)    # d_{i+1} - d_i, with d_{n+1} = 0
+        np.subtract(d.reshape(-1)[1:], d.reshape(-1)[:-1],
+                    out=w.reshape(-1)[:-1])
+        w[..., -1] = -d[..., -1]
         value = np.concatenate([-0.25 * u + prec * sse - counts,
-                                prec_inn * w + prec_obs * r], axis=-1)
+                                prec[..., 0:1] * w + prec[..., 1:2] * r],
+                               axis=-1)
+        return value, (r, prec, sse, w)
+
+    def logp(t: Tape, v: Var) -> Var:
+        u_inn, u_obs = v.value[..., 0:1], v.value[..., 1:2]
+        d, r = residuals(v.value)
+        pri = -0.125 * ((u_inn * u_inn).sum(axis=-1)
+                        + (u_obs * u_obs).sum(axis=-1))
+        walk = (-0.5 * (np.exp(-2.0 * u_inn) * (d * d)).sum(axis=-1)
+                - float(n) * u_inn.sum(axis=-1))
+        obs = (-0.5 * (np.exp(-2.0 * u_obs) * (r * r)).sum(axis=-1)
+               - float(n_obs) * u_obs.sum(axis=-1))
+
+        def vjp(adj):
+            return (adj[..., None] * score_terms(v.value)[0],)
+
+        return t.push((pri + walk) + (obs + const), (v,), vjp)
+
+    def score(t: Tape, v: Var) -> Var:
+        value, (r, prec, sse, w) = score_terms(v.value)
+        prec_inn, prec_obs = prec[..., 0:1], prec[..., 1:2]
 
         def vjp(adj):
             # Hessian of logp times adj, with the cross terms a_x . (w, r)

@@ -35,8 +35,11 @@ def step(t, z, rho, delta, grad_fn):
 
 def kernel_log_pdf(kernel, x, rho, z=None, k=None, drift=None):
     """log m_B(x | rho, z) of a kernel, at the reverse mean it builds from
-    rho."""
-    return kernel.log_pdf(x, kernel.mean(rho, z, k, drift))
+    rho: its log-ratio plus the log m_F that the ratio subtracts, here of a
+    draw from zero noise."""
+    eps = np.zeros(x.shape)
+    return kernel.tape.add(kernel.log_ratio(x, rho, eps, z, k, drift),
+                           kernel.noise_log_pdf(eps))
 
 
 def forward_log_pdf(kernel, x, rho, drift=None):
@@ -54,7 +57,7 @@ def em_ratio(t, z, rho, eps, k, delta, gamma, grad, score):
     kernel = EM(t, gamma, delta, score)
     drift = t.mul(delta, grad)
     rho_n = kernel.refresh(rho, eps, drift)
-    return rho_n, kernel.log_ratio(rho, kernel.mean(rho_n, z, k, drift), eps)
+    return rho_n, kernel.log_ratio(rho, rho_n, eps, z, k, drift)
 
 
 class TestLeapfrog:
@@ -253,7 +256,7 @@ class TestEMKernels:
         t = Tape()
         bwd = MomentumKernel.unit(t, lambda k, z, rho: t.mul(0.5, z), 2.0)
         z, eps = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-        mean = bwd.mean(None, t.lift(z), 1)
+        mean = bwd.mean(bwd.score(1, t.lift(z)))
         np.testing.assert_array_equal(bwd.sample(mean, eps).value,
                                       2.0 * (0.5 * z) + eps)
 
@@ -262,9 +265,8 @@ class TestEMKernels:
     def test_learned_variance_kernels_are_never_sampled(self, score):
         t = Tape()
         kernel = EM(t, t.lift(0.5), t.lift(0.2), score)
-        mean = kernel.mean(t.lift([0.3, -0.1]), t.lift([1.0, 2.0]), 1)
         with pytest.raises(ValueError, match="unit-variance"):
-            kernel.sample(mean, np.array([0.4, 0.7]))
+            kernel.sample(t.lift([0.3, -0.1]), np.array([0.4, 0.7]))
 
 
 class TestUnitKernel:
@@ -276,7 +278,7 @@ class TestUnitKernel:
         t = Tape()
         unit = MomentumKernel.unit(t)
         eps = rng.normal(size=(4, 3))
-        mean = unit.mean(None, t.lift(rng.normal(size=(4, 3))), 1)
+        mean = unit.mean(unit.score(1, t.lift(rng.normal(size=(4, 3)))))
         assert mean is None
         np.testing.assert_array_equal(unit.sample(mean, eps).value, eps)
         np.testing.assert_array_equal(
@@ -289,8 +291,10 @@ class TestUnitKernel:
         unit = MomentumKernel.unit(t, lambda k, z, rho: t.mul(0.5,
                                                               t.add(z, rho)))
         z, rho = rng.normal(size=(2, 4, 3))
+        x, eps = rng.normal(size=(2, 4, 3))
         np.testing.assert_array_equal(
-            unit.mean(t.lift(rho), t.lift(z), 1).value, 1.0 * (0.5 * (z + rho)))
+            unit.log_ratio(t.lift(x), t.lift(rho), eps, t.lift(z), 1).value,
+            t.gaussian_log_ratio(x, 1.0 * (0.5 * (z + rho)), 1.0, eps).value)
 
     def test_noise_log_pdf_is_log_pdf_at_the_noise_bit_for_bit(self):
         # the initial momentum density of every method but MCD keeps its
@@ -308,7 +312,7 @@ class TestUnitKernel:
         w = t.lift(0.5, trainable=True, name="w")
         aug = MomentumKernel.unit(t, lambda k, z, rho: t.mul(w, z), 2.0)
         z, eps = t.lift(rng.normal(size=(4, 3))), rng.normal(size=(4, 3))
-        mean = aug.mean(None, z, 1)
+        mean = aug.mean(aug.score(1, z))
         np.testing.assert_allclose(
             aug.noise_log_pdf(eps).value,
             aug.log_pdf(aug.sample(mean, eps), mean).value, rtol=1e-14)
@@ -461,3 +465,122 @@ class TestRefresh:
                 ref[idx] = (shifted[0] - shifted[1]) / (2 * h)
             np.testing.assert_allclose(grads[key], ref, rtol=1e-6,
                                        atol=1e-9, err_msg=key)
+
+
+def chain_log_ratio(kernel, rho, rho_prime, eps, z, k, drift):
+    """A transition's log-ratio from the nodes that the fused one stands
+    for: m_B's mean from `mul` or `mulsub`, the score and `muladd` (or
+    `mul` with no shrink), then `Tape.gaussian_log_ratio` of that mean."""
+    t = kernel.tape
+    mean = None
+    if kernel.shrink is not None:
+        mean = (t.mul(kernel.shrink, rho_prime) if drift is None
+                else t.mulsub(kernel.shrink, rho_prime, drift))
+    s = kernel.score(k, z, rho_prime)
+    if s is not None:
+        mean = (t.mul(kernel.coef, s) if mean is None
+                else t.muladd(kernel.coef, s, mean))
+    return t.gaussian_log_ratio(rho, 0.0 if mean is None else mean,
+                                kernel.var, eps)
+
+
+def fused_log_ratio(kernel, rho, rho_prime, eps, z, k, drift):
+    return kernel.log_ratio(rho, rho_prime, eps, z, k, drift)
+
+
+# (refresh, with a score, with a drift): ula, mcd, uha, "ou+score",
+# "em+exact", ldvi, uha_em, ldvi_em
+LOG_RATIO_CASES = [("unit", False, False), ("unit", True, False),
+                   ("ou", False, False), ("ou", True, False),
+                   ("em", False, False), ("em", True, False),
+                   ("em", False, True), ("em", True, True)]
+
+
+class TestLogRatio:
+    """log m_B - log m_F with m_B's mean built inside the ratio node."""
+
+    RAW = {"raw": 0.3, "raw_delta": -1.2, "w": 0.7}
+
+    @classmethod
+    def _setup(cls, t, kind, with_score, with_drift, trainable=True):
+        """The kernel, (rho, rho', z, drift or None) and the tape's
+        parameters, from fixed draws."""
+        rng = np.random.default_rng(80)
+        vals = {**cls.RAW, **{k: rng.normal(size=(4, 3))
+                              for k in ("rho", "rho_p", "z", "drift")}}
+        p = {k: t.lift(v, trainable=trainable, name=k)
+             for k, v in vals.items()}
+        # a score of position and momentum, as a score net's
+        score = ((lambda k, z, r: t.mul(p["w"], t.add(z, r)))
+                 if with_score else None)
+        if kind == "unit":
+            kernel = MomentumKernel.unit(t, score, 2.0 if with_score else 1.0)
+        elif kind == "ou":
+            kernel = OU(t, t.sigmoid(p["raw"]), score)
+        else:
+            kernel = EM(t, t.softplus(p["raw"]), t.softplus(p["raw_delta"]),
+                        score)
+        operands = (p["rho"], p["rho_p"], p["z"],
+                    p["drift"] if with_drift else None)
+        return kernel, operands
+
+    @pytest.mark.parametrize("kind,with_score,with_drift", LOG_RATIO_CASES)
+    def test_value_and_nodes(self, kind, with_score, with_drift):
+        """Bit for bit the chain's value, in one node, or two for a drifted
+        mean with a score, besides the score's own two."""
+        eps = np.random.default_rng(81).normal(size=(4, 3))
+        t = Tape()
+        kernel, (rho, rho_p, z, drift) = self._setup(t, kind, with_score,
+                                                     with_drift)
+        before = len(t.nodes)
+        got = kernel.log_ratio(rho, rho_p, eps, z, 3, drift)
+        own = 2 if with_score and with_drift else 1
+        assert len(t.nodes) - before == own + (2 if with_score else 0)
+        want = chain_log_ratio(kernel, rho, rho_p, eps, z, 3, drift)
+        np.testing.assert_array_equal(got.value, want.value)
+
+    @pytest.mark.parametrize("kind,with_score,with_drift", LOG_RATIO_CASES)
+    def test_gradients_match_chain_bit_for_bit(self, kind, with_score,
+                                               with_drift):
+        """rho' has one more use, as in a chain: the leapfrog's half step
+        before the ratio, or, with the Euler-Maruyama drift, the next
+        transition after it, which a sweep reaches first. Every adjoint
+        still sums in the chain's order."""
+        rng = np.random.default_rng(82)
+        eps, w_out, w_other = rng.normal(size=(3, 4, 3))
+        grads = []
+        for build in (fused_log_ratio, chain_log_ratio):
+            t = Tape()
+            kernel, (rho, rho_p, z, drift) = self._setup(t, kind, with_score,
+                                                         with_drift)
+            if drift is None:
+                other = t.mean_all(t.mul(rho_p, w_other))
+            out = build(kernel, rho, rho_p, eps, z, 3, drift)
+            if drift is not None:
+                other = t.mean_all(t.mul(rho_p, w_other))
+            loss = t.add(t.mean_all(t.mul(out, w_out[:, 0])), other)
+            grads.append(t.backward(loss))
+        assert grads[0].keys() == grads[1].keys()
+        for name in grads[0]:
+            np.testing.assert_array_equal(grads[0][name], grads[1][name],
+                                          err_msg=name)
+
+    def test_score_passed_in_is_not_recomputed(self):
+        # MCD's first transition takes the score its augmentation built
+        calls = []
+        t = Tape()
+        w = t.lift(0.5, trainable=True, name="w")
+
+        def score(k, z, rho):
+            calls.append(k)
+            return t.mul(w, z)
+
+        kernel = MomentumKernel.unit(t, score, 2.0)
+        rng = np.random.default_rng(83)
+        z, rho, rho_p = (t.lift(v) for v in rng.normal(size=(3, 4, 3)))
+        eps = rng.normal(size=(4, 3))
+        s = kernel.score(1, z)
+        got = kernel.log_ratio(rho, rho_p, eps, z, 1, score=s)
+        assert calls == [1]
+        np.testing.assert_array_equal(
+            got.value, kernel.log_ratio(rho, rho_p, eps, z, 1).value)

@@ -51,7 +51,8 @@ class Noise:
     @classmethod
     def draw(cls, seed, batch, dim, K):
         rng = chain_rng(seed)
-        return cls([rng.normal(size=(batch, dim)) for _ in range(K + 1)])
+        return cls([rng.standard_normal(size=(batch, dim))
+                    for _ in range(K + 1)])
 
     def chain(self, i):
         """Chain i's draws, each shaped (dim,)."""
@@ -59,26 +60,27 @@ class Noise:
 
 
 class ReplayRng:
-    """A Generator stand-in whose normal() hands out the given arrays in
-    turn, reshaped to the size asked for."""
+    """A Generator stand-in whose standard_normal() hands out the given
+    arrays in turn, reshaped to the size asked for."""
 
     def __init__(self, draws):
         self._draws = iter(draws)
 
-    def normal(self, size):
+    def standard_normal(self, size):
         return next(self._draws).reshape(size)
 
 
 class RecordingRng:
-    """A Generator stand-in that records the size of every normal() draw."""
+    """A Generator stand-in that records the size of every
+    standard_normal() draw."""
 
     def __init__(self):
         self.sizes = []
         self._rng = np.random.default_rng(0)
 
-    def normal(self, size):
+    def standard_normal(self, size):
         self.sizes.append(size)
-        return self._rng.normal(size=size)
+        return self._rng.standard_normal(size=size)
 
 
 def q_score(t, q, z):
@@ -985,13 +987,13 @@ class TestScoreReuse:
 
 
 # len(tape.nodes) of one K=8 sonar estimate on a training tape
-SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 73, "mcd": 170, "uha": 92,
-                       "ldvi": 178, "uha_em": 70, "ldvi_em": 155}
+SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 73, "mcd": 164, "uha": 85,
+                       "ldvi": 164, "uha_em": 63, "ldvi_em": 148}
 # the nodes one more transition adds to it. A leapfrog transition scores its
 # new position and mixes two bridge scores; an Euler-Maruyama transition
 # mixes one, the drift included. Each mix is one `bridge_score` node.
-SONAR_NODES_PER_TRANSITION = {"plainvi": 0, "ula": 7, "mcd": 18, "uha": 9,
-                              "ldvi": 20, "uha_em": 6, "ldvi_em": 17}
+SONAR_NODES_PER_TRANSITION = {"plainvi": 0, "ula": 7, "mcd": 17, "uha": 8,
+                              "ldvi": 18, "uha_em": 5, "ldvi_em": 16}
 
 
 def sonar_nodes(name, K):

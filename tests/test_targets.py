@@ -5,9 +5,11 @@ oracle, and each analytic score is checked two ways: against the tape's own
 backward pass through logp, and against finite differences of the oracle.
 """
 
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -461,6 +463,25 @@ def chain_brownian_score(t, v):
     return t.concat([g_uinn, g_uobs, gx])
 
 
+def chain_brownian_logp(t, v):
+    """The Brownian log-density as the primitive tape chain (reference)."""
+    n, mask = 30, BROWNIAN_OBSERVED_MASK
+    n_obs = float(mask.sum())
+    ymask = BROWNIAN_OBSERVATIONS * mask
+    u_inn, u_obs, x = t.narrow(v, 0, 1), t.narrow(v, 1, 2), t.narrow(v, 2, 2 + n)
+    d = t.sub(x, t.affine(x, np.eye(n, k=-1)))
+    r = t.sub(ymask, t.mul(mask, x))
+    prec_inn = t.exp(t.mul(-2.0, u_inn))
+    prec_obs = t.exp(t.mul(-2.0, u_obs))
+    pri = t.mul(-0.125, t.add(t.sum(t.square(u_inn)), t.sum(t.square(u_obs))))
+    walk = t.sub(t.mul(-0.5, t.sum(t.mul(prec_inn, t.square(d)))),
+                 t.mul(float(n), t.sum(u_inn)))
+    obs = t.sub(t.mul(-0.5, t.sum(t.mul(prec_obs, t.square(r)))),
+                t.mul(n_obs, t.sum(u_obs)))
+    const = -math.log(8.0 * math.pi) - 0.5 * (n + n_obs) * math.log(2 * math.pi)
+    return t.add(t.add(pri, walk), t.add(obs, const))
+
+
 class TestBrownianFusedScore:
     """The fused score node against the primitive chain it replaces."""
 
@@ -521,6 +542,76 @@ class TestBrownianFusedScore:
 
         ref = fd_grad(f, v0.ravel()).reshape(shape)
         np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+
+
+class TestBrownianFusedLogp:
+    """The fused log-density node against the primitive chain it replaces."""
+
+    D = 32
+    point = staticmethod(TestBrownianFusedScore.point)
+    projected_grad = staticmethod(TestBrownianFusedScore.projected_grad)
+
+    @pytest.fixture()
+    def model(self):
+        return brownian_motion_target()
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D), (256, D)])
+    def test_logp_pushes_one_node(self, model, shape):
+        t = Tape()
+        v = t.lift(self.point(shape), trainable=True, name="v")
+        before = len(t.nodes)
+        model.logp(t, v)
+        assert len(t.nodes) == before + 1
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D), (256, D)])
+    def test_value_matches_chain_bit_for_bit(self, model, shape):
+        t = Tape()
+        v = t.lift(self.point(shape))
+        np.testing.assert_array_equal(model.logp(t, v).value,
+                                      chain_brownian_logp(t, v).value)
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D), (256, D)])
+    def test_gradients_match_chain(self, model, shape):
+        v0 = self.point(shape)
+        proj = np.random.default_rng(7).normal(size=shape[:-1])
+        _, got = self.projected_grad(model.logp, v0, proj)
+        _, ref = self.projected_grad(chain_brownian_logp, v0, proj)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape", [(D,), (4, D)])
+    def test_gradients_match_central_differences(self, model, shape):
+        v0 = self.point(shape)
+        proj = np.random.default_rng(8).normal(size=shape[:-1])
+        _, got = self.projected_grad(model.logp, v0, proj)
+
+        def f(flat):
+            t = Tape()
+            out = model.logp(t, t.lift(flat.reshape(shape))).value
+            return float(np.mean(out * proj))
+
+        ref = fd_grad(f, v0.ravel()).reshape(shape)
+        np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", TARGET_NAMES)
+def test_fused_nodes_keep_no_tape_alive(name):
+    """No VJP closure holds its tape, so with the cycle collector off the
+    tape is freed as soon as it and the outputs are dropped. A log-density
+    VJP that called score(t, ...) would hold it in a cycle."""
+    model = get_target(name)
+    v0 = 0.3 * np.random.default_rng(9).normal(size=(2, model.dim))
+    gc.collect()
+    gc.disable()
+    try:
+        t = Tape()
+        v = t.lift(v0, trainable=True, name="v")
+        outputs = [model.logp(t, v), model.score(t, v)]
+        ref = weakref.ref(t)
+        del t, v, outputs
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- Lorenz system

@@ -29,7 +29,9 @@ or measure how far this checkout's values drift from a saved fingerprint:
 which prints the largest relative difference of the bounds, of the
 evaluation means and of the gradient 2-norms, each with the entry it comes
 from, and the number of train records and of gradients whose digests
-differ.
+differ, followed by the method/target rows they are in (with the number of
+differing gradients per row), so that a drift meant to stay on one target
+can be seen to stay there. Against its own output it lists no row.
 """
 
 import argparse
@@ -113,10 +115,10 @@ def fingerprint() -> dict:
 
 def drift(old: dict, new: dict) -> dict:
     """quantity -> (largest relative difference, its entry) between two
-    fingerprints, and the numbers of train and gradient digests that
-    differ."""
+    fingerprints, and, for the train and the gradient digests, the rows
+    whose digests differ, each with how many of its digests do."""
     pairs = {"bounds": [], "eval means": [], "gradient 2-norms": []}
-    grad_digests = 0
+    grad_rows = {}
     for key, was in old.items():
         now = new[key]
         if key.startswith("train/"):
@@ -131,16 +133,19 @@ def drift(old: dict, new: dict) -> dict:
         pairs["gradient 2-norms"] += [
             (f"{key} {name}", g["l2"], now["grads"][name]["l2"])
             for name, g in was["grads"].items()]
-        grad_digests += sum(g["sha256"] != now["grads"][name]["sha256"]
-                            for name, g in was["grads"].items())
+        differing = sum(g["sha256"] != now["grads"][name]["sha256"]
+                        for name, g in was["grads"].items())
+        if differing:
+            grad_rows[key] = differing
     out = {}
     for quantity, items in pairs.items():
         out[quantity] = max(
             (abs(float(b) - float(a)) / abs(float(a)) if float(a) else
              abs(float(b)), key) for key, a, b in items)
-    out["train digests differing"] = sum(
-        old[k] != new[k] for k in old if k.startswith("train/"))
-    out["gradient digests differing"] = grad_digests
+    out["train digests differing"] = {
+        k[len("train/"):]: 1 for k in old
+        if k.startswith("train/") and old[k] != new[k]}
+    out["gradient digests differing"] = grad_rows
     return out
 
 
@@ -159,5 +164,7 @@ if __name__ == "__main__":
         for quantity, value in drift(old, fingerprint()).items():
             if isinstance(value, tuple):
                 print(f"{quantity:26s} {value[0]:.3g}  ({value[1]})")
-            else:
-                print(f"{quantity:26s} {value}")
+                continue
+            print(f"{quantity:26s} {sum(value.values())}")
+            for row, count in value.items():
+                print(f"    {row}" + (f" ({count})" if count > 1 else ""))
