@@ -8,8 +8,8 @@ Euler-Maruyama variants) the position update z + delta rho' after a refresh
 that also carries the drift delta grad log pi_k(z). Both maps are
 deterministic and volume preserving, so the per-step contribution to the
 augmented lower bound is log m_B(rho | rho', z) - log m_F(rho' | rho), which
-`MomentumKernel.log_ratio` records as one `Tape.gaussian_log_ratio` node that
-also builds m_B's mean.
+`MomentumKernel.log_ratio` records as one node of its own that also builds
+m_B's mean.
 
 m_F and m_B come from one discretisation of the same dynamics, so they
 share the shrink and the variance, and one `MomentumKernel` is both. It is
@@ -31,18 +31,19 @@ the initial momentum and scores both endpoints.
 The kernel draws rho' = shrink rho (+ drift) + sqrt(var) eps as one node
 (`MomentumKernel.refresh`) and never builds m_F's mean. m_F's density at
 its own draw is a function of the noise and the variance alone,
--sum_d [0.5 log(2 pi var_d) + eps_d^2 / 2], so the log-ratio scores m_F
-from eps, and the chain's initial momentum density is scored the same way
-(for MCD's augmentation N(2 s, I) that makes it a constant). Only the
-terminal momentum density is evaluated at a point.
+-(0.5 D log(2 pi var) + sum_d eps_d^2 / 2), so the log-ratio scores m_F
+from eps. The chain's initial momentum is a unit kernel's draw, so its
+density is an array of the noise alone (`MomentumKernel.noise_log_pdf`; for
+MCD's augmentation N(2 s, I) too). Only the terminal momentum density is
+evaluated at a point.
 
 m_B's mean is no node of its own: `MomentumKernel.log_ratio` computes it
-inside the log-ratio node, with the value of the `mul`/`mulsub` and `muladd`
-nodes it replaces, except that an Euler-Maruyama mean with a score keeps
-its shrink rho' - drift as one `Tape.mulsub` node, which holds the order in
-which rho' sums its adjoints. `MomentumKernel.mean` builds only the endpoint
-augmentation's mean, coef s from the score that `MomentumKernel.score`
-gives, and MCD's first transition reuses the score its augmentation took.
+inside the log-ratio node, with the value of the `mul`, `sub` and `muladd`
+nodes it replaces, and that node's VJP gives every operand its adjoint:
+rho, var, shrink, rho', drift, coef and s. `MomentumKernel.mean` builds
+only the endpoint augmentation's mean, coef s from the score that
+`MomentumKernel.score` gives, and MCD's first transition reuses the score
+its augmentation took.
 
 All kernel parameters (step size delta, friction gamma, momentum retention
 eta) are scalar tape Vars, so gradients flow through every density. The
@@ -64,6 +65,8 @@ __all__ = ["leapfrog", "MomentumKernel"]
 
 # score callables take (k, z, rho) and return the score evaluated on the tape
 ScoreFn = Callable[[int, Var, Var], Var]
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 # ------------------------------------------------------------------ leapfrog
@@ -98,7 +101,8 @@ class MomentumKernel:
     Build it with `unit` (N(0, I), the full refresh), `exact_ou` or
     `euler_maruyama`. `var` is a scalar Var, whose noise scale sqrt(var) is
     built once for `refresh`, or 1.0 for a unit kernel, which needs none.
-    `mean` and `sample` serve a unit kernel as the endpoint augmentation.
+    `mean`, `sample` and `noise_log_pdf` serve a unit kernel as the
+    endpoint augmentation.
     """
 
     def __init__(self, tape: Tape, shrink: Var | None, var: Var | float,
@@ -208,72 +212,77 @@ class MomentumKernel:
         return self.tape.gaussian_logpdf(x, 0.0 if mean is None else mean,
                                          self.var)
 
-    def noise_log_pdf(self, eps: np.ndarray) -> Var:
-        """The log-density of this kernel's draw from noise eps at the draw
-        itself, one `Tape.gaussian_noise_logpdf` node."""
-        return self.tape.gaussian_noise_logpdf(eps, self.var)
+    def noise_log_pdf(self, eps: np.ndarray) -> np.ndarray:
+        """The log-density of a unit kernel's draw mean + eps at the draw
+        itself, -(0.5 D log(2 pi) + sum_d eps_d^2 / 2): an array, since it
+        depends on the noise alone. A learned-variance kernel's draw is
+        scored inside `log_ratio` instead."""
+        if isinstance(self.var, Var):
+            raise ValueError("only a unit-variance kernel scores its draw "
+                             "from the noise; a learned-variance kernel's "
+                             "is scored in log_ratio")
+        return -(0.5 * eps.shape[-1] * _LOG_2PI
+                 + (eps * eps).sum(axis=-1) / 2.0)
 
     def log_ratio(self, rho: Var, rho_prime: Var, eps: np.ndarray,
                   z: Var | None = None, k: int | None = None,
                   drift: Var | None = None,
                   score: Var | None = None) -> Var:
         """log m_B(rho | rho', z) - log m_F(rho' | rho) of transition k,
-        whose refresh drew rho' from noise eps, as one
-        `Tape.gaussian_log_ratio` node that also builds m_B's mean,
-        shrink rho' (- drift) (+ coef s(k, z, rho')). A kernel with a score
-        computes it, unless the caller passes the one it holds as `score`.
+        whose refresh drew rho' from noise eps, as one node. A kernel with a
+        score computes s(k, z, rho'), unless the caller passes the one it
+        holds as `score`.
 
-        The mean's value is that of `mul(shrink, rho')` or
-        `mulsub(shrink, rho', drift)`, then `muladd(coef, s, .)` (or
-        `mul(coef, s)` with no shrink), bit for bit. Its parents follow the
-        order in which a sweep of those nodes reaches them, so every adjoint
-        sums in the same order. In a leapfrog chain rho' has no use after
-        the ratio, so the mean's and the score's adjoints are the first two
-        that rho' sums, in either order. With the Euler-Maruyama drift rho'
-        is the next transition's momentum as well, whose adjoint comes
-        first, so for a mean with a score `mulsub(shrink, rho', drift)`
-        stays a node, recorded before the score, as before.
+        m_B's mean is shrink rho' (- drift) (+ coef s), with the value of
+        `mul(shrink, rho')`, `sub(., drift)` and `muladd(coef, s, .)` (or
+        `mul(coef, s)` with no shrink) bit for bit. m_F is scored from its
+        noise. Both densities have the kernel's variance, so their
+        log-normalisers cancel in the variance's adjoint, adj quad / (2 var^2)
+        with quad = |rho - mean|^2, though the value keeps both. The node's
+        parents are rho, var, shrink, rho', drift, coef and s, less any that
+        this kernel or transition lacks.
         """
-        t = self.tape
-        shrink, coef = self.shrink, self.coef
-        if shrink is None and self.score_fn is None:
-            return t.gaussian_log_ratio(rho, 0.0, self.var, eps)
-        base = (t.mulsub(shrink, rho_prime, drift)
-                if drift is not None and self.score_fn is not None else None)
+        shrink, coef, var = self.shrink, self.coef, self.var
         if score is None:
             score = self.score(k, z, rho_prime)
-        # the parents of muladd(coef, s, .) or mul(coef, s) come first, then
-        # those of the mul or mulsub before it
-        parents = [] if score is None else [coef, score]
+        learned = isinstance(var, Var)
+        parents = [rho, var] if learned else [rho]
+        vv = float(var.value) if learned else var
         mean = None
-        if base is not None:
-            parents.append(base)
-            mean = base.value
-        elif shrink is not None:
+        if shrink is not None:
             parents += (shrink, rho_prime)
             mean = shrink.value * rho_prime.value
             if drift is not None:
                 parents.append(drift)
                 mean = mean - drift.value
         if score is not None:
-            mean = (coef.value * score.value if mean is None
-                    else coef.value * score.value + mean)
+            parents += (coef, score)
+            term = coef.value * score.value
+            mean = term if mean is None else term + mean
+        diff = rho.value if mean is None else rho.value - mean
+        quad, two_var = (diff * diff).sum(axis=-1), 2.0 * vv
+        log_norm = 0.5 * diff.shape[-1] * float(np.log((2.0 * np.pi) * vv))
+        log_b = -(log_norm + quad / two_var)
+        log_f = -(log_norm + (eps * eps).sum(axis=-1) / 2.0)
+        value = log_b - log_f
 
-        def mean_vjp(g):
-            adjoints = []
-            if score is not None:
-                adjoints += (g * score.value if coef.needs_grad else None,
-                             g * coef.value if score.needs_grad else None)
-            if base is not None:
-                adjoints.append(g if base.needs_grad else None)
-            elif shrink is not None:
-                adjoints += (g * rho_prime.value if shrink.needs_grad
+        def vjp(adj):
+            # r is the mean's adjoint, and -r rho's
+            r = (adj[..., None] / vv) * diff
+            adjoints = [-r if rho.needs_grad else None]
+            if learned:
+                adjoints.append(adj * (quad / (two_var * vv))
+                                if var.needs_grad else None)
+            if shrink is not None:
+                adjoints += (r * rho_prime.value if shrink.needs_grad
                              else None,
-                             g * shrink.value if rho_prime.needs_grad
+                             r * shrink.value if rho_prime.needs_grad
                              else None)
                 if drift is not None:
-                    adjoints.append(-g if drift.needs_grad else None)
-            return tuple(adjoints)
+                    adjoints.append(-r if drift.needs_grad else None)
+            if score is not None:
+                adjoints += (r * score.value if coef.needs_grad else None,
+                             r * coef.value if score.needs_grad else None)
+            return adjoints
 
-        return t.gaussian_log_ratio(rho, mean, self.var, eps, parents,
-                                    mean_vjp)
+        return self.tape.push(value, tuple(parents), vjp)

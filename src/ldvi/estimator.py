@@ -311,16 +311,17 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
 
     Every transition draws rho' from the momentum kernel in one
     `MomentumKernel.refresh` node, moves (z, rho') by the scheme's map and
-    adds log m_B(rho | rho', z) - log m_F(rho' | rho), one
-    `Tape.gaussian_log_ratio` node built by the same kernel, which builds
-    m_B's mean inside it, scores m_F from the transition's noise and which
-    `_check_finite` reads as the log-ratio. The two schemes differ only in
-    the map and the drift: a leapfrog step with no drift, or the
-    Euler-Maruyama position update z + delta rho' with the drift
-    delta grad log pi_k(z) added to the forward mean and subtracted from the
-    reverse one. The kernel comes built with the model. The augmentation
-    draws the initial momentum, scores it from its noise, and scores the
-    terminal momentum at its point. MCD's augmentation is its momentum
+    adds log m_B(rho | rho', z) - log m_F(rho' | rho), the same kernel's
+    `MomentumKernel.log_ratio` node, which builds m_B's mean inside it,
+    scores m_F from the transition's noise and which `_check_finite` reads
+    as the log-ratio. The two schemes differ only in the map and the
+    drift: a leapfrog step with no drift, or the Euler-Maruyama position
+    update z + delta rho' with the drift delta grad log pi_k(z) added to
+    the forward mean and subtracted from the reverse one. The kernel comes
+    built with the model. The augmentation draws the initial momentum and
+    scores the terminal momentum at its point. The initial term is one
+    `sub` node, -log N(eps; 0, I) - log q(z), whose first part is an array
+    of the noise alone (`MomentumKernel.noise_log_pdf`). MCD's augmentation is its momentum
     kernel, whose score s(1, z_1) sets the augmentation's mean and is
     passed to the first log-ratio, so MCD's score net runs once per
     position. The initial term, the K - 1 log-ratios and the terminal term
@@ -328,9 +329,8 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     gradient (an evaluation chain's) are summed as they come.
 
     On sonar's training tape a transition so records 7 nodes for ULA, 8 for
-    UHA, 17 for MCD, 18 for LDVI, 5 for UHA-EM and 16 for LDVI-EM, score
-    nets and the target's score included; LDVI-EM's reverse mean keeps its
-    `mulsub` node (see `MomentumKernel.log_ratio`).
+    UHA, 17 for MCD, 18 for LDVI, 5 for UHA-EM and 15 for LDVI-EM, score
+    nets and the target's score included.
 
     Raises EstimatorError naming the transition index, the quantity
     (position, momentum, log-ratio, initial or terminal density) and the
@@ -366,7 +366,7 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     aug_score = aug.score(1, z)
     eps = rng.standard_normal(size=shape)
     rho = aug.sample(aug.mean(aug_score), eps)
-    initial = t.neg(t.add(model.q.log_pdf(z), aug.noise_log_pdf(eps)))
+    initial = t.sub(-aug.noise_log_pdf(eps), model.q.log_pdf(z))
     _check_finite(model, 0, ("initial density", initial))
     terms = [initial]
 

@@ -12,25 +12,13 @@ value repeats the numpy operations of the primal chain they replace, in the
 same order, so values match it bit for bit while the tape holds one node.
 `Tape.gaussian_logpdf` takes a shared scalar or a (D,) diagonal variance, and
 is every Gaussian density evaluated at a point: q's, the terminal momentum
-density and the logistic prior. A reparameterised draw mean + sqrt(var) eps
-is scored from its noise instead: `Tape.gaussian_noise_logpdf` is its
-density at the draw, -sum_d [0.5 log(2 pi var_d) + eps_d^2 / 2], which needs
-neither the mean nor the draw and sends an adjoint to the variance alone.
-`Tape.gaussian_log_ratio` is a transition's log m_B - log m_F as one node:
-the reverse density at a point less the refresh's density from its noise,
-both of the one variance that the momentum kernel's two directions share.
-It may also build the reverse density's mean from parents and a VJP that
-its caller gives, so that the mean is no node of its own.
-All three check the variance and take log(2 pi var) in one helper, which
-`Tape.gaussian_log_ratio` calls once for both its sides; a scalar variance
-enters the arithmetic as a python float.
+density and the logistic prior. It checks the variance, and a scalar
+variance enters the arithmetic as a python float.
 There is no `log` operation: every logarithm sits inside a fused node.
 The fused nodes are:
 - `Tape.muladd` (a * x + y), the leapfrog's and the position updates;
-- `Tape.mulsub` (a * x - y), an Euler-Maruyama reverse mean's
-  shrink rho' - drift when the mean also has a score;
-- `Tape.gaussian_log_ratio`, with the reverse mean inside it
-  (`MomentumKernel.log_ratio` in `ldvi.dynamics`);
+- `MomentumKernel.log_ratio` in `ldvi.dynamics`, a transition's
+  log m_B - log m_F with the reverse mean inside it;
 - `Tape.add_n`, a left-to-right sum, the bound's terms;
 - `MomentumKernel.refresh`, a momentum draw;
 - `bridge_score` in `ldvi.annealing`, (1 - beta_k) times q's score plus
@@ -266,18 +254,6 @@ class Tape:
 
         return self.push(value, (a, x, y), vjp)
 
-    def mulsub(self, a, x, y) -> Var:
-        """a * x - y as one node: the value of `sub(mul(a, x), y)`."""
-        a, x, y = self._coerce(a), self._coerce(x), self._coerce(y)
-        value = a.value * x.value - y.value
-
-        def vjp(adj):
-            return (adj * x.value if a.needs_grad else None,
-                    adj * a.value if x.needs_grad else None,
-                    -adj if y.needs_grad else None)
-
-        return self.push(value, (a, x, y), vjp)
-
     def div(self, a, b) -> Var:
         a, b = self._coerce(a), self._coerce(b)
         if (b.value == 0.0).any():
@@ -414,80 +390,41 @@ class Tape:
         float or a scalar Var), or a (D,) diagonal with one per component.
         Returns sum_d [-0.5 log(2 pi var_d) - (x_d - mean_d)^2 / (2 var_d)]
         as one node whose VJP gives the adjoints of `x`, `mean` and `var`,
-        each only when that operand needs one.
+        each only when that operand needs one. A scalar variance enters the
+        arithmetic as a python float.
         """
         x, mean, var = self._coerce(x), self._coerce(mean), self._coerce(var)
-        value, terms = _gaussian_logpdf(
-            x.value, mean.value,
-            *_variance("gaussian_logpdf", var.value, x.shape[-1]))
+        vv, d = var.value, x.shape[-1]
+        scalar = not vv.shape
+        if scalar:
+            vv = float(vv)
+        bad = (vv <= 0.0 if scalar
+               else vv.shape != (d,) or (vv <= 0.0).any())
+        if bad:
+            raise DomainError("gaussian_logpdf", "variance must be positive "
+                              f"and of shape () or ({d},), got {var.value!r}")
+        diff = x.value - mean.value
+        quad, two_var = diff * diff, 2.0 * vv
+        if scalar:
+            quad, half_d = quad.sum(axis=-1), 0.5 * d
+            value = -(half_d * float(np.log((2.0 * np.pi) * vv))
+                      + quad / two_var)
+        else:
+            half_d = 0.5
+            value = -(half_d * np.log((2.0 * np.pi) * vv)
+                      + quad / two_var).sum(axis=-1)
 
         def vjp(adj):
-            return _gaussian_adjoints(adj, terms, x.needs_grad,
-                                      mean.needs_grad, var.needs_grad)
+            # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - half_d / var
+            r = ((adj[..., None] / vv) * diff
+                 if x.needs_grad or mean.needs_grad else None)
+            adj_var = adj if scalar else adj[..., None]
+            return (-r if x.needs_grad else None,
+                    r if mean.needs_grad else None,
+                    adj_var * (quad / (two_var * vv) - half_d / vv)
+                    if var.needs_grad else None)
 
         return self.push(value, (x, mean, var), vjp)
-
-    def gaussian_noise_logpdf(self, eps: np.ndarray, var) -> Var:
-        """The density of a reparameterised draw at the draw itself.
-
-        For a draw mean + sqrt(var) eps from standard-Normal noise `eps` (an
-        array), log N(mean + sqrt(var) eps; mean, var) is
-        -sum_d [0.5 log(2 pi var_d) + eps_d^2 / 2], which needs neither the
-        mean nor the draw. `var` is taken as `gaussian_logpdf` takes it, and
-        the VJP gives its adjoint alone.
-        """
-        var = self._coerce(var)
-        vv, log_2pi_var = _variance("gaussian_noise_logpdf", var.value,
-                                    eps.shape[-1])
-        value = _gaussian_noise_logpdf(eps, vv, log_2pi_var)
-
-        def vjp(adj):
-            return (_noise_var_adjoint(adj, eps.shape[-1], vv),)
-
-        return self.push(value, (var,), vjp)
-
-    def gaussian_log_ratio(self, x, mean, var, eps: np.ndarray,
-                           mean_parents: Sequence[Var] | None = None,
-                           mean_vjp=None) -> Var:
-        """log N(x; mean, var) - log m_F as one node, where m_F is the
-        Gaussian of the same variance that a reparameterised draw came from,
-        scored from its noise.
-
-        Its value is that of `sub(gaussian_logpdf(x, mean, var),
-        gaussian_noise_logpdf(eps, var))` bit for bit, the variance as
-        `gaussian_logpdf` takes it, and its VJP gives an adjoint only to the
-        operands that need one.
-
-        The node may also build its mean: given `mean_parents`, `mean` is
-        the array they make and `mean_vjp(g)` maps the mean's adjoint g to
-        one adjoint per mean parent, as `push` takes a VJP. The mean is then
-        no node of its own, and its parents are the node's.
-        """
-        x, var = self._coerce(x), self._coerce(var)
-        if mean_parents is None:
-            mean = self._coerce(mean)
-            mean_parents, mean_vjp = (mean,), _pass_through
-            mean = mean.value
-        # one check and one log of the variance serve both sides
-        vv, log_2pi_var = _variance("gaussian_log_ratio", var.value,
-                                    x.shape[-1])
-        value_x, terms = _gaussian_logpdf(x.value, mean, vv, log_2pi_var)
-        value_f = _gaussian_noise_logpdf(eps, vv, log_2pi_var)
-
-        def vjp(adj):
-            need_mean = any(p.needs_grad for p in mean_parents)
-            g_x, g_mean, g_var = _gaussian_adjoints(
-                adj, terms, x.needs_grad, need_mean, var.needs_grad)
-            return ((_noise_var_adjoint(-adj, eps.shape[-1], vv)
-                     if var.needs_grad else None, g_x, g_var)
-                    + (mean_vjp(g_mean) if need_mean
-                       else (None,) * len(mean_parents)))
-
-        # var is listed twice, the noise side first: a sweep of the two-node
-        # chain reaches the noise term first, so the variance sums its
-        # adjoints in that order. The mean's parents come last, as the
-        # sweep of a chain that builds the mean reaches them after the ratio.
-        return self.push(value_x - value_f, (var, x, var, *mean_parents), vjp)
 
     def add_n(self, parts: Sequence) -> Var:
         """The sum of `parts` left to right as one node: the value of
@@ -547,71 +484,6 @@ class Tape:
         return {p.name: np.zeros(p.shape) if grads[p.index] is None
                 else np.array(grads[p.index], dtype=np.float64)
                 for p in self.params}
-
-
-def _variance(opcode: str, vv: np.ndarray, d: int
-              ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """A positive variance of shape () or (d,) and log(2 pi var), a scalar
-    variance and its log as python floats; otherwise DomainError under
-    `opcode`."""
-    if not vv.shape:
-        scalar = float(vv)
-        if not scalar <= 0.0:
-            return scalar, float(np.log((2.0 * np.pi) * scalar))
-    elif vv.shape == (d,) and not (vv <= 0.0).any():
-        return vv, np.log((2.0 * np.pi) * vv)
-    raise DomainError(opcode, "variance must be positive and of shape () "
-                      f"or ({d},), got {vv!r}")
-
-
-def _gaussian_logpdf(x: np.ndarray, mean, vv, log_2pi_var):
-    """The value of `Tape.gaussian_logpdf` and the terms its VJP reuses,
-    given the checked variance and its log from `_variance`. A scalar
-    variance is a python float, so its arithmetic is float arithmetic."""
-    diff = x - mean
-    quad, two_var = diff * diff, 2.0 * vv
-    if isinstance(vv, float):
-        quad, half_d = quad.sum(axis=-1), 0.5 * x.shape[-1]
-        value = -(half_d * log_2pi_var + quad / two_var)
-    else:
-        half_d = 0.5
-        value = -(half_d * log_2pi_var + quad / two_var).sum(axis=-1)
-    return value, (diff, quad, half_d, two_var, vv)
-
-
-def _gaussian_adjoints(adj, terms, need_x: bool, need_mean: bool,
-                       need_var: bool) -> tuple:
-    """The adjoints of x, mean and var, each None unless needed, given the
-    adjoint of their `_gaussian_logpdf` value and its terms."""
-    diff, quad, half_d, two_var, vv = terms
-    # d/dx = -(x - mean) / var; d/dvar = quad / (2 var^2) - half_d / var
-    r = (adj[..., None] / vv) * diff if need_x or need_mean else None
-    adj_var = adj if isinstance(vv, float) else adj[..., None]
-    return (-r if need_x else None, r if need_mean else None,
-            adj_var * (quad / (two_var * vv) - half_d / vv)
-            if need_var else None)
-
-
-def _pass_through(adj):
-    """The VJP of a mean that is itself the ratio's operand."""
-    return (adj,)
-
-
-def _gaussian_noise_logpdf(eps: np.ndarray, vv, log_2pi_var):
-    """The value of `Tape.gaussian_noise_logpdf`, given the checked
-    variance and its log from `_variance`."""
-    if isinstance(vv, float):
-        log_norm = 0.5 * eps.shape[-1] * log_2pi_var
-    else:
-        log_norm = 0.5 * log_2pi_var.sum()
-    return -(log_norm + (eps * eps).sum(axis=-1) / 2.0)
-
-
-def _noise_var_adjoint(adj, d: int, vv: float | np.ndarray):
-    """The adjoint of the variance of a `_gaussian_noise_logpdf` value,
-    -0.5 / var_d per component, given the value's adjoint."""
-    total = np.add.reduce(adj, axis=None)
-    return -total * (0.5 * d / vv if isinstance(vv, float) else 0.5 / vv)
 
 
 # Holds the slot of every operation that is not recorded (see `Tape.push`).

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from ldvi.dynamics import MomentumKernel, leapfrog
 from ldvi.tape import DomainError, Tape
+from reference import noise_logpdf
 
 OU, EM = MomentumKernel.exact_ou, MomentumKernel.euler_maruyama
 
@@ -38,8 +39,9 @@ def kernel_log_pdf(kernel, x, rho, z=None, k=None, drift=None):
     rho: its log-ratio plus the log m_F that the ratio subtracts, here of a
     draw from zero noise."""
     eps = np.zeros(x.shape)
-    return kernel.tape.add(kernel.log_ratio(x, rho, eps, z, k, drift),
-                           kernel.noise_log_pdf(eps))
+    t = kernel.tape
+    return t.add(kernel.log_ratio(x, rho, eps, z, k, drift),
+                 noise_logpdf(t, eps, kernel.var))
 
 
 def forward_log_pdf(kernel, x, rho, drift=None):
@@ -128,14 +130,16 @@ class TestLeapfrog:
 
 class TestExactOU:
     def test_noise_log_pdf_matches_scipy_at_the_draw(self):
+        # the log-ratio scores the refresh m_F from the noise of its draw
         rng = np.random.default_rng(2)
         t = Tape()
         ou = OU(t, t.lift(0.6))
         for _ in range(10):
-            rho, eps = rng.normal(size=4), rng.normal(size=4)
+            rho, eps, back = (rng.normal(size=4) for _ in range(3))
             x = ou.refresh(t.lift(rho), eps).value
-            got = ou.noise_log_pdf(eps).value
-            want = iso_logpdf(x, 0.6 * rho, 1 - 0.36)
+            got = ou.log_ratio(t.lift(back), t.lift(x), eps).value
+            want = (iso_logpdf(back, 0.6 * x, 1 - 0.36)
+                    - iso_logpdf(x, 0.6 * rho, 1 - 0.36))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_refresh_formula(self):
@@ -190,7 +194,8 @@ class TestExactOU:
     def test_gradient_flows_to_eta(self):
         t = Tape()
         eta = t.lift(0.5, trainable=True, name="eta")
-        lp = OU(t, eta).noise_log_pdf(np.array([0.3]))
+        lp = OU(t, eta).log_ratio(t.lift([0.2]), t.lift([-0.4]),
+                                  np.array([0.3]))
         assert t.backward(lp)["eta"] != 0.0
 
 
@@ -202,10 +207,12 @@ class TestEMKernels:
         fwd = EM(t, gamma, delta)
         gd = 0.08
         for _ in range(10):
-            rho, eps, drift = (rng.normal(size=3) for _ in range(3))
+            rho, eps, drift, back = (rng.normal(size=3) for _ in range(4))
             x = fwd.refresh(t.lift(rho), eps, t.lift(drift)).value
-            want = iso_logpdf(x, rho * (1 - gd) + drift, 2 * gd)
-            got = fwd.noise_log_pdf(eps).value
+            want = (iso_logpdf(back, x * (1 - gd) - drift, 2 * gd)
+                    - iso_logpdf(x, rho * (1 - gd) + drift, 2 * gd))
+            got = fwd.log_ratio(t.lift(back), t.lift(x), eps,
+                                drift=t.lift(drift)).value
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_forward_refresh_formula(self):
@@ -294,7 +301,8 @@ class TestUnitKernel:
         x, eps = rng.normal(size=(2, 4, 3))
         np.testing.assert_array_equal(
             unit.log_ratio(t.lift(x), t.lift(rho), eps, t.lift(z), 1).value,
-            t.gaussian_log_ratio(x, 1.0 * (0.5 * (z + rho)), 1.0, eps).value)
+            t.gaussian_logpdf(x, 1.0 * (0.5 * (z + rho)), 1.0).value
+            - unit.noise_log_pdf(eps))
 
     def test_noise_log_pdf_is_log_pdf_at_the_noise_bit_for_bit(self):
         # the initial momentum density of every method but MCD keeps its
@@ -302,7 +310,7 @@ class TestUnitKernel:
         eps = np.random.default_rng(15).normal(size=(5, 3))
         t = Tape()
         unit = MomentumKernel.unit(t)
-        np.testing.assert_array_equal(unit.noise_log_pdf(eps).value,
+        np.testing.assert_array_equal(unit.noise_log_pdf(eps),
                                       unit.log_pdf(t.lift(eps), None).value)
 
     def test_mcd_augmentation_density_is_constant(self):
@@ -314,9 +322,9 @@ class TestUnitKernel:
         z, eps = t.lift(rng.normal(size=(4, 3))), rng.normal(size=(4, 3))
         mean = aug.mean(aug.score(1, z))
         np.testing.assert_allclose(
-            aug.noise_log_pdf(eps).value,
+            aug.noise_log_pdf(eps),
             aug.log_pdf(aug.sample(mean, eps), mean).value, rtol=1e-14)
-        assert not aug.noise_log_pdf(eps).needs_grad
+        assert isinstance(aug.noise_log_pdf(eps), np.ndarray)
 
     def test_log_pdf_matches_scipy(self):
         rng = np.random.default_rng(14)
@@ -403,6 +411,27 @@ class TestTransitions:
         assert grads["delta"] != 0.0 and grads["gamma"] != 0.0
 
 
+def assert_gradients_match_finite_differences(loss, vals, h=1e-6):
+    """The adjoint of every entry of `vals` against central differences.
+    `loss(t, vals, trainable)` builds a scalar on tape t from the values,
+    lifted as parameters under their keys when trainable."""
+    t = Tape()
+    grads = t.backward(loss(t, vals, True))
+    for key, v in vals.items():
+        v = np.asarray(v, dtype=np.float64)
+        ref = np.zeros(v.shape)
+        for idx in np.ndindex(v.shape):
+            shifted = []
+            for sign in (1, -1):
+                w = v.copy()
+                w[idx] += sign * h
+                shifted.append(float(
+                    loss(Tape(), {**vals, key: w}, False).value))
+            ref[idx] = (shifted[0] - shifted[1]) / (2 * h)
+        np.testing.assert_allclose(grads[key], ref, rtol=1e-6, atol=1e-9,
+                                   err_msg=key)
+
+
 def _refresh_kernel(t, kind, p):
     """An OU or EM refresh from the lifted raw parameters `p`."""
     if kind == "ou":
@@ -449,39 +478,27 @@ class TestRefresh:
                 p["rho"], eps, p["drift"] if drifted else None)
             return t.mean_all(t.mul(out, weights))
 
-        t = Tape()
-        grads = t.backward(loss(t, vals, True))
-        h = 1e-6
-        for key, v in vals.items():
-            v = np.asarray(v, dtype=np.float64)
-            ref = np.zeros(v.shape)
-            for idx in np.ndindex(v.shape):
-                shifted = []
-                for sign in (1, -1):
-                    w = v.copy()
-                    w[idx] += sign * h
-                    shifted.append(float(
-                        loss(Tape(), {**vals, key: w}, False).value))
-                ref[idx] = (shifted[0] - shifted[1]) / (2 * h)
-            np.testing.assert_allclose(grads[key], ref, rtol=1e-6,
-                                       atol=1e-9, err_msg=key)
+        assert_gradients_match_finite_differences(loss, vals)
 
 
 def chain_log_ratio(kernel, rho, rho_prime, eps, z, k, drift):
     """A transition's log-ratio from the nodes that the fused one stands
-    for: m_B's mean from `mul` or `mulsub`, the score and `muladd` (or
-    `mul` with no shrink), then `Tape.gaussian_log_ratio` of that mean."""
+    for: m_B's mean from `mul` (and `sub` of the drift), the score and
+    `muladd` (or `mul` with no shrink), then its `Tape.gaussian_logpdf`
+    less m_F's density from the noise."""
     t = kernel.tape
     mean = None
     if kernel.shrink is not None:
-        mean = (t.mul(kernel.shrink, rho_prime) if drift is None
-                else t.mulsub(kernel.shrink, rho_prime, drift))
+        mean = t.mul(kernel.shrink, rho_prime)
+        if drift is not None:
+            mean = t.sub(mean, drift)
     s = kernel.score(k, z, rho_prime)
     if s is not None:
         mean = (t.mul(kernel.coef, s) if mean is None
                 else t.muladd(kernel.coef, s, mean))
-    return t.gaussian_log_ratio(rho, 0.0 if mean is None else mean,
-                                kernel.var, eps)
+    return t.sub(t.gaussian_logpdf(rho, 0.0 if mean is None else mean,
+                                   kernel.var),
+                 noise_logpdf(t, eps, kernel.var))
 
 
 def fused_log_ratio(kernel, rho, rho_prime, eps, z, k, drift):
@@ -497,9 +514,13 @@ LOG_RATIO_CASES = [("unit", False, False), ("unit", True, False),
 
 
 class TestLogRatio:
-    """log m_B - log m_F with m_B's mean built inside the ratio node."""
+    """log m_B - log m_F as one node of the momentum kernel's own."""
 
     RAW = {"raw": 0.3, "raw_delta": -1.2, "w": 0.7}
+    # the shrink and variance of an OU or EM kernel, for the node's
+    # operands lifted directly
+    OPERANDS = {"ou": {"shrink": 0.6, "var": 0.64},
+                "em": {"shrink": 0.9, "var": 0.2}}
 
     @classmethod
     def _setup(cls, t, kind, with_score, with_drift, trainable=True):
@@ -526,26 +547,75 @@ class TestLogRatio:
 
     @pytest.mark.parametrize("kind,with_score,with_drift", LOG_RATIO_CASES)
     def test_value_and_nodes(self, kind, with_score, with_drift):
-        """Bit for bit the chain's value, in one node, or two for a drifted
-        mean with a score, besides the score's own two."""
+        """Bit for bit the chain's value, in one node besides the score's
+        own two."""
         eps = np.random.default_rng(81).normal(size=(4, 3))
         t = Tape()
         kernel, (rho, rho_p, z, drift) = self._setup(t, kind, with_score,
                                                      with_drift)
         before = len(t.nodes)
         got = kernel.log_ratio(rho, rho_p, eps, z, 3, drift)
-        own = 2 if with_score and with_drift else 1
-        assert len(t.nodes) - before == own + (2 if with_score else 0)
+        assert len(t.nodes) - before == 1 + (2 if with_score else 0)
         want = chain_log_ratio(kernel, rho, rho_p, eps, z, 3, drift)
         np.testing.assert_array_equal(got.value, want.value)
+
+    @pytest.mark.parametrize("kind,with_score,with_drift", LOG_RATIO_CASES)
+    def test_value_matches_scipy(self, kind, with_score, with_drift):
+        """log N(rho; m_B, var) - log N(rho'; m_F, var), where the refresh
+        drew rho' = m_F + sqrt(var) eps."""
+        t = Tape()
+        kernel, (rho, rho_p, z, drift) = self._setup(t, kind, with_score,
+                                                     with_drift)
+        r, rp = rho.value, rho_p.value
+        shrink = 0.0 if kernel.shrink is None else kernel.shrink.value
+        var = kernel.var if kind == "unit" else kernel.var.value
+        d = 0.0 if drift is None else drift.value
+        eps = (rp - (shrink * r + d)) / np.sqrt(var)
+        mean_b = shrink * rp - d
+        if with_score:
+            mean_b = mean_b + (kernel.coef.value * self.RAW["w"]
+                               * (z.value + rp))
+        got = kernel.log_ratio(rho, rho_p, eps, z, 3, drift).value
+        want = (iso_logpdf(r, mean_b, var)
+                - iso_logpdf(rp, shrink * r + d, var))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind,with_score,with_drift", LOG_RATIO_CASES)
+    def test_gradients_match_finite_differences(self, kind, with_score,
+                                                with_drift):
+        """Every operand's adjoint: shrink, rho, rho', drift, coef, s and
+        var, each lifted as a parameter of its own."""
+        rng = np.random.default_rng(84)
+        vals = {k: rng.normal(size=(4, 3)) for k in ("rho", "rho_p")}
+        vals.update(self.OPERANDS.get(kind, {}))
+        if with_drift:
+            vals["drift"] = rng.normal(size=(4, 3))
+        if with_score:
+            vals.update(coef=0.8, s=rng.normal(size=(4, 3)))
+        eps, weights = rng.normal(size=(4, 3)), rng.normal(size=4)
+
+        def loss(t, vs, trainable):
+            p = {k: t.lift(v, trainable=trainable, name=k)
+                 for k, v in vs.items()}
+            kernel = MomentumKernel(t, p.get("shrink"), p.get("var", 1.0),
+                                    coef=p.get("coef"))
+            out = kernel.log_ratio(p["rho"], p["rho_p"], eps,
+                                   drift=p.get("drift"), score=p.get("s"))
+            return t.mean_all(t.mul(out, weights))
+
+        assert_gradients_match_finite_differences(loss, vals)
 
     @pytest.mark.parametrize("kind,with_score,with_drift", LOG_RATIO_CASES)
     def test_gradients_match_chain_bit_for_bit(self, kind, with_score,
                                                with_drift):
         """rho' has one more use, as in a chain: the leapfrog's half step
         before the ratio, or, with the Euler-Maruyama drift, the next
-        transition after it, which a sweep reaches first. Every adjoint
-        still sums in the chain's order."""
+        transition after it, which a sweep reaches first. The adjoints
+        are the chain's bit for bit, except with a drift, where they agree
+        within 1e-12: rho' then sums the mean's adjoint before the score's,
+        where the chain sums it after, and the variance's one-term adjoint
+        adj quad / (2 var^2) differs from the chain's two-sided sum in the
+        last bit."""
         rng = np.random.default_rng(82)
         eps, w_out, w_other = rng.normal(size=(3, 4, 3))
         grads = []
@@ -562,8 +632,29 @@ class TestLogRatio:
             grads.append(t.backward(loss))
         assert grads[0].keys() == grads[1].keys()
         for name in grads[0]:
-            np.testing.assert_array_equal(grads[0][name], grads[1][name],
-                                          err_msg=name)
+            if with_drift:
+                np.testing.assert_allclose(grads[0][name], grads[1][name],
+                                           rtol=1e-12, err_msg=name)
+            else:
+                np.testing.assert_array_equal(grads[0][name], grads[1][name],
+                                              err_msg=name)
+
+    @pytest.mark.parametrize("kind,with_score,with_drift", LOG_RATIO_CASES)
+    def test_noise_log_pdf_is_a_unit_kernel_array(self, kind, with_score,
+                                                  with_drift):
+        """The initial momentum's density: an array, from a unit kernel
+        only."""
+        eps = np.random.default_rng(85).normal(size=(4, 3))
+        t = Tape()
+        kernel, _ = self._setup(t, kind, with_score, with_drift)
+        if kind != "unit":
+            with pytest.raises(ValueError, match="unit-variance"):
+                kernel.noise_log_pdf(eps)
+            return
+        got = kernel.noise_log_pdf(eps)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_allclose(got, norm.logpdf(eps).sum(axis=-1),
+                                   rtol=1e-12)
 
     def test_score_passed_in_is_not_recomputed(self):
         # MCD's first transition takes the score its augmentation built

@@ -23,6 +23,7 @@ from ldvi.targets import (Dataset, TargetModel, brownian_motion_target,
                           default_data_dir, gaussian_toy_target, get_target,
                           load_binary_classification_csv,
                           logistic_regression_target)
+from reference import noise_logpdf
 
 def softplus(x):
     return np.logaddexp(0.0, x)
@@ -809,7 +810,7 @@ def reference_head(model, noise):
     if model.config.backward == "mcd":
         rho = t.add(reference_aug_mean(model, 1, z), rho)
     return z, rho, t.neg(t.add(model.q.log_pdf(z),
-                               t.gaussian_noise_logpdf(noise.rho_eps, 1.0)))
+                               noise_logpdf(t, noise.rho_eps, 1.0)))
 
 
 def per_call_reference(model, target, noise):
@@ -817,8 +818,8 @@ def per_call_reference(model, target, noise):
 
     Built from tape primitives: each transition draws rho' from two
     products and an add, scores the refresh from its noise with
-    `gaussian_noise_logpdf`, and an Euler-Maruyama chain is the
-    per-transition reference below. Step size and friction are the model's nodes, and the
+    `noise_logpdf`, and an Euler-Maruyama chain is the per-transition
+    reference below. Step size and friction are the model's nodes, and the
     momentum retention and the score are rebuilt from its lifted parameters.
     """
     t, c, K = model.tape, model.config, model.num_steps
@@ -853,7 +854,7 @@ def per_call_reference(model, target, noise):
             if score_fn is not None:
                 bwd_mean = t.add(bwd_mean, t.mul(var, score_fn(k, z, rho_p)))
             bwd = t.gaussian_logpdf(rho, bwd_mean, var)
-        L = t.add(L, t.sub(bwd, t.gaussian_noise_logpdf(eps, var)))
+        L = t.add(L, t.sub(bwd, noise_logpdf(t, eps, var)))
         z, rho = z_new, rho_new
     return t.add(L, t.add(target.logp(t, z),
                           reference_aug_logpdf(model, K, z, rho)))
@@ -987,13 +988,13 @@ class TestScoreReuse:
 
 
 # len(tape.nodes) of one K=8 sonar estimate on a training tape
-SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 73, "mcd": 164, "uha": 85,
-                       "ldvi": 164, "uha_em": 63, "ldvi_em": 148}
+SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 71, "mcd": 162, "uha": 83,
+                       "ldvi": 162, "uha_em": 61, "ldvi_em": 139}
 # the nodes one more transition adds to it. A leapfrog transition scores its
 # new position and mixes two bridge scores; an Euler-Maruyama transition
 # mixes one, the drift included. Each mix is one `bridge_score` node.
 SONAR_NODES_PER_TRANSITION = {"plainvi": 0, "ula": 7, "mcd": 17, "uha": 8,
-                              "ldvi": 18, "uha_em": 5, "ldvi_em": 16}
+                              "ldvi": 18, "uha_em": 5, "ldvi_em": 15}
 
 
 def sonar_nodes(name, K):
@@ -1080,7 +1081,7 @@ def per_transition_em_reference(model, target, noise):
         rho_new = t.add(mean, t.mul(t.sqrt(var), t.lift(eps)))
         z_new = t.add(z, t.mul(delta, rho_new))
         shrink, var = constants()
-        fwd = t.gaussian_noise_logpdf(eps, var)
+        fwd = noise_logpdf(t, eps, var)
         bwd_mean = t.sub(t.mul(shrink, rho_new), t.mul(delta, grad))
         if score_fn is not None:
             bwd_mean = t.add(bwd_mean, t.mul(var, score_fn(k, z, rho_new)))

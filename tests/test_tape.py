@@ -1,6 +1,8 @@
 """Unit tests for the reverse-mode tape."""
 
+import ast
 import gc
+import pathlib
 import tracemalloc
 import types
 import weakref
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import ldvi
 from ldvi import estimator, trainer
 from ldvi.annealing import MeanFieldGaussian, bridge_score
 from ldvi.estimator import (estimate_elbo, get_method, init_params,
@@ -105,29 +108,6 @@ BINARY_SHAPES = [((3,), (3,))] + [
     pair for s in [(), (1,), (3,)] for pair in ((s, (4, 3)), ((4, 3), s))]
 
 
-# the shape of gaussian_log_ratio's variance, which both its sides share
-RATIO_VARIANCES = {"shared_scalar": (), "shared_diagonal": (3,)}
-
-
-def _ratio_operands(rng, kind):
-    """([x, mean, var], eps) for (4, 3) points."""
-    vals = [rng.normal(size=(4, 3)), rng.normal(size=3),
-            rng.uniform(0.5, 2.0, size=RATIO_VARIANCES[kind])]
-    return vals, rng.normal(size=(4, 3))
-
-
-def _logpdf_ref(x, mean, var):
-    """The diagonal-Gaussian log-density in numpy, for a scalar or (D,) var."""
-    return (-0.5 * np.log(2 * np.pi * var)
-            - (x - mean) ** 2 / (2 * var)).sum(axis=-1)
-
-
-def _noise_ref(eps, var):
-    """log N(sqrt(var) eps; 0, var) in numpy, as a function of var with eps
-    held fixed."""
-    return _logpdf_ref(np.sqrt(var) * eps, 0.0, var)
-
-
 class TestFiniteDifferenceSweep:
     """Every opcode's AD gradient matches central differences on random inputs."""
 
@@ -192,41 +172,10 @@ class TestFiniteDifferenceSweep:
             assert abs(grads["s"] - ref_s) / abs(ref_s) < 1e-6
             np.testing.assert_allclose(grads["x"], ref_x, rtol=1e-6, atol=1e-9)
 
-    @pytest.mark.parametrize("kind", sorted(RATIO_VARIANCES))
-    def test_gaussian_log_ratio(self, kind):
-        rng = np.random.default_rng(37)
-        weights = rng.normal(size=4)
-
-        for _ in range(10):
-            vals, eps = _ratio_operands(rng, kind)
-
-            def f(vs):
-                x, mean, var = vs
-                return np.mean((_logpdf_ref(x, mean, var)
-                                - _noise_ref(eps, var)) * weights)
-
-            t = Tape()
-            x, mean, var = (t.lift(v, trainable=True, name=f"p{i}")
-                            for i, v in enumerate(vals))
-            grads = t.backward(t.mean_all(
-                t.mul(t.gaussian_log_ratio(x, mean, var, eps), weights)))
-            for i, v in enumerate(vals):
-                def g(z, i=i):
-                    vs = list(vals)
-                    vs[i] = z.reshape(np.shape(v))
-                    return f(vs)
-                ref = fd_grad(g, np.ravel(v)).reshape(np.shape(v))
-                assert grads[f"p{i}"].shape == np.shape(v)
-                np.testing.assert_allclose(grads[f"p{i}"], ref,
-                                           rtol=1e-6, atol=1e-9)
-
-
 # fused node -> (its numpy formula, its primitive tape chain)
 FUSED = {
     "muladd": (lambda a, x, y: a * x + y,
                lambda t, a, x, y: t.add(t.mul(a, x), y)),
-    "mulsub": (lambda a, x, y: a * x - y,
-               lambda t, a, x, y: t.sub(t.mul(a, x), y)),
 }
 # operand shapes (a, x, y): a scalar and a vector broadcast against (B, D),
 # an addend broadcast along the batch, and a one-entry factor
@@ -240,8 +189,8 @@ def _fused_operands(rng, shapes):
 
 
 class TestFusedNodes:
-    """muladd and mulsub: one node each, the primitive chain's value bit for
-    bit, gradients that match central differences, and no adjoint for an
+    """muladd: one node, the primitive chain's value bit for bit,
+    gradients that match central differences, and no adjoint for an
     operand that needs none. q's score, which the bridge node carries
     (`ldvi.annealing.bridge_score`), checked the same way through a real
     q."""
@@ -544,140 +493,6 @@ class TestGaussianLogpdf:
             t.gaussian_logpdf(t.lift(np.zeros((4, 3))), t.lift(np.zeros(3)),
                               t.lift(var))
         assert err.value.opcode == "gaussian_logpdf"
-
-
-class TestGaussianNoiseLogpdf:
-    """The density of a reparameterised draw, scored from its noise."""
-
-    @pytest.mark.parametrize("var", [1.7, np.array([0.5, 1.0, 2.0])],
-                             ids=["scalar", "diagonal"])
-    def test_equals_the_density_at_the_draw(self, var):
-        # mean + sqrt(var) eps scored in full, as the forward kernel was
-        rng = np.random.default_rng(62)
-        eps = rng.normal(size=(4, 3))
-        t = Tape()
-        mean = t.lift(rng.normal(size=(4, 3)), trainable=True, name="mean")
-        v = t.lift(var, trainable=True, name="var")
-        draw = t.muladd(t.sqrt(v), eps, mean)
-        noise = t.gaussian_noise_logpdf(eps, v)
-        np.testing.assert_allclose(
-            noise.value, t.gaussian_logpdf(draw, mean, v).value, rtol=1e-12)
-        # its one operand is the variance: no adjoint reaches the draw or
-        # the mean
-        assert noise.parents == (v,)
-        assert not t.backward(t.mean_all(noise))["mean"].any()
-
-    @pytest.mark.parametrize("var", [1.7, np.array([0.5, 1.0, 2.0])],
-                             ids=["scalar", "diagonal"])
-    def test_variance_adjoint_is_minus_half_over_var(self, var):
-        eps = np.random.default_rng(63).normal(size=(4, 3))
-        t = Tape()
-        v = t.lift(var, trainable=True, name="var")
-        grad = t.backward(t.mean_all(t.gaussian_noise_logpdf(eps, v)))["var"]
-        want = -0.5 / np.asarray(var)
-        np.testing.assert_allclose(grad, want * 3 if np.ndim(var) == 0
-                                   else want, rtol=1e-14)
-
-    def test_nonpositive_variance_names_the_op(self):
-        t = Tape()
-        with pytest.raises(DomainError) as err:
-            t.gaussian_noise_logpdf(np.zeros((2, 3)), 0.0)
-        assert err.value.opcode == "gaussian_noise_logpdf"
-
-
-class TestGaussianLogRatio:
-    """One node whose value and gradients are those of
-    `sub(gaussian_logpdf(x, mean, var), gaussian_noise_logpdf(eps, var))`
-    bit for bit."""
-
-    @staticmethod
-    def _lift(t, vals, eps, constant=()):
-        """(x, mean, var, eps), the operands at the indices in `constant`
-        lifted as constants."""
-        return (*(t.lift(v) if i in constant
-                  else t.lift(v, trainable=True, name=f"p{i}")
-                  for i, v in enumerate(vals)), eps)
-
-    @staticmethod
-    def _chain(t, x, mean, var, eps):
-        return t.sub(t.gaussian_logpdf(x, mean, var),
-                     t.gaussian_noise_logpdf(eps, var))
-
-    @pytest.mark.parametrize("constant", [(), (0, 1), (2,), (0, 1, 2)])
-    @pytest.mark.parametrize("kind", sorted(RATIO_VARIANCES))
-    def test_value_matches_two_node_chain_bit_for_bit(self, kind, constant):
-        vals, eps = _ratio_operands(np.random.default_rng(41), kind)
-        t = Tape()
-        args = self._lift(t, vals, eps, constant)
-        before = len(t.nodes)
-        fused = t.gaussian_log_ratio(*args)
-        assert len(t.nodes) == before + 1
-        np.testing.assert_array_equal(fused.value, self._chain(t, *args).value)
-
-    def test_python_float_variances_and_zero_mean(self):
-        # the unit kernels pass var 1.0, and a None mean as 0.0
-        rng = np.random.default_rng(43)
-        t = Tape()
-        x = t.lift(rng.normal(size=(4, 3)), trainable=True, name="x")
-        args = (x, 0.0, 1.0, rng.normal(size=(4, 3)))
-        np.testing.assert_array_equal(t.gaussian_log_ratio(*args).value,
-                                      self._chain(t, *args).value)
-
-    @pytest.mark.parametrize("kind", sorted(RATIO_VARIANCES))
-    def test_gradients_match_two_node_chain_bit_for_bit(self, kind):
-        # the variance adds its noise side's adjoint, then its point side's,
-        # to the one a later node gave it, as the chain's sweep does
-        vals, eps = _ratio_operands(np.random.default_rng(47), kind)
-        weights = np.random.default_rng(53).normal(size=(2, 4))
-        grads = []
-        for build in (lambda t, *a: t.gaussian_log_ratio(*a), self._chain):
-            t = Tape()
-            args = self._lift(t, vals, eps)
-            out = t.mul(build(t, *args), weights[0])
-            later = t.mul(t.sum(t.mul(args[2], args[0])), weights[1])
-            grads.append(t.backward(t.mean_all(t.add(out, later))))
-        assert grads[0].keys() == grads[1].keys()
-        for name in grads[0]:
-            np.testing.assert_array_equal(grads[0][name], grads[1][name])
-
-    def test_draw_and_forward_mean_are_no_operands(self):
-        # log m_F is scored from the noise: the node reaches neither the
-        # draw mean_f + sqrt(var) eps nor mean_f
-        rng = np.random.default_rng(57)
-        vals, eps = _ratio_operands(rng, "shared_scalar")
-        t = Tape()
-        x, mean, var, eps = self._lift(t, vals, eps)
-        mean_f = t.lift(rng.normal(size=(4, 3)), trainable=True, name="mf")
-        draw = t.muladd(t.sqrt(var), eps, mean_f)
-        out = t.gaussian_log_ratio(x, mean, var, eps)
-        np.testing.assert_allclose(
-            out.value, (t.gaussian_logpdf(x, mean, var).value
-                        - t.gaussian_logpdf(draw, mean_f, var).value),
-            rtol=1e-12)
-        assert out.parents == (var, x, var, mean)
-        assert not t.backward(t.mean_all(out))["mf"].any()
-
-    @pytest.mark.parametrize("constant", range(3))
-    def test_operand_needing_no_gradient_gets_no_adjoint(self, constant):
-        vals, eps = _ratio_operands(np.random.default_rng(59),
-                                    "shared_diagonal")
-        t = Tape()
-        out = t.gaussian_log_ratio(*self._lift(t, vals, eps, (constant,)))
-        adjoints = list(zip(out.parents, out.vjp(np.ones(out.shape))))
-        for parent, g in adjoints:
-            assert (g is None) == (not parent.needs_grad)
-        # the variance is a parent twice
-        assert (sum(g is None for _, g in adjoints)
-                == (2 if constant == 2 else 1))
-
-    def test_nonpositive_variance_names_the_op(self):
-        vals, eps = _ratio_operands(np.random.default_rng(61),
-                                    "shared_diagonal")
-        vals[2] = np.array([1.0, 0.0, 1.0])
-        t = Tape()
-        with pytest.raises(DomainError) as err:
-            t.gaussian_log_ratio(*self._lift(t, vals, eps))
-        assert err.value.opcode == "gaussian_log_ratio"
 
 
 class TestAddN:
@@ -1051,3 +866,31 @@ class TestTracking:
             if not trainable:
                 assert t.nodes and all(n.value is None for n in t.nodes)
         assert np.array_equal(bounds[True], bounds[False])
+
+
+def _tape_calls() -> set[str]:
+    """The names of the methods that the package outside `tape.py` calls
+    on a tape: on a variable named `t` or `tape`, or an attribute
+    `.tape`, the names every module gives the tape it builds on."""
+    called = set()
+    for path in pathlib.Path(ldvi.__file__).parent.glob("*.py"):
+        if path.name == "tape.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = node.func.value
+            if (isinstance(owner, ast.Name) and owner.id in ("t", "tape")
+                    or isinstance(owner, ast.Attribute)
+                    and owner.attr == "tape"):
+                called.add(node.func.attr)
+    return called
+
+
+def test_every_public_tape_method_has_a_caller_in_the_package():
+    """An operation that only the tests call is dead code: delete it, with
+    its tests."""
+    public = {name for name, member in vars(Tape).items()
+              if callable(member) and not name.startswith("_")}
+    assert public - _tape_calls() == set()
