@@ -124,6 +124,8 @@ class MethodConfig:
         if self.backward not in backwards:
             raise ValueError(f"backward kernel {self.backward!r} is not one "
                              f"of {backwards} with forward {self.forward!r}")
+        if self.score_hidden is not None and self.score_hidden < 1:
+            raise ValueError("score_hidden must be at least 1")
 
     @property
     def uses_score(self) -> bool:
@@ -329,8 +331,8 @@ def estimate_elbo(model: LiftedModel, target: TargetModel,
     gradient (an evaluation chain's) are summed as they come.
 
     On sonar's training tape a transition so records 7 nodes for ULA, 8 for
-    UHA, 17 for MCD, 18 for LDVI, 5 for UHA-EM and 15 for LDVI-EM, score
-    nets and the target's score included.
+    UHA, 8 for MCD, 9 for LDVI, 5 for UHA-EM and 6 for LDVI-EM, the
+    target's score included; each call of the score net is one node.
 
     Raises EstimatorError naming the transition index, the quantity
     (position, momentum, log-ratio, initial or terminal density) and the

@@ -26,6 +26,8 @@ The fused nodes are:
   drift;
 - in `ldvi.targets`, the logistic-regression likelihood and score, and the
   Brownian-motion log-density and score.
+- `ScoreNet.apply` in `ldvi.scorenet`, the whole score network, which keeps
+  only its three tanh outputs for its VJP.
 `Tape.push` records such a node from any module; the array kernels
 `sigmoid` and `softplus` serve both the tape operations of those names and
 fused nodes.
@@ -277,11 +279,6 @@ class Tape:
         value = np.exp(a.value)
         return self.push(value, (a,), lambda adj: (adj * value,))
 
-    def tanh(self, a) -> Var:
-        a = self._coerce(a)
-        value = np.tanh(a.value)
-        return self.push(value, (a,), lambda adj: (adj * (1.0 - value * value),))
-
     def softplus(self, a) -> Var:
         a = self._coerce(a)
         x = a.value
@@ -341,18 +338,6 @@ class Tape:
             return (adj @ matrix,)
 
         return self.push(value, (x,), vjp)
-
-    def linear(self, x, weight: Var, bias: Var) -> Var:
-        """Trainable linear layer: x @ W.T + b, with W and b on the tape."""
-        x = self._coerce(x)
-        value = x.value @ weight.value.T + bias.value
-
-        def vjp(adj):
-            a2 = adj.reshape(-1, adj.shape[-1])
-            x2 = x.value.reshape(-1, x.value.shape[-1])
-            return adj @ weight.value, a2.T @ x2, adj
-
-        return self.push(value, (x, weight, bias), vjp)
 
     # ------------------------------------------------------- shape utilities
 

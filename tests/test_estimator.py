@@ -135,6 +135,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             MethodConfig(name="x", scheme="leapfrog")
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_score_width_below_one_rejected(self, width):
+        """A zero-width net would score the constant b3, and a negative one
+        fail inside numpy."""
+        with pytest.raises(ValueError, match="score_hidden"):
+            dataclasses.replace(METHODS["ldvi"], score_hidden=width)
+
     @pytest.mark.parametrize("field,kernels", [
         ("forward", dict(forward="exact_ou", backward="exact")),
         ("forward", dict(scheme="em", forward="full", backward="exact")),
@@ -988,13 +995,14 @@ class TestScoreReuse:
 
 
 # len(tape.nodes) of one K=8 sonar estimate on a training tape
-SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 71, "mcd": 162, "uha": 83,
-                       "ldvi": 162, "uha_em": 61, "ldvi_em": 139}
+SONAR_NODE_CEILINGS = {"plainvi": 10, "ula": 71, "mcd": 90, "uha": 83,
+                       "ldvi": 99, "uha_em": 61, "ldvi_em": 76}
 # the nodes one more transition adds to it. A leapfrog transition scores its
 # new position and mixes two bridge scores; an Euler-Maruyama transition
-# mixes one, the drift included. Each mix is one `bridge_score` node.
-SONAR_NODES_PER_TRANSITION = {"plainvi": 0, "ula": 7, "mcd": 17, "uha": 8,
-                              "ldvi": 18, "uha_em": 5, "ldvi_em": 15}
+# mixes one, the drift included. Each mix is one `bridge_score` node, and
+# each call of a score net one `ScoreNet.apply` node.
+SONAR_NODES_PER_TRANSITION = {"plainvi": 0, "ula": 7, "mcd": 8, "uha": 8,
+                              "ldvi": 9, "uha_em": 5, "ldvi_em": 6}
 
 
 def sonar_nodes(name, K):

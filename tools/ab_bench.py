@@ -7,6 +7,10 @@ then writes, per workload and end-to-end metric, every pair's values, each
 side's median and quartiles, how many pairs the change won, and the median
 gap against the parent's interquartile range, and whether the change's
 median is worse than the parent's by no more than the metric's bound.
+For each run it also records the minor page faults (`ru_minflt`) of the
+child and of the set-up probes it starts, and the cells it ran, and it
+reports faults per cell, so that a gap that comes from the heap's state
+rather than the code shows as a gap in faults.
 
     python3 tools/ab_bench.py PARENT CHANGE --workload eval-mcd-ionosphere \\
         --seeds 1 2 3 4 5 6 7 8 9 10 --out ab.json
@@ -26,6 +30,7 @@ import argparse
 import json
 import pathlib
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -35,12 +40,15 @@ SIDES = ("parent", "change")
 
 def run_once(root: pathlib.Path, workload: str, seed: int,
              seconds: float) -> dict:
-    """One untraced perfbench run: its env line and its result line."""
+    """One untraced perfbench run: its env line, its result line, its
+    minor page faults and its number of untraced cells."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, timeout=30 * seconds + 300)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if out.returncode != 0:
         sys.exit(f"ab_bench: {root} {workload} seed {seed} exited with "
                  f"{out.returncode}:\n{out.stderr}")
@@ -51,7 +59,9 @@ def run_once(root: pathlib.Path, workload: str, seed: int,
     if not result["correct"]:
         sys.exit(f"ab_bench: {root} {workload} seed {seed} failed its "
                  f"checks:\n{out.stderr}")
-    return {"env": env,
+    cells = next(int(line.split()[1]) for line in lines
+                 if line.startswith("cells "))
+    return {"env": env, "faults": faults, "cells": cells,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -114,13 +124,21 @@ def main(argv=None) -> int:
                     k: v for k, v in runs[side]["env"].items()
                     if k not in ("workload", "seed")})
             pairs.append({"seed": seed, "first": order[0],
-                          **{side: runs[side]["metrics"] for side in SIDES}})
+                          **{side: runs[side]["metrics"] for side in SIDES},
+                          **{key: {side: runs[side][key] for side in SIDES}
+                             for key in ("faults", "cells")}})
+            per_cell = {side: runs[side]["faults"] / runs[side]["cells"]
+                        for side in SIDES}
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{m} {pairs[-1]['parent'][m]:.4g} -> "
-                f"{pairs[-1]['change'][m]:.4g}" for m in metrics),
-                file=sys.stderr)
+                f"{pairs[-1]['change'][m]:.4g}" for m in metrics)
+                + f", faults/cell {per_cell['parent']:.0f} -> "
+                f"{per_cell['change']:.0f}", file=sys.stderr)
         report["workloads"][workload] = {
             "pairs": pairs,
+            "faults_per_cell": {
+                side: summary([p["faults"][side] / p["cells"][side]
+                               for p in pairs]) for side in SIDES},
             "metrics": {m: compare([{side: p[side][m] for side in SIDES}
                                     for p in pairs], better, bound)
                         for m, (better, bound) in metrics.items()}}
